@@ -73,7 +73,7 @@
 // the rolling per-endpoint baseline are always retained; the baseline
 // watchdog (-baseline-window, -baseline-sigma) flags latency regressions
 // at /debug/anomalies and in /metrics. -self-profile-store appends each
-// retained slow trace to a dedicated ensemble store that thicket
+// retained slow request trace to a dedicated ensemble store that thicket
 // query/serve can analyze — the server's own performance forest. On
 // shutdown (including SIGINT/SIGTERM) -trace-out receives every retained
 // span tree as Chrome trace_event JSON plus a native thicket profile,

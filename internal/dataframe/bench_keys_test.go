@@ -131,7 +131,7 @@ func BenchmarkIndexLookupNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fresh := ix.Copy()
-		fresh.lookup = nil // force a rebuild, matching the Ref loop
+		fresh.lookup.Store(nil) // force a rebuild, matching the Ref loop
 		for _, key := range keys {
 			_ = fresh.Lookup(key)
 		}
@@ -165,7 +165,7 @@ func BenchmarkInnerJoinNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, f := range frames {
-			f.index.lookup = nil // charge the build each round, as Ref does
+			f.index.lookup.Store(nil) // charge the build each round, as Ref does
 		}
 		if _, err := InnerJoinOnIndex([]string{"A", "B", "C"}, frames); err != nil {
 			b.Fatal(err)

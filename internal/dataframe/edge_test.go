@@ -3,6 +3,7 @@ package dataframe
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -17,28 +18,28 @@ func TestIndexLookupLifecycle(t *testing.T) {
 		NewStringSeries("node", []string{"a", "b", "a", "c"}),
 		NewIntSeries("trial", []int64{0, 0, 1, 0}),
 	)
-	if ix.lookup != nil {
+	if ix.lookup.Load() != nil {
 		t.Fatal("lookup built eagerly")
 	}
-	ix.Warm()
-	if ix.lookup == nil {
-		t.Fatal("Warm did not build the lookup")
+	ix.HasDuplicates()
+	built := ix.lookup.Load()
+	if built == nil {
+		t.Fatal("first use did not build the lookup")
 	}
-	built := ix.lookup
 
 	// Deep copy shares the built structure.
 	cp := ix.Copy()
-	if cp.lookup != built {
+	if cp.lookup.Load() != built {
 		t.Error("Copy did not share the built lookup")
 	}
 	// Identity gather shares; a reordering gather must not.
-	if g := ix.Gather([]int{0, 1, 2, 3}); g.lookup != built {
+	if g := ix.Gather([]int{0, 1, 2, 3}); g.lookup.Load() != built {
 		t.Error("identity Gather did not share the built lookup")
 	}
-	if g := ix.Gather([]int{3, 2, 1, 0}); g.lookup != nil {
+	if g := ix.Gather([]int{3, 2, 1, 0}); g.lookup.Load() != nil {
 		t.Error("reordering Gather must not carry the lookup")
 	}
-	if g := ix.Gather([]int{0, 1}); g.lookup != nil {
+	if g := ix.Gather([]int{0, 1}); g.lookup.Load() != nil {
 		t.Error("subset Gather must not carry the lookup")
 	}
 
@@ -47,10 +48,10 @@ func TestIndexLookupLifecycle(t *testing.T) {
 	if err := ix.AppendKey(key); err != nil {
 		t.Fatal(err)
 	}
-	if ix.lookup != nil {
+	if ix.lookup.Load() != nil {
 		t.Error("AppendKey did not invalidate the lookup")
 	}
-	if cp.lookup != built {
+	if cp.lookup.Load() != built {
 		t.Error("mutating the original invalidated the copy's lookup")
 	}
 	// ...and the rebuilt lookup sees the new row.
@@ -66,7 +67,7 @@ func TestIndexLookupLifecycle(t *testing.T) {
 	}
 
 	// AppendIndex invalidates too.
-	cp.Warm()
+	cp.HasDuplicates()
 	other := MustIndex(
 		NewStringSeries("node", []string{"z"}),
 		NewIntSeries("trial", []int64{9}),
@@ -74,7 +75,7 @@ func TestIndexLookupLifecycle(t *testing.T) {
 	if err := cp.AppendIndex(other); err != nil {
 		t.Fatal(err)
 	}
-	if cp.lookup != nil {
+	if cp.lookup.Load() != nil {
 		t.Error("AppendIndex did not invalidate the lookup")
 	}
 	if rows := cp.Lookup([]Value{Str("z"), Int64(9)}); len(rows) != 1 || rows[0] != 4 {
@@ -89,19 +90,59 @@ func TestFrameCopySharesWarmLookup(t *testing.T) {
 		MustIndex(NewStringSeries("node", []string{"a", "b", "c"})),
 		NewFloatSeries("time", []float64{1, 2, 3}),
 	)
-	f.Index().Warm()
-	built := f.index.lookup
+	f.Index().HasDuplicates()
+	built := f.index.lookup.Load()
 	if built == nil {
-		t.Fatal("Warm did not build")
+		t.Fatal("first use did not build the lookup")
 	}
-	if cp := f.Copy(); cp.index.lookup != built {
+	if cp := f.Copy(); cp.index.lookup.Load() != built {
 		t.Error("Frame.Copy rebuilt the index lookup")
 	}
-	if sel := f.SelectRows([]int{0, 1, 2}); sel.index.lookup != built {
+	if sel := f.SelectRows([]int{0, 1, 2}); sel.index.lookup.Load() != built {
 		t.Error("identity SelectRows rebuilt the index lookup")
 	}
-	if sel := f.SelectRows([]int{2, 0}); sel.index.lookup != nil {
+	if sel := f.SelectRows([]int{2, 0}); sel.index.lookup.Load() != nil {
 		t.Error("subset SelectRows must not carry the lookup")
+	}
+}
+
+// TestIndexConcurrentFirstUse: readers that hit a fresh index at the
+// same time each may build the lookup, but exactly one is published and
+// every reader answers from a correct structure. Run under -race.
+func TestIndexConcurrentFirstUse(t *testing.T) {
+	const n = 2000
+	nodes := make([]string, n)
+	trials := make([]int64, n)
+	for i := range nodes {
+		nodes[i] = string(rune('a' + i%7))
+		trials[i] = int64(i / 7)
+	}
+	ix := MustIndex(NewStringSeries("node", nodes), NewIntSeries("trial", trials))
+	const readers = 8
+	var wg sync.WaitGroup
+	got := make([]*indexLookup, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				if ix.HasDuplicates() {
+					t.Error("HasDuplicates on unique keys = true")
+				}
+			} else {
+				r := (g * 131) % n
+				if rows := ix.Lookup(ix.KeyAt(r)); len(rows) != 1 || rows[0] != r {
+					t.Errorf("Lookup(row %d) = %v", r, rows)
+				}
+			}
+			got[g] = ix.lookup.Load()
+		}(g)
+	}
+	wg.Wait()
+	for g, lk := range got {
+		if lk == nil || lk != got[0] {
+			t.Fatalf("reader %d saw lookup %p, reader 0 saw %p: one structure must win", g, lk, got[0])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Index is a hierarchical row index: one or more named levels, each a
@@ -14,11 +15,14 @@ type Index struct {
 	names  []string
 	levels []*Series
 
-	// lookup is the lazily built key→rows structure (integer key ids, no
-	// per-row string encoding). It is immutable once built, so deep
-	// copies and identity gathers share it instead of rebuilding;
-	// mutation drops only the mutated index's reference.
-	lookup *indexLookup
+	// lookup publishes the lazily built key→rows structure (integer key
+	// ids, no per-row string encoding). The first use builds it and
+	// publishes it with a compare-and-swap, so concurrent first uses are
+	// race-free and all readers end up sharing one structure. It is
+	// immutable once built, so deep copies and identity gathers share it
+	// instead of rebuilding; mutation drops only the mutated index's
+	// reference.
+	lookup atomic.Pointer[indexLookup]
 }
 
 // indexLookup resolves composite keys to row positions through the
@@ -96,21 +100,20 @@ func (ix *Index) KeyAt(row int) []Value {
 	return key
 }
 
-// buildLookup constructs the key→rows structure.
+// buildLookup returns the key→rows structure, building it on first use.
+// Racing first uses may each build one; the first to publish wins and
+// the others adopt it.
 func (ix *Index) buildLookup() *indexLookup {
-	if ix.lookup != nil {
-		return ix.lookup
+	if lk := ix.lookup.Load(); lk != nil {
+		return lk
 	}
 	ks := buildKeySpace(ix.levels, true)
-	ix.lookup = &indexLookup{ks: ks, rows: bucketRows(ks.ids, ks.n)}
-	return ix.lookup
+	lk := &indexLookup{ks: ks, rows: bucketRows(ks.ids, ks.n)}
+	if ix.lookup.CompareAndSwap(nil, lk) {
+		return lk
+	}
+	return ix.lookup.Load()
 }
-
-// Warm forces construction of the lazy key→rows structure. Lookup and
-// Contains build it on first use, which is a data race when the first
-// uses happen concurrently; call Warm before handing the index to
-// parallel readers.
-func (ix *Index) Warm() { ix.buildLookup() }
 
 // Lookup returns the row positions matching the full composite key, in
 // index order. The returned slice must not be modified.
@@ -159,8 +162,8 @@ func (ix *Index) Gather(rows []int) *Index {
 		levels[i] = lv.Gather(rows)
 	}
 	out := MustIndex(levels...)
-	if ix.lookup != nil && isIdentity(rows, ix.NRows()) {
-		out.lookup = ix.lookup
+	if lk := ix.lookup.Load(); lk != nil && isIdentity(rows, ix.NRows()) {
+		out.lookup.Store(lk)
 	}
 	return out
 }
@@ -186,7 +189,7 @@ func (ix *Index) Copy() *Index {
 		levels[i] = lv.Copy()
 	}
 	out := MustIndex(levels...)
-	out.lookup = ix.lookup
+	out.lookup.Store(ix.lookup.Load())
 	return out
 }
 
@@ -200,7 +203,7 @@ func (ix *Index) AppendKey(key []Value) error {
 			return err
 		}
 	}
-	ix.lookup = nil
+	ix.lookup.Store(nil)
 	return nil
 }
 
@@ -215,7 +218,7 @@ func (ix *Index) AppendIndex(o *Index) error {
 			return err
 		}
 	}
-	ix.lookup = nil
+	ix.lookup.Store(nil)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,23 @@ func answers(t testing.TB, th *core.Thicket) map[string][]byte {
 	return out
 }
 
+// waitSegments polls the store until it holds at least n live segments,
+// failing the test if they do not appear before a deadline.
+func waitSegments(t testing.TB, st *store.Store, n int) []store.SegmentInfo {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		segs := st.Segments()
+		if len(segs) >= n {
+			return segs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("expected >= %d segments, got %d after 10s", n, len(segs))
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestStreamingMatchesBatch is the differential harness: profiles
 // streamed through WAL + L0 flushes with a mid-stream compaction answer
 // stats/groupby/summary/query bit-identically to one batch-built
@@ -134,10 +152,9 @@ func TestStreamingMatchesBatch(t *testing.T) {
 		}
 		if i == 11 {
 			// Mid-stream compaction: fold the first three L0 segments.
-			segs := st.Segments()
-			if len(segs) < 3 {
-				t.Fatalf("expected >= 3 segments mid-stream, got %d", len(segs))
-			}
+			// Submit acks once the WAL is durable, before the writer
+			// loop flushes, so wait for the third flush to land.
+			segs := waitSegments(t, st, 3)
 			gens := []int64{segs[0].Gen, segs[1].Gen, segs[2].Gen}
 			if err := CompactSegments(st, gens, 1); err != nil {
 				t.Fatal(err)

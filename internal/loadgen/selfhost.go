@@ -325,7 +325,7 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 // external producer exercises. Each call generates a unique profile
 // (trial numbers count up from a high base so they never collide with
 // the seeded ensemble), so the store's content generation moves and the
-// server reloads under traffic. The returned status lets the replay
+// server refreshes its resident thicket under traffic. The returned status lets the replay
 // count 429 sheds separately from failures.
 func (h *SelfHost) Ingest() (int, error) {
 	h.ingestMu.Lock()

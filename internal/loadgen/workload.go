@@ -26,7 +26,7 @@ const (
 	WorkloadHotSkew = "hot-skew"
 	// WorkloadIngestQuery interleaves store appends (one profile per
 	// ingest event) with cacheable queries — the write path invalidates
-	// the response cache and forces thicket reloads mid-traffic.
+	// the response cache and forces thicket refreshes mid-traffic.
 	WorkloadIngestQuery = "ingest-query"
 )
 

@@ -1,7 +1,7 @@
 // Package selfprofile closes thicketd's dogfood loop: slow traces
 // retained by the telemetry Collector's tail sampler are periodically
 // exported as native thicket profiles and appended to a dedicated
-// ensemble store. Each retained trace becomes one profile whose
+// ensemble store. Each retained request trace becomes one profile whose
 // metadata rows carry the request identity (endpoint, trace ID,
 // wall-clock timestamp, HTTP status), so `thicket query` and
 // `thicket serve` can run the same exploratory analysis over the
@@ -142,9 +142,11 @@ func (p *Profiler) Flush() (int, error) {
 	}
 	profiles := make([]*profile.Profile, 0, len(traces))
 	for _, rt := range traces {
-		if p.selfTrace(rt.Root) {
-			// The flush's own store I/O shows up as root trees; exporting
-			// them would feed the profiler its own writes forever.
+		if rt.TraceID == "" {
+			// Only request trees carry a trace ID. Every other root — the
+			// flush's own store writes and the parallel dispatches they
+			// open included — is background work; exporting the
+			// profiler's own writes would feed it itself forever.
 			continue
 		}
 		prof, err := p.export(rt)
@@ -167,18 +169,6 @@ func (p *Profiler) Flush() (int, error) {
 	}
 	p.exported.Add(int64(len(profiles)))
 	return len(profiles), nil
-}
-
-// selfTrace reports whether a root tree was generated by this
-// profiler's own store writes (store spans carry the file path as an
-// attr).
-func (p *Profiler) selfTrace(root *telemetry.TraceNode) bool {
-	for _, a := range root.Attrs {
-		if a.Key == "path" && a.Value == p.opts.StorePath {
-			return true
-		}
-	}
-	return false
 }
 
 // export converts one retained trace into a native profile with the

@@ -259,9 +259,10 @@ func appendMarbl(t *testing.T, st *store.Store, trial int) {
 }
 
 // TestCacheSurvivesCompaction: a compaction rewrites the segment layout
-// (layout generation moves, the server reloads) without changing
-// content or tree, so every cached response must stay warm — the whole
-// point of incremental invalidation over the old wholesale flush.
+// without changing content or tree. The layout generation moves, the
+// server's Refresh hands the resident thicket back unchanged, and every
+// cached response must stay warm — the whole point of incremental
+// invalidation over the old wholesale flush.
 func TestCacheSurvivesCompaction(t *testing.T) {
 	ts, srv, st, _ := ingestFixture(t, ingest.Options{CompactRun: -1})
 	// Split the store into several segments so there is something to
@@ -281,6 +282,7 @@ func TestCacheSurvivesCompaction(t *testing.T) {
 	}
 
 	gen0 := st.Generation()
+	reloads0 := getJSON(t, ts.URL+"/healthz")["reloads"]
 	if err := ingest.CompactAll(st); err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +297,14 @@ func TestCacheSurvivesCompaction(t *testing.T) {
 	}
 	if hits1 != hits0+2 {
 		t.Errorf("hits after compaction = %d, want %d", hits1, hits0+2)
+	}
+	// No swap was counted, yet the server now stands at the new layout.
+	hz := getJSON(t, ts.URL+"/healthz")
+	if hz["reloads"] != reloads0 {
+		t.Errorf("compaction counted a reload: %v -> %v", reloads0, hz["reloads"])
+	}
+	if gen := hz["cache"].(map[string]any)["generation"]; gen != float64(st.Generation()) {
+		t.Errorf("resident generation %v, store at %d", gen, st.Generation())
 	}
 
 	// The surviving entries are still correct: a forced recompute on a

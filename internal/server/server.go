@@ -16,9 +16,12 @@
 // /api/query) are served from a byte-bounded, dependency-stamped
 // response cache keyed by the canonicalized request, with single-flight
 // dedup of concurrent identical misses. When the backing store's layout
-// generation moves (an append or a compaction), the server reloads the
-// thicket and invalidates incrementally: data-derived entries drop only
-// when the content generation moved, tree-derived entries only when the
+// generation moves, the server refreshes its resident thicket in place
+// of reloading it (store.Refresh): an append decodes only the new
+// profiles and concatenates them onto the resident ensemble, and a
+// compaction, which changes no content, keeps the resident thicket as
+// is. Invalidation is incremental: data-derived entries drop only when
+// the content generation moved, tree-derived entries only when the
 // union call tree changed — so a compaction costs no cache entries at
 // all.
 //
@@ -171,11 +174,12 @@ type Server struct {
 	inFlight   *telemetry.Gauge
 	reloads    *telemetry.Counter
 	reloadErrs *telemetry.Counter
+	reloadDur  map[string]*telemetry.Histogram // by store.Refresh mode
 	genGauge   *telemetry.Gauge
 
 	cache    *respCache
 	gen      atomic.Int64 // store generation the resident thicket reflects
-	reloadMu sync.Mutex   // serializes thicket reloads
+	reloadMu sync.Mutex   // serializes thicket refreshes
 	eps      map[string]*endpointMetrics
 	plans    map[string]*planMetrics
 
@@ -193,19 +197,12 @@ type Server struct {
 	inject sync.Map // endpoint path -> time.Duration artificial delay
 }
 
-// warm pre-builds a thicket's lazy index lookups so concurrent read-only
-// queries never race on first-use construction.
-func warm(th *core.Thicket) {
-	th.PerfData.Index().Warm()
-	th.Metadata.Index().Warm()
-	th.Stats.Index().Warm()
-}
-
 // New builds a server over an already-loaded thicket. st may be nil
 // (serving a thicket that did not come from a store); when present it
-// backs /api/info with storage-level detail and triggers a reload +
-// cache flush whenever the store's generation moves (e.g. an in-process
-// Append).
+// backs /api/info with storage-level detail, and th should be what
+// st.Load() returned: whenever the store's generation moves (an
+// in-process append or compaction), the server refreshes th from the
+// store and invalidates the response cache incrementally.
 func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 64
@@ -228,7 +225,6 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	if opts.MaxIngestBytes <= 0 {
 		opts.MaxIngestBytes = DefaultMaxIngestBytes
 	}
-	warm(th)
 	reg := opts.Registry
 	s := &Server{
 		st:      st,
@@ -253,8 +249,12 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	s.queriesDisconnected = reg.Counter("thicket_queries_canceled_total", "Queries canceled before completion, by reason.", "reason", reasonDisconnected)
 	s.requests = reg.Counter("thicket_http_requests_total", "HTTP requests accepted (all paths).")
 	s.inFlight = reg.Gauge("thicket_http_in_flight", "HTTP requests currently executing or queued.")
-	s.reloads = reg.Counter("thicket_reloads_total", "Successful thicket reloads after a store generation change.")
+	s.reloads = reg.Counter("thicket_reloads_total", "Resident thicket swaps after the store's content changed.")
 	s.reloadErrs = reg.Counter("thicket_reload_errors_total", "Failed thicket reload attempts.")
+	s.reloadDur = map[string]*telemetry.Histogram{}
+	for _, mode := range []string{store.RefreshDelta, store.RefreshFull} {
+		s.reloadDur[mode] = reg.Histogram("thicket_reload_seconds", "Time to build the resident thicket swapped in after a store change, by refresh mode.", "mode", mode)
+	}
 	s.genGauge = reg.Gauge("thicket_resident_generation", "Store generation the resident thicket reflects.")
 	s.th.Store(th)
 	var contentGen int64
@@ -314,43 +314,45 @@ func treeFingerprint(th *core.Thicket) int64 {
 	return int64(h.Sum64())
 }
 
-// maybeReload swaps in a fresh thicket when the backing store's layout
-// generation has moved past the resident one, then invalidates the
-// response cache incrementally: data-derived entries only if the
-// content generation moved (an append), tree-derived entries only if
-// the union tree changed. A pure compaction moves the layout generation
-// without touching either, so the reload costs zero cache entries. On
-// load failure the server keeps answering from the stale thicket and
-// counts the error; the next request retries.
+// maybeReload brings the resident thicket up to date when the backing
+// store's layout generation has moved past the resident one. It calls
+// store.Refresh, which decodes only profiles the resident thicket lacks.
+// When Refresh hands the resident thicket back (a compaction: new
+// layout, same content), the server adopts the new generation with no
+// swap, no invalidation and no reload counted. Otherwise it swaps in the
+// refreshed thicket and invalidates the response cache incrementally,
+// against the generations Refresh read together with the segment set it
+// decoded: data-derived entries only if the content generation moved,
+// tree-derived entries only if the union tree changed. On failure the
+// server keeps answering from the stale thicket and counts the error;
+// the next request retries.
 func (s *Server) maybeReload() {
 	if s.st == nil {
 		return
 	}
-	gen := s.st.Generation()
-	if gen == s.gen.Load() {
+	if s.st.Generation() == s.gen.Load() {
 		return
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if gen == s.gen.Load() { // another request reloaded while we waited
+	if s.st.Generation() == s.gen.Load() { // another request refreshed while we waited
 		return
 	}
-	// Read the content generation before Load: if an append races in
-	// between, the loaded thicket holds more than the stamp claims, the
-	// stamp is merely stale, and the next reload invalidates again. The
-	// reverse order could stamp stale entries as fresh.
-	contentGen := s.st.ContentGeneration()
-	th, err := s.st.Load()
+	prev := s.thicket()
+	start := time.Now()
+	th, gen, contentGen, mode, err := s.st.Refresh(prev)
 	if err != nil {
 		s.reloadErrs.Inc()
 		return
 	}
-	warm(th)
-	s.th.Store(th)
-	s.cache.invalidate(contentGen, treeFingerprint(th))
+	if th != prev {
+		s.th.Store(th)
+		s.cache.invalidate(contentGen, treeFingerprint(th))
+		s.reloads.Inc()
+		s.reloadDur[mode].Observe(time.Since(start).Seconds())
+	}
 	s.gen.Store(gen)
 	s.genGauge.Set(gen)
-	s.reloads.Inc()
 }
 
 // Handler returns the full middleware-wrapped HTTP handler.

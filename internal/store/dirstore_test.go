@@ -313,3 +313,94 @@ func TestColumnCacheSurvivesCompaction(t *testing.T) {
 		t.Fatalf("cache bytes after compaction = %d (before %d)", bytesAfter, bytesBefore)
 	}
 }
+
+// TestRefresh pins Refresh's contract: no change or a pure compaction
+// hands prev back, an append decodes only the new profiles (also when a
+// compaction merged them with rows prev already holds), a thicket that is
+// not a prefix of the store falls back to a full load, and the returned
+// generations are the store's.
+func TestRefresh(t *testing.T) {
+	profiles := dirProfiles(t, 10, 21)
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := CreateDir(dir, dirThicket(t, profiles[:2])); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendL0 := func(lo, hi int) {
+		t.Helper()
+		if err := s.AppendSegment(dirThicket(t, profiles[lo:hi]), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compactLast2 := func() {
+		t.Helper()
+		gens := s.Generations()
+		run := gens[len(gens)-2:]
+		merged, err := core.ConcatProfiles([]*core.Thicket{mustSegment(t, s, run[0]), mustSegment(t, s, run[1])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReplaceSegments(run, merged, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// refresh runs Refresh, checks its generations and mode, and checks
+	// the result answers like Load: same tree and metadata, same perf
+	// rows up to order (a compacted segment sorts its rows node-major).
+	refresh := func(prev *core.Thicket, wantMode string) *core.Thicket {
+		t.Helper()
+		th, gen, contentGen, mode, err := s.Refresh(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode != wantMode {
+			t.Fatalf("mode = %s, want %s", mode, wantMode)
+		}
+		if gen != s.Generation() || contentGen != s.ContentGeneration() {
+			t.Fatalf("generations (%d, %d), store at (%d, %d)", gen, contentGen, s.Generation(), s.ContentGeneration())
+		}
+		want, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !th.Tree.Equal(want.Tree) || !th.Metadata.Equal(want.Metadata) ||
+			!th.SortedByIndex().PerfData.Equal(want.SortedByIndex().PerfData) {
+			t.Fatal("refreshed thicket differs from a fresh Load")
+		}
+		return th
+	}
+
+	prev, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th := refresh(prev, RefreshDelta); th != prev {
+		t.Fatal("Refresh of an unchanged store must return prev")
+	}
+	appendL0(2, 4)
+	appendL0(4, 6)
+	th := refresh(prev, RefreshDelta)
+	if th == prev || th.NumProfiles() != 6 {
+		t.Fatalf("append: got %d profiles (same thicket: %v), want a new thicket of 6", th.NumProfiles(), th == prev)
+	}
+	compactLast2()
+	if got := refresh(th, RefreshDelta); got != th {
+		t.Fatal("Refresh after a pure compaction must return prev")
+	}
+	// An L0 segment merged with rows th already holds before th looked.
+	appendL0(6, 8)
+	compactLast2()
+	th = refresh(th, RefreshDelta)
+	if th.NumProfiles() != 8 {
+		t.Fatalf("tail of a merged segment: %d profiles, want 8", th.NumProfiles())
+	}
+
+	// Not a prefix: a foreign thicket, one longer than the store, nil.
+	refresh(dirThicket(t, profiles[8:10]), RefreshFull)
+	refresh(dirThicket(t, dirProfiles(t, 9, 22)), RefreshFull)
+	refresh(nil, RefreshFull)
+}

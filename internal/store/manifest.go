@@ -308,10 +308,10 @@ func (s *Store) CanCompact() bool { return s.dir && !s.readOnly }
 // gens must form a contiguous run of the current layout order (logical
 // arrival order is position-dependent — replacing a non-contiguous
 // subset would reorder profiles), and merged must hold exactly the
-// replaced segments' profiles. The layout generation bumps (resident
-// thickets must reload) but the content generation does NOT — the
-// store's logical contents are unchanged, so content-stamped response
-// caches stay valid. Retired segments' files are deleted once the last
+// replaced segments' profiles. The layout generation bumps but the
+// content generation does NOT — the store's logical contents are
+// unchanged, so content-stamped response caches stay valid and Refresh
+// hands resident thickets back as they are. Retired segments' files are deleted once the last
 // pinned reader drains.
 func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) error {
 	if !s.CanCompact() {

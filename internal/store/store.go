@@ -98,7 +98,13 @@ type Store struct {
 	f        *os.File // single-file layout only
 	readOnly bool
 
-	appendMu     sync.Mutex // serializes validate+commit of appends
+	appendMu sync.Mutex // serializes validate+commit of appends
+	// profileKeys holds the EncodeKey of every stored profile-index
+	// value — the duplicate-append check. Built on the first append,
+	// extended after each committed one, and untouched by compaction,
+	// which moves rows without changing them. Guarded by appendMu.
+	profileKeys map[string]struct{}
+
 	mu           sync.Mutex // guards segs, gens, manifest writes
 	segs         []*segment
 	gen          int64 // layout generation: bumps on append AND compaction
@@ -329,8 +335,8 @@ func (s *Store) NumSegments() int {
 
 // Generation reports the layout generation: it changes whenever the
 // segment set changes — every append AND every compaction. Consumers
-// holding a decoded view (thicketd's resident thicket) reload when it
-// moves.
+// holding a decoded view (thicketd's resident thicket) Refresh it when
+// it moves.
 func (s *Store) Generation() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,13 +385,21 @@ func (s *Store) Segments() []SegmentInfo {
 // pin snapshots the live segment set and pins every member against
 // compaction-time finalization. Callers must invoke release when done.
 func (s *Store) pin() (segs []*segment, release func()) {
+	segs, _, _, release = s.pinAt()
+	return segs, release
+}
+
+// pinAt is pin that also reads the layout and content generations under
+// the same lock, so the stamps name exactly the pinned segment set.
+func (s *Store) pinAt() (segs []*segment, gen, contentGen int64, release func()) {
 	s.mu.Lock()
 	segs = append([]*segment(nil), s.segs...)
 	for _, sg := range segs {
 		sg.acquire()
 	}
+	gen, contentGen = s.gen, s.contentGen
 	s.mu.Unlock()
-	return segs, func() {
+	return segs, gen, contentGen, func() {
 		for _, sg := range segs {
 			sg.release()
 		}
@@ -632,12 +646,18 @@ func (s *Store) load(ctx context.Context, keepPerf func(dataframe.ColKey) bool) 
 	defer sp.End()
 	segs, release := s.pin()
 	defer release()
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("store: %s: empty store", s.path)
-	}
 	if sp != nil {
 		sp.SetAttr("path", s.path)
 		sp.SetAttr("segments", fmt.Sprint(len(segs)))
+	}
+	return s.loadSegments(ctx, sp, segs, keepPerf)
+}
+
+// loadSegments materializes pinned segments as one thicket: Load's
+// semantics over an explicit segment set.
+func (s *Store) loadSegments(ctx context.Context, sp *telemetry.Span, segs []*segment, keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("store: %s: empty store", s.path)
 	}
 	withStats := len(segs) == 1 && keepPerf == nil
 	thickets := make([]*core.Thicket, len(segs))
@@ -656,6 +676,122 @@ func (s *Store) load(ctx context.Context, keepPerf func(dataframe.ColKey) bool) 
 		return nil, fmt.Errorf("store: %s: %w", s.path, err)
 	}
 	return th, nil
+}
+
+// Refresh modes: how Refresh produced its thicket. They label the
+// store.Load span and the server's reload histogram.
+const (
+	RefreshDelta = "delta"
+	RefreshFull  = "full"
+)
+
+// Refresh brings prev — a thicket an earlier Load or Refresh of this
+// store returned — up to date, answering exactly as a fresh Load would.
+// The store is append-only and compaction keeps arrival order, so the
+// store's first prev.NumProfiles() profiles are prev's: when the live
+// profile count equals prev's (a compaction, or no change), Refresh
+// returns prev itself without reading a block. Otherwise it checks
+// that the store's profile at ordinal prev.NumProfiles()-1 is prev's
+// last metadata key, then decodes only the profiles after it: whole new
+// segments, plus the unseen tail rows of a segment the compactor merged
+// across that point. When the prefix check fails — prev came from
+// elsewhere — it loads the whole store (mode RefreshFull). gen and
+// contentGen are the generations of exactly the segment set the result
+// reflects, read under the lock that pinned it. Refresh runs under the
+// store.Load span, with its mode as an attribute.
+func (s *Store) Refresh(prev *core.Thicket) (th *core.Thicket, gen, contentGen int64, mode string, err error) {
+	sp := telemetry.StartOp("store.Load")
+	defer sp.End()
+	segs, gen, contentGen, release := s.pinAt()
+	defer release()
+	if sp != nil {
+		sp.SetAttr("path", s.path)
+		sp.SetAttr("segments", fmt.Sprint(len(segs)))
+	}
+	ctx := context.Background()
+	tail, ok, err := s.tailAfter(ctx, sp, segs, prev)
+	if err != nil {
+		return nil, gen, contentGen, RefreshDelta, err
+	}
+	mode = RefreshDelta
+	switch {
+	case !ok:
+		mode = RefreshFull
+		th, err = s.loadSegments(ctx, sp, segs, nil)
+	case len(tail) == 0:
+		th = prev
+	default:
+		if th, err = core.ConcatProfiles(append([]*core.Thicket{prev}, tail...)); err != nil {
+			err = fmt.Errorf("store: %s: %w", s.path, err)
+		}
+	}
+	sp.SetAttr("mode", mode)
+	return th, gen, contentGen, mode, err
+}
+
+// tailAfter decodes the profiles segs hold beyond prev's, in arrival
+// order. ok is false when prev is not a prefix of segs.
+func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segment, prev *core.Thicket) (tail []*core.Thicket, ok bool, err error) {
+	if prev == nil || prev.NumProfiles() == 0 || prev.ProfileLevelName() != s.ProfileLevel() {
+		return nil, false, nil
+	}
+	n, total := prev.NumProfiles(), 0
+	for _, seg := range segs {
+		total += seg.header.NProfiles
+	}
+	switch {
+	case n > total:
+		return nil, false, nil
+	case n == total:
+		// Append-only, order-keeping store: same count, same content.
+		return nil, true, nil
+	}
+	// Find the segment k holding ordinal n-1; start is its first ordinal.
+	k, start := 0, 0
+	for n-1 >= start+segs[k].header.NProfiles {
+		start += segs[k].header.NProfiles
+		k++
+	}
+	profs, err := s.profileColumn(ctx, sp, segs[k])
+	if err != nil {
+		return nil, false, err
+	}
+	last := prev.Metadata.Index().Level(0).At(n - 1)
+	if row := n - 1 - start; row >= profs.Len() ||
+		dataframe.EncodeKey([]dataframe.Value{profs.At(row)}) != dataframe.EncodeKey([]dataframe.Value{last}) {
+		return nil, false, nil
+	}
+	if seen := n - start; seen < segs[k].header.NProfiles {
+		th, err := s.loadSegment(ctx, sp, segs[k], nil, false)
+		if err != nil {
+			return nil, false, err
+		}
+		// The segment's tree may hold paths only the seen rows use; prev
+		// already has them, so the union tree comes out the same.
+		tail = append(tail, th.FilterMetadata(func(m core.MetaRow) bool { return m.Pos() >= seen }))
+	}
+	for _, seg := range segs[k+1:] {
+		th, err := s.loadSegment(ctx, sp, seg, nil, false)
+		if err != nil {
+			return nil, false, err
+		}
+		tail = append(tail, th)
+	}
+	return tail, true, nil
+}
+
+// profileColumn decodes one segment's profile-index level of the
+// metadata frame: a single block, served from the column cache when
+// warm.
+func (s *Store) profileColumn(ctx context.Context, sp *telemetry.Span, seg *segment) (*dataframe.Series, error) {
+	if fm := seg.header.frame(frameMeta_); fm != nil {
+		for l, cm := range fm.Levels {
+			if name := cm.Key[len(cm.Key)-1]; name == seg.header.ProfileLevel {
+				return s.readBlock(ctx, sp, seg, frameMeta_, l, cm, name)
+			}
+		}
+	}
+	return nil, fmt.Errorf("store: %s: segment g%d has no metadata level %q", s.path, seg.gen, seg.header.ProfileLevel)
 }
 
 // LoadSegmentThicket materializes the single segment stamped gen — the
@@ -704,7 +840,10 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 
 // validateAppend checks th against the store's invariants: shared
 // profile level, no reused profile-index values, and column kinds that
-// agree with stored columns of the same key.
+// agree with stored columns of the same key. Its cost is O(th) plus a
+// header walk: stored profile keys come from profileKeys, built from
+// the profile-index blocks on the first append only. Caller holds
+// appendMu.
 func (s *Store) validateAppend(th *core.Thicket) error {
 	if s.readOnly {
 		return fmt.Errorf("store: %s: opened read-only", s.path)
@@ -713,6 +852,7 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 		return fmt.Errorf("store: %s: appended thicket uses profile level %q, store uses %q", s.path, got, want)
 	}
 	segs, release := s.pin()
+	defer release()
 	kinds := map[string]string{}
 	for _, seg := range segs {
 		for _, fm := range seg.header.Frames {
@@ -721,7 +861,6 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 			}
 		}
 	}
-	release()
 	for name, fr := range map[string]*dataframe.Frame{framePerf: th.PerfData, frameMeta_: th.Metadata} {
 		for c := 0; c < fr.NCols(); c++ {
 			k := name + "\x00" + fr.ColIndex().Key(c).String()
@@ -731,19 +870,22 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 			}
 		}
 	}
-	if s.NumSegments() > 0 {
-		existing, err := s.Metadata()
-		if err != nil {
-			return err
-		}
-		seen := make(map[string]bool, existing.NRows())
-		for r := 0; r < existing.NRows(); r++ {
-			seen[dataframe.EncodeKey(existing.Index().KeyAt(r))] = true
-		}
-		for _, v := range th.Profiles() {
-			if seen[dataframe.EncodeKey([]dataframe.Value{v})] {
-				return fmt.Errorf("store: %s: profile index %s already present", s.path, v)
+	if s.profileKeys == nil {
+		keys := map[string]struct{}{}
+		for _, seg := range segs {
+			profs, err := s.profileColumn(context.Background(), nil, seg)
+			if err != nil {
+				return err
 			}
+			for r := 0; r < profs.Len(); r++ {
+				keys[dataframe.EncodeKey([]dataframe.Value{profs.At(r)})] = struct{}{}
+			}
+		}
+		s.profileKeys = keys
+	}
+	for _, v := range th.Profiles() {
+		if _, dup := s.profileKeys[dataframe.EncodeKey([]dataframe.Value{v})]; dup {
+			return fmt.Errorf("store: %s: profile index %s already present", s.path, v)
 		}
 	}
 	return nil
@@ -777,8 +919,21 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 		return fmt.Errorf("store: %s: append: %w", s.path, err)
 	}
 	if s.dir {
-		return s.appendSegmentDir(rec, th.NumProfiles(), level)
+		err = s.appendSegmentDir(rec, th.NumProfiles(), level)
+	} else {
+		err = s.appendSegmentFile(rec, th.NumProfiles(), level)
 	}
+	if err != nil {
+		return err
+	}
+	for _, v := range th.Profiles() {
+		s.profileKeys[dataframe.EncodeKey([]dataframe.Value{v})] = struct{}{}
+	}
+	return nil
+}
+
+// appendSegmentFile commits rec at the tail of a single-file store.
+func (s *Store) appendSegmentFile(rec []byte, nProfiles, level int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, err := s.f.Stat()
@@ -811,7 +966,7 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 	s.contentGen++
 	s.genGauge.Set(s.gen)
 	logEvent("store append", "path", s.path,
-		"profiles", th.NumProfiles(), "generation", s.gen, "bytes", int64(len(rec)))
+		"profiles", nProfiles, "generation", s.gen, "bytes", int64(len(rec)))
 	return nil
 }
 

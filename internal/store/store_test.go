@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataframe"
+	"repro/internal/ingest"
 	"repro/internal/profile"
 	"repro/internal/store"
 )
@@ -202,9 +203,55 @@ func TestAppendMatchesConcat(t *testing.T) {
 	}
 	assertThicketsEqual(t, "append-reopen", want, got2)
 
-	// Appending a duplicate profile index must fail.
+	// Appending a duplicate profile index must fail, through the writing
+	// handle and through a reopened one.
 	if err := s.AppendProfiles(profiles[5:6]); err == nil {
 		t.Fatal("expected duplicate-profile append to fail")
+	}
+	if err := s2.AppendProfiles(profiles[0:1]); err == nil {
+		t.Fatal("expected duplicate-profile append to a reopened store to fail")
+	}
+
+	// The same on a directory store, where a compaction has since moved
+	// the duplicated profiles into a merged segment.
+	dir := filepath.Join(t.TempDir(), "dir")
+	if err := store.CreateDir(dir, th1); err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.AppendProfiles(profiles[5:7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendProfiles(profiles[7:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ingest.CompactAll(d); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for name, h := range map[string]*store.Store{"open": d, "reopened": d2} {
+		for _, dup := range [][]*profile.Profile{profiles[0:1], profiles[6:7]} {
+			if err := h.AppendProfiles(dup); err == nil || !strings.Contains(err.Error(), "already present") {
+				t.Fatalf("%s directory store: duplicate append err = %v, want already present", name, err)
+			}
+		}
+	}
+	// A new profile still lands, and the key set remembers it.
+	extra := randomEnsemble(t, 43, 1)
+	extra[0].SetMeta("id", dataframe.Int64(100))
+	if err := d.AppendProfiles(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendProfiles(extra); err == nil {
+		t.Fatal("expected a second append of the same new profile to fail")
 	}
 }
 
