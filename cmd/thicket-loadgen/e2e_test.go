@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,15 +13,17 @@ import (
 
 	thicket "repro"
 	"repro/internal/loadgen"
+	"repro/internal/monitor"
 )
 
 // TestE2EClosedLoop drives the full feedback loop under synthetic
 // traffic: a seeded mixed workload against a self-hosted thicketd, a
 // latency regression injected into /api/stats mid-run, and the
-// assertion chain the ISSUE pins: the watchdog flags the regression at
-// /debug/anomalies, bumps thicket_watchdog_anomalies_total in /metrics,
-// and the retained slow traces land in the self-profile store where a
-// call-path query finds the slowed endpoint.
+// assertion chain: the monitor's http-latency baseline rule fires for
+// the slowed endpoint at /debug/alerts, bumps
+// thicket_monitor_alerts_total in /metrics, and the retained slow
+// traces land in the self-profile store where a call-path query finds
+// the slowed endpoint.
 func TestE2EClosedLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e needs seconds of replay")
@@ -54,7 +57,7 @@ func TestE2EClosedLoop(t *testing.T) {
 	}
 
 	if rep.Measured.Anomalies == 0 {
-		t.Fatal("watchdog missed an injected 30ms regression")
+		t.Fatal("latency-baseline rules missed an injected 30ms regression")
 	}
 	if rep.Measured.RetainedTraces == 0 {
 		t.Error("tail sampler retained no slow traces")
@@ -79,37 +82,33 @@ func TestE2EClosedLoop(t *testing.T) {
 		t.Errorf("text report missing plan-efficiency line:\n%s", planText.String())
 	}
 
-	// The live server reports the anomaly...
-	resp, err := http.Get(host.URL + "/debug/anomalies")
-	if err != nil {
-		t.Fatal(err)
+	// The live server reports the firing at /debug/alerts...
+	alerts := debugAlerts(t, host.URL)
+	var fired int64
+	for _, r := range alerts.Rules {
+		if r.Name == "http-latency" {
+			fired = r.FiredTotal
+		}
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var dbg map[string]any
-	if err := json.Unmarshal(body, &dbg); err != nil {
-		t.Fatalf("bad /debug/anomalies payload: %v\n%s", err, body)
-	}
-	anomalies, _ := dbg["anomalies"].([]any)
 	found := false
-	for _, a := range anomalies {
-		if am, ok := a.(map[string]any); ok && am["target"] == endpoint {
+	for _, tr := range alerts.Transitions {
+		if tr.Rule == "http-latency" && tr.Target == endpoint && tr.Firing {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("/debug/anomalies missing %s: %s", endpoint, body)
+		t.Fatalf("/debug/alerts has no http-latency firing for %s: %+v", endpoint, alerts.Transitions)
 	}
 
-	// ...and the alert counter in /metrics.
-	resp, err = http.Get(host.URL + "/metrics")
+	// ...and the rule's alert counter in /metrics.
+	resp, err := http.Get(host.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(metrics), `thicket_watchdog_anomalies_total{target="`+endpoint+`"}`) {
-		t.Error("/metrics missing the watchdog anomaly counter for " + endpoint)
+	if want := fmt.Sprintf(`thicket_monitor_alerts_total{rule="http-latency"} %d`, fired); !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 
 	// The self-profile store is a regular ensemble store: the slowed
@@ -201,19 +200,24 @@ func TestE2ECleanRunQuiet(t *testing.T) {
 		t.Errorf("text report missing resources line:\n%s", resText.String())
 	}
 
-	resp, err := http.Get(host.URL + "/debug/anomalies")
+	if tr := debugAlerts(t, host.URL).Transitions; len(tr) != 0 {
+		t.Fatalf("clean run walked alert transitions: %+v", tr)
+	}
+}
+
+// debugAlerts fetches and decodes the self-host's /debug/alerts.
+func debugAlerts(t *testing.T, base string) monitor.AlertsSnapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/alerts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var dbg map[string]any
-	if err := json.Unmarshal(body, &dbg); err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	var alerts monitor.AlertsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&alerts); err != nil {
+		t.Fatalf("bad /debug/alerts payload: %v", err)
 	}
-	if anomalies, _ := dbg["anomalies"].([]any); len(anomalies) != 0 {
-		t.Fatalf("clean run /debug/anomalies not empty: %s", body)
-	}
+	return alerts
 }
 
 // TestRunSeedDeterminism is the cmd-level seed contract: two full runs
@@ -229,7 +233,6 @@ func TestRunSeedDeterminism(t *testing.T) {
 		cfg := &config{
 			seed: 7, duration: 1500 * time.Millisecond, rate: 120,
 			workload: "mixed", out: out, concurrency: 16,
-			window: time.Second, sigma: 5, factor: 3, minSamples: 10, warmup: 3,
 		}
 		code, err := run(context.Background(), cfg, io.Discard, io.Discard)
 		if err != nil {

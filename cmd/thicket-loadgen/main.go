@@ -9,17 +9,18 @@
 // Two targets:
 //
 //   - self-host (default): boots an in-process thicketd on a loopback
-//     port wired with a latency-baseline watchdog, tail-sampling trace
-//     collector, and self-profiler — the full closed loop. -regress
-//     injects a latency regression mid-run and the watchdog is expected
-//     to catch it.
+//     port wired with a self-monitor ticked on the replay's virtual
+//     clock (1s), whose latency-baseline rules also judge the
+//     tail-sampling trace collector, and a self-profiler — the full
+//     closed loop. -regress injects a latency regression mid-run and a
+//     baseline rule is expected to fire for the slowed endpoint.
 //   - -target URL: drives an external thicketd. Latency injection then
 //     belongs to that server (-inject-latency); -regress is rejected.
 //
 // Exit codes: 0 success; 1 usage or runtime failure; 2 a class p99
-// exceeded its budget; 3 anomalies flagged with -fail-on-anomaly;
-// 4 no anomaly despite -expect-anomaly; 5 HTTP errors with
-// -fail-on-error.
+// exceeded its budget; 3 a latency-baseline alert fired with
+// -fail-on-anomaly; 4 none fired despite -expect-anomaly; 5 HTTP errors
+// with -fail-on-error.
 package main
 
 import (
@@ -55,13 +56,6 @@ type config struct {
 	expectAnomaly bool
 	failOnError   bool
 
-	window     time.Duration
-	sigma      float64
-	factor     float64
-	minSamples int64
-	warmup     int
-	minDelta   time.Duration
-
 	ingestQueue   int
 	ingestFlush   int
 	ingestCompact int
@@ -84,15 +78,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&cfg.selfOut, "self-profile-store", "", "self-profile export store path (default <scratch>/self.tks)")
 	fs.IntVar(&cfg.concurrency, "concurrency", 16, "max in-flight requests during replay")
 	fs.DurationVar(&cfg.maxP99, "max-p99", 0, "fallback p99 budget for classes without a target (0 disables)")
-	fs.BoolVar(&cfg.failOnAnomaly, "fail-on-anomaly", false, "exit 3 if the watchdog flags any anomaly (clean-run CI gate)")
-	fs.BoolVar(&cfg.expectAnomaly, "expect-anomaly", false, "exit 4 unless the watchdog flags at least one anomaly")
+	fs.BoolVar(&cfg.failOnAnomaly, "fail-on-anomaly", false, "exit 3 if a latency-baseline alert fires (clean-run CI gate)")
+	fs.BoolVar(&cfg.expectAnomaly, "expect-anomaly", false, "exit 4 unless a latency-baseline alert fires")
 	fs.BoolVar(&cfg.failOnError, "fail-on-error", false, "exit 5 if any request errored")
-	fs.DurationVar(&cfg.window, "baseline-window", time.Second, "watchdog fold interval on the virtual clock")
-	fs.Float64Var(&cfg.sigma, "sigma", 5, "watchdog EWMA deviation threshold")
-	fs.Float64Var(&cfg.factor, "factor", 3, "watchdog baseline-multiple threshold")
-	fs.Int64Var(&cfg.minSamples, "min-samples", 10, "watchdog min observations per interval before judging")
-	fs.IntVar(&cfg.warmup, "warmup", 3, "watchdog warmup intervals per endpoint")
-	fs.DurationVar(&cfg.minDelta, "min-delta", 5*time.Millisecond, "absolute regression floor over the baseline (negative disables)")
 	fs.IntVar(&cfg.ingestQueue, "ingest-queue", 0, "self-host ingest admission-queue depth (0 selects the default)")
 	fs.IntVar(&cfg.ingestFlush, "ingest-flush", 0, "self-host ingest L0 flush threshold in profiles (0 selects the default)")
 	fs.IntVar(&cfg.ingestCompact, "ingest-compact-run", 0, "self-host compaction run length (0 default, negative disables)")
@@ -160,9 +148,9 @@ func verdict(cfg *config, rep *loadgen.Report, stderr io.Writer) int {
 	}{
 		{overBudget(cfg, rep, stderr), 2, "p99 over budget"},
 		{cfg.failOnAnomaly && rep.Measured.Anomalies > 0, 3,
-			fmt.Sprintf("watchdog flagged %d anomalies on a run expected clean", rep.Measured.Anomalies)},
+			fmt.Sprintf("latency-baseline alerts fired %d times on a run expected clean", rep.Measured.Anomalies)},
 		{cfg.expectAnomaly && rep.Measured.Anomalies == 0, 4,
-			"watchdog flagged no anomaly despite -expect-anomaly"},
+			"no latency-baseline alert fired despite -expect-anomaly"},
 		{cfg.failOnError && rep.Measured.Errors > 0, 5,
 			fmt.Sprintf("%d requests errored", rep.Measured.Errors)},
 	} {
@@ -232,12 +220,6 @@ func run(ctx context.Context, cfg *config, stdout, stderr io.Writer) (int, error
 			StorePath:       cfg.store,
 			ScratchDir:      scratch,
 			Seed:            cfg.seed,
-			BaselineWindow:  cfg.window,
-			Sigma:           cfg.sigma,
-			Factor:          cfg.factor,
-			MinSamples:      cfg.minSamples,
-			Warmup:          cfg.warmup,
-			MinDelta:        cfg.minDelta,
 			SelfProfilePath: cfg.selfOut,
 			Ingest:          ingestOptions(cfg),
 		})

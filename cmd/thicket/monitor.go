@@ -155,9 +155,13 @@ func renderMonitor(client *http.Client, base string, window time.Duration, metri
 			if tr.Firing {
 				state = "firing"
 			}
+			rule := tr.Rule
+			if tr.Target != "" {
+				rule += " " + tr.Target
+			}
 			fmt.Fprintf(&b, "  %s  %-8s %s (value %s, tick %d)\n",
 				time.Unix(0, tr.UnixNS).UTC().Format(time.RFC3339),
-				state, tr.Rule, fmtVal(tr.Value), tr.Tick)
+				state, rule, fmtVal(tr.Value), tr.Tick)
 		}
 	}
 	return b.String(), nil

@@ -22,14 +22,23 @@ func newMonitorTestServer(t *testing.T) *httptest.Server {
 		Rules: []monitor.Rule{{
 			Name: "hot", Kind: monitor.KindThreshold, Metric: "test_gauge",
 			Op: ">", Value: 5, ForTicks: 1, ClearTicks: 1,
+		}, {
+			Name: "slow", Kind: monitor.KindBaseline, Metric: "test_seconds",
+			Value: 3, Factor: 1.5, ForTicks: 1, ClearTicks: 1,
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := reg.Gauge("test_gauge", "test gauge")
+	h := reg.Histogram("test_seconds", "test latency", "endpoint", "/api/x")
 	for i := int64(1); i <= 4; i++ {
 		g.Set(10 * i)
+		latency := 0.001 // 1ms while the baseline warms up...
+		if i == 4 {
+			latency = 1 // ...then a 1000x regression
+		}
+		h.Observe(latency)
 		mon.Tick(time.Unix(i*10, 0))
 	}
 
@@ -79,8 +88,9 @@ func TestMonitorCmdOneShot(t *testing.T) {
 		"up 42s",
 		"test_gauge",
 		"go_goroutines", // runtime series sampled alongside the registry
-		"ALERTS FIRING: hot",
+		"ALERTS FIRING: hot, slow",
 		"firing   hot",
+		"firing   slow /api/x", // a baseline transition names its target
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,30 +10,38 @@ import (
 	"time"
 
 	thicket "repro"
+	"repro/internal/monitor"
 	"repro/internal/telemetry"
 )
 
-// TestEndToEndWatchdogSelfProfile is the acceptance path of the
-// observability stack, assembled exactly as serve() wires it: synthetic
-// load with one artificially slowed endpoint must (1) drive the
-// latency-baseline watchdog to report the regression at
-// /debug/anomalies and bump the alert counter in /metrics, (2) get the
-// slow request's trace retained by the tail sampler, (3) land that
-// trace in the self-profile ensemble store, which (4) thicket then
-// opens and queries like any other performance forest, returning the
-// slow call path.
-func TestEndToEndWatchdogSelfProfile(t *testing.T) {
+// TestEndToEndBaselineAlertSelfProfile is the acceptance path of the
+// observability stack, assembled as serve() wires it: synthetic load
+// with one artificially slowed endpoint must (1) fire the monitor's
+// latency-baseline rule for that endpoint at /debug/alerts and bump the
+// rule's alert counter in /metrics, (2) get the slow request's trace
+// retained by the tail sampler, whose judge is the monitor's IsSlow,
+// (3) land that trace in the self-profile ensemble store, which
+// (4) thicket then opens and queries like any other performance forest,
+// returning the slow call path. The monitor ticks at synthetic
+// instants, so no wall clock is involved.
+func TestEndToEndBaselineAlertSelfProfile(t *testing.T) {
 	prevEnabled := thicket.EnableTelemetry(true)
 	defer thicket.EnableTelemetry(prevEnabled)
 
 	reg := telemetry.NewRegistry()
-	wd := thicket.NewWatchdog(reg, thicket.WatchdogOptions{
-		Warmup:     2,
-		MinSamples: 2,
-	})
+	mon, err := thicket.NewMonitor(thicket.MonitorOptions{Registry: reg, Rules: []thicket.AlertRule{{
+		Name: "http-latency", Kind: monitor.KindBaseline, Metric: "thicket_http_request_seconds",
+		Value: 3, Factor: 1.5, MinSamples: 2, ForTicks: 1, ClearTicks: 1,
+		// µs loopback jitter (scheduler, GC) sits below this noise
+		// floor; the injected 25ms clears it fivefold.
+		MinDeltaS: 0.005,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := &thicket.TraceCollector{Policy: &thicket.TracePolicy{
 		HeadProbability: 0, // only baseline-relative slowness retains
-		Judge:           wd.IsSlow,
+		Judge:           mon.IsSlow,
 	}}
 	prevCol := thicket.SetTraceCollector(col)
 	defer thicket.SetTraceCollector(prevCol)
@@ -51,7 +58,7 @@ func TestEndToEndWatchdogSelfProfile(t *testing.T) {
 	srv := thicket.NewServer(th, st, thicket.ServerOptions{
 		Registry: reg,
 		Trace:    col,
-		Watchdog: wd,
+		Monitor:  mon,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -80,57 +87,38 @@ func TestEndToEndWatchdogSelfProfile(t *testing.T) {
 	}
 
 	// Warm the per-endpoint baseline over fast intervals.
-	for i := 0; i < 3; i++ {
+	for i := int64(1); i <= monitor.BaselineWarmup; i++ {
 		hit(5)
-		if flagged := wd.Tick(); len(flagged) != 0 {
-			t.Fatalf("warmup flagged %v", flagged)
+		mon.Tick(time.Unix(i, 0))
+		if tr := mon.Alerts().Transitions; len(tr) != 0 {
+			t.Fatalf("warmup fired %+v", tr)
 		}
 	}
 
 	// Inject the regression: requests now sleep well past the baseline.
 	srv.SetInjectedLatency(endpoint, 25*time.Millisecond)
 	hit(3)
-	flagged := wd.Tick()
+	mon.Tick(time.Unix(monitor.BaselineWarmup+1, 0))
 	srv.SetInjectedLatency(endpoint, 0)
 
-	// (1) The watchdog flags the slowed endpoint...
-	found := false
-	for _, a := range flagged {
-		if a.Target == endpoint {
-			found = true
-		}
+	// (1) The baseline rule fires for the slowed endpoint at
+	// /debug/alerts...
+	var alerts monitor.AlertsSnapshot
+	getJSON(t, ts, "/debug/alerts", &alerts)
+	if len(alerts.Transitions) != 1 {
+		t.Fatalf("transitions = %+v, want one firing for %s", alerts.Transitions, endpoint)
 	}
-	if !found {
-		t.Fatalf("watchdog flagged %v, want %s", flagged, endpoint)
+	if tr := alerts.Transitions[0]; tr.Rule != "http-latency" || tr.Target != endpoint || !tr.Firing {
+		t.Fatalf("transition = %+v, want http-latency firing for %s", tr, endpoint)
 	}
-	// ...reports it at /debug/anomalies...
-	resp, err := http.Get(ts.URL + "/debug/anomalies")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dbg map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	anomalies, _ := dbg["anomalies"].([]any)
-	found = false
-	for _, a := range anomalies {
-		if a.(map[string]any)["target"] == endpoint {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("/debug/anomalies missing %s: %v", endpoint, dbg)
-	}
-	// ...and bumps the alert counter in /metrics.
-	resp, err = http.Get(ts.URL + "/metrics")
+	// ...and bumps the rule's alert counter in /metrics.
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(metrics), `thicket_watchdog_anomalies_total{target="`+endpoint+`"}`) {
+	if !strings.Contains(string(metrics), `thicket_monitor_alerts_total{rule="http-latency"} 1`) {
 		t.Error("alert counter missing from /metrics")
 	}
 
@@ -162,7 +150,7 @@ func TestEndToEndWatchdogSelfProfile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("self-profile metadata missing endpoint column: %v", err)
 	}
-	found = false
+	found := false
 	for r := 0; r < selfTh.Metadata.NRows(); r++ {
 		if endpointCol.At(r) == thicket.Str("http "+endpoint) {
 			found = true

@@ -7,8 +7,7 @@
 //
 //	thicketd -store ensemble.tks [-addr :8080] [-timeout 15s] [-max-concurrent 64]
 //	         [-query-timeout 0] [-slow-query 1s] [-debug-addr :6060] [-trace-out trace.json]
-//	         [-trace-sample 1.0] [-baseline-window 10s] [-baseline-sigma 3]
-//	         [-self-profile-store self.tks] [-self-profile-interval 30s]
+//	         [-trace-sample 1.0] [-self-profile-store self.tks] [-self-profile-interval 30s]
 //	         [-log-level info] [-inject-latency /api/stats=50ms]
 //	         [-ingest] [-ingest-wal path] [-ingest-queue 256] [-ingest-flush 16]
 //	         [-ingest-compact-run 4] [-ingest-sync batch]
@@ -28,28 +27,30 @@
 //	GET /api/tree?metric=a                rendered call tree
 //	POST /ingest                          stream one profile into the store (-ingest; 429 = backpressure)
 //	GET /debug/traces?n=32                retained (sampled) traces with retention reasons
-//	GET /debug/anomalies                  latency baselines + flagged regressions
 //	GET /debug/queries                    in-flight queries: stage, blocks read, elapsed
 //	DELETE /debug/queries/{id}            cancel one in-flight query mid-scan
 //	GET /debug/querylog?n=32              recent completed queries with their plan trees
 //	GET /debug/monitor?window=5m          self-monitoring ring: windowed metric series (&metrics= filters)
-//	GET /debug/alerts                     alert rules, firing states, recent transitions
+//	GET /debug/alerts                     alert rules, firing states, latency baselines, recent transitions
 //
 // Continuous self-monitoring runs by default (-monitor-interval < 0
 // disables it): every interval the sampler snapshots the telemetry
 // registry and the Go runtime (heap, GC pauses, goroutines, scheduler
 // latency) into a bounded ring served at /debug/monitor, derives
 // per-second rates from counters, and evaluates declarative alert
-// rules — threshold, rate-of-change, absence — whose firing/resolved
-// states appear at /debug/alerts, on /metrics
-// (thicket_monitor_alerts_total{rule}), and in the structured log.
+// rules — threshold, rate-of-change, absence, latency baseline — whose
+// firing/resolved states appear at /debug/alerts, on /metrics
+// (thicket_monitor_alerts_total{rule}), and in the structured log. The
+// baseline rules keep a rolling EWMA of every endpoint's and span's
+// interval mean latency and fire per target on a regression.
 // -alert-rules replaces the shipped rule set (heap growth, GC pause
 // p99, goroutine leak, ingest-queue saturation, cache hit-rate
-// collapse) with a JSON file. With -monitor-store, samples are
-// periodically flushed as one profile per interval into a dedicated
-// ensemble store that `thicket query/stats/serve` can analyze — the
-// service's own operational history as an ensemble. `thicket monitor
-// -target` renders the ring as a live top-like table.
+// collapse, endpoint and span latency baselines) with a JSON file.
+// With -monitor-store, samples are periodically flushed as one profile
+// per interval into a dedicated ensemble store that `thicket
+// query/stats/serve` can analyze — the service's own operational
+// history as an ensemble. `thicket monitor -target` renders the ring
+// as a live top-like table.
 //
 // Every analytical endpoint accepts explain=plan (prune verdicts from
 // headers alone, nothing executes) and explain=analyze (execute and
@@ -69,12 +70,12 @@
 // Observability: requests accept and emit W3C traceparent headers, and
 // every log line is one JSON object carrying the request's trace ID.
 // -trace-out / -self-profile-store enable span collection; -trace-sample
-// keeps that fraction of traces (head sampling) while traces slower than
-// the rolling per-endpoint baseline are always retained; the baseline
-// watchdog (-baseline-window, -baseline-sigma) flags latency regressions
-// at /debug/anomalies and in /metrics. -self-profile-store appends each
-// retained slow request trace to a dedicated ensemble store that thicket
-// query/serve can analyze — the server's own performance forest. On
+// keeps that fraction of traces (head sampling) while traces the
+// monitor's latency-baseline rules judge slow are always retained (with
+// -monitor-interval < 0 only head sampling keeps traces).
+// -self-profile-store appends each retained slow request trace to a
+// dedicated ensemble store that thicket query/serve can analyze — the
+// server's own performance forest. On
 // shutdown (including SIGINT/SIGTERM) -trace-out receives every retained
 // span tree as Chrome trace_event JSON plus a native thicket profile,
 // and the self-profile store is flushed — the trace tail is never
@@ -113,8 +114,6 @@ type config struct {
 	traceOut     string
 
 	traceSample     float64
-	baselineWindow  time.Duration
-	baselineSigma   float64
 	selfProfilePath string
 	selfProfileIntv time.Duration
 	injectLatency   string
@@ -146,9 +145,7 @@ func main() {
 	flag.DurationVar(&cfg.slowQuery, "slow-query", time.Second, "slow-request log threshold (negative disables)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional second listener with /debug/pprof/ and process-wide /metrics")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "enable span collection; on shutdown write Chrome trace_event JSON here plus a native .profile.json")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 1.0, "head-sampling probability in [0,1]; traces slower than the rolling baseline are always kept")
-	flag.DurationVar(&cfg.baselineWindow, "baseline-window", 10*time.Second, "latency-baseline watchdog snapshot interval")
-	flag.Float64Var(&cfg.baselineSigma, "baseline-sigma", 3.0, "EWMA standard deviations beyond the baseline that flag a regression")
+	flag.Float64Var(&cfg.traceSample, "trace-sample", 1.0, "head-sampling probability in [0,1]; traces slower than their latency baseline are always kept")
 	flag.StringVar(&cfg.selfProfilePath, "self-profile-store", "", "enable span collection and append retained slow traces to this ensemble store")
 	flag.DurationVar(&cfg.selfProfileIntv, "self-profile-interval", 30*time.Second, "slow-trace export interval of the self-profile store")
 	flag.StringVar(&cfg.injectLatency, "inject-latency", "", "artificial endpoint delays for regression demos, e.g. /api/stats=50ms; an @onset (e.g. /api/stats=50ms@8s) arms the delay after the baseline has warmed")
@@ -159,11 +156,11 @@ func main() {
 	flag.IntVar(&cfg.ingestFlush, "ingest-flush", 0, "profiles per level-0 segment flush (0 selects 16)")
 	flag.IntVar(&cfg.ingestCompact, "ingest-compact-run", 0, "adjacent same-level segments merged per compaction (0 selects 4, negative disables)")
 	flag.StringVar(&cfg.ingestSync, "ingest-sync", "batch", "WAL fsync policy: batch (group commit), always, none")
-	flag.DurationVar(&cfg.monitorInterval, "monitor-interval", 10*time.Second, "self-monitoring sample interval (negative disables the monitor)")
+	flag.DurationVar(&cfg.monitorInterval, "monitor-interval", 10*time.Second, "self-monitoring sample interval, also the latency-baseline window (negative disables the monitor and its alerts, and with them tail retention of slow traces: only -trace-sample head sampling keeps traces)")
 	flag.IntVar(&cfg.monitorRing, "monitor-ring", 0, "samples retained in the monitor ring (0 selects 720)")
 	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "flush monitor samples to this ensemble store (one profile per interval, queryable via thicket query/stats/serve)")
 	flag.IntVar(&cfg.monitorFlush, "monitor-flush", 0, "monitor samples per history flush (0 selects 60); the tail flushes on shutdown")
-	flag.StringVar(&cfg.alertRulesPath, "alert-rules", "", "JSON alert-rules file (default: the shipped heap/GC/goroutine/ingest/cache rule set)")
+	flag.StringVar(&cfg.alertRulesPath, "alert-rules", "", "JSON alert-rules file (default: the shipped heap/GC/goroutine/ingest/cache/latency-baseline rule set)")
 	flag.IntVar(&cfg.injectLeak, "inject-leak", 0, "retain this many bytes of heap per monitor tick — the demo hook behind the heap-growth alert")
 	flag.Parse()
 	if cfg.storePath == "" {
@@ -195,8 +192,8 @@ func parseLevel(s string) (slog.Level, error) {
 // injectSpec is one parsed -inject-latency entry. A zero After starts
 // the delay immediately; a positive After arms it that long into the
 // run, after the endpoint's baseline has warmed on honest latencies —
-// an injection live from t=0 IS the baseline and the watchdog rightly
-// stays quiet.
+// an injection live from t=0 IS the baseline and the latency-baseline
+// rule rightly stays quiet.
 type injectSpec struct {
 	delay time.Duration
 	after time.Duration
@@ -249,25 +246,68 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	thicket.SetStoreLogger(logger)
 	defer thicket.SetStoreLogger(nil)
 
-	// The watchdog always runs: baselines are cheap, and they double as
-	// the tail-sampling judge when tracing is on.
-	wd := thicket.NewWatchdog(thicket.DefaultMetrics(), thicket.WatchdogOptions{
-		Window: cfg.baselineWindow,
-		Sigma:  cfg.baselineSigma,
-	})
-	wdCtx, wdCancel := context.WithCancel(context.Background())
-	defer wdCancel()
-	go wd.Run(wdCtx)
+	// Continuous self-monitoring: every interval the sampler snapshots
+	// the registry + Go runtime into the ring, evaluates the alert
+	// rules, and (with -monitor-store) batches samples into a dedicated
+	// ensemble store. Shutdown takes a final sample and flushes the
+	// tail, so the incident that killed the process is in the history.
+	// It is built first because its latency baselines are the trace
+	// collector's tail-sampling judge.
+	var mon *thicket.Monitor
+	if cfg.monitorInterval >= 0 {
+		rules := thicket.DefaultAlertRules()
+		if cfg.alertRulesPath != "" {
+			rules, err = thicket.LoadAlertRules(cfg.alertRulesPath)
+			if err != nil {
+				return err
+			}
+		}
+		mon, err = thicket.NewMonitor(thicket.MonitorOptions{
+			Interval: cfg.monitorInterval,
+			RingSize: cfg.monitorRing,
+			Registry: thicket.DefaultMetrics(),
+			Rules:    rules,
+			Logger:   logger,
+			History: thicket.MonitorHistoryOptions{
+				StorePath:  cfg.monitorStore,
+				FlushEvery: cfg.monitorFlush,
+				Meta: map[string]thicket.Value{
+					"served_store": thicket.Str(cfg.storePath),
+					"addr":         thicket.Str(cfg.addr),
+				},
+			},
+		})
+		if err != nil {
+			return err
+		}
+		if cfg.injectLeak > 0 {
+			mon.SetInjectedLeak(cfg.injectLeak)
+			dlog.Warn("injected heap leak armed", "bytes_per_tick", cfg.injectLeak)
+		}
+		monCtx, monCancel := context.WithCancel(context.Background())
+		monDone := make(chan struct{})
+		go func() { defer close(monDone); mon.Run(monCtx) }()
+		defer func() {
+			monCancel()
+			<-monDone
+			if cerr := mon.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+		dlog.Info("self-monitoring enabled",
+			"interval", mon.Interval().String(), "rules", len(rules),
+			"history", cfg.monitorStore)
+	}
 
 	// Enable telemetry before the store loads so the load itself is the
 	// first span tree in the trace.
 	var col *thicket.TraceCollector
 	if cfg.traceOut != "" || cfg.selfProfilePath != "" {
 		thicket.EnableTelemetry(true)
-		col = &thicket.TraceCollector{Policy: &thicket.TracePolicy{
-			HeadProbability: cfg.traceSample,
-			Judge:           wd.IsSlow,
-		}}
+		col = &thicket.TraceCollector{Policy: &thicket.TracePolicy{HeadProbability: cfg.traceSample}}
+		if mon != nil {
+			col.Policy.Judge = mon.IsSlow
+		}
 		prev := thicket.SetTraceCollector(col)
 		defer thicket.SetTraceCollector(prev)
 	}
@@ -353,57 +393,6 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 			"wal", ing.WALPath(), "sync", cfg.ingestSync, "compact", st.CanCompact())
 	}
 
-	// Continuous self-monitoring: every interval the sampler snapshots
-	// the registry + Go runtime into the ring, evaluates the alert
-	// rules, and (with -monitor-store) batches samples into a dedicated
-	// ensemble store. Shutdown takes a final sample and flushes the
-	// tail, so the incident that killed the process is in the history.
-	var mon *thicket.Monitor
-	if cfg.monitorInterval >= 0 {
-		rules := thicket.DefaultAlertRules()
-		if cfg.alertRulesPath != "" {
-			rules, err = thicket.LoadAlertRules(cfg.alertRulesPath)
-			if err != nil {
-				return err
-			}
-		}
-		mon, err = thicket.NewMonitor(thicket.MonitorOptions{
-			Interval: cfg.monitorInterval,
-			RingSize: cfg.monitorRing,
-			Registry: thicket.DefaultMetrics(),
-			Rules:    rules,
-			Logger:   logger,
-			History: thicket.MonitorHistoryOptions{
-				StorePath:  cfg.monitorStore,
-				FlushEvery: cfg.monitorFlush,
-				Meta: map[string]thicket.Value{
-					"served_store": thicket.Str(cfg.storePath),
-					"addr":         thicket.Str(cfg.addr),
-				},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		if cfg.injectLeak > 0 {
-			mon.SetInjectedLeak(cfg.injectLeak)
-			dlog.Warn("injected heap leak armed", "bytes_per_tick", cfg.injectLeak)
-		}
-		monCtx, monCancel := context.WithCancel(context.Background())
-		monDone := make(chan struct{})
-		go func() { defer close(monDone); mon.Run(monCtx) }()
-		defer func() {
-			monCancel()
-			<-monDone
-			if cerr := mon.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		dlog.Info("self-monitoring enabled",
-			"interval", mon.Interval().String(), "rules", len(rules),
-			"history", cfg.monitorStore)
-	}
-
 	immediate := map[string]time.Duration{}
 	for path, spec := range inject {
 		if spec.after <= 0 {
@@ -418,7 +407,6 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 		SlowQuery:     cfg.slowQuery,
 		Logger:        logger,
 		Trace:         col,
-		Watchdog:      wd,
 		InjectLatency: immediate,
 		// The process-wide registry: /metrics merges the server's HTTP
 		// metrics with kernel, store, and span-duration metrics.
@@ -432,7 +420,8 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	}
 	srv := thicket.NewServer(th, st, serverOpts)
 	// Delayed injections arm after the endpoint's baseline has warmed on
-	// honest latencies, so the watchdog demo flags a real regression.
+	// honest latencies, so the latency-baseline demo flags a real
+	// regression.
 	for path, spec := range inject {
 		if spec.after > 0 {
 			path, spec := path, spec

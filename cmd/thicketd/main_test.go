@@ -106,6 +106,13 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	if err := serve(context.Background(), cfg, io.Discard); err == nil {
 		t.Error("bad -inject-latency accepted")
 	}
+	// A ring too short for heap-growth's 5-tick rate window would
+	// silently disable that rule; startup must refuse it by name.
+	cfg = testConfig(path)
+	cfg.monitorRing = 4
+	if err := serve(context.Background(), cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "heap-growth") {
+		t.Errorf("-monitor-ring 4 with the default rules: err %v, want one naming heap-growth", err)
+	}
 }
 
 // TestServeSelfProfileLifecycle: a serve run with -self-profile-store

@@ -24,7 +24,7 @@ type Target struct {
 	// skipped instead of failing the run.
 	Ingest func() (status int, err error)
 	// OnTick, when set, is called with the tick index every TickEvery of
-	// virtual time — the harness paces the watchdog itself instead of
+	// virtual time — the harness paces the self-monitor itself instead of
 	// racing a background ticker, keeping the closed loop deterministic.
 	OnTick    func(tick int)
 	TickEvery time.Duration
@@ -72,7 +72,7 @@ type Measured struct {
 // Run replays the schedule against the target: it sleeps until each
 // event's virtual instant, fires the request on a bounded worker pool,
 // and records every outcome. Between events it delivers virtual-time
-// callbacks (watchdog ticks, regression arming) in schedule order.
+// callbacks (monitor ticks, regression arming) in schedule order.
 // ctx cancellation stops the replay early; already-issued requests
 // still complete.
 func Run(ctx context.Context, sched *Schedule, target Target) (*Measured, error) {
@@ -123,7 +123,7 @@ func Run(ctx context.Context, sched *Schedule, target Target) (*Measured, error)
 			shed := status == http.StatusTooManyRequests
 			record(Sample{Client: ev.Client, Class: ev.Class,
 				Latency: time.Since(t0), Status: status,
-				Err: err != nil || (status >= 400 && !shed),
+				Err:  err != nil || (status >= 400 && !shed),
 				Shed: shed, Ingest: true})
 			return
 		}
@@ -180,7 +180,7 @@ replay:
 	}
 	wg.Wait()
 	// Run out the virtual clock so trailing callbacks (the final
-	// watchdog tick over the last interval) still fire.
+	// monitor tick over the last interval) still fire.
 	if ctx.Err() == nil {
 		deliver(sched.Spec.Duration + 1)
 	}

@@ -27,8 +27,8 @@ import (
 // Regression is a parsed -regress entry: Delay is injected into Path's
 // handler once the replay's virtual clock passes Onset. A positive
 // Onset lets the endpoint's baseline warm on honest latencies first, so
-// the watchdog flags a real regression instead of learning the slow
-// behaviour as normal.
+// the latency-baseline rule flags a real regression instead of learning
+// the slow behaviour as normal.
 type Regression struct {
 	Path  string        `json:"path"`
 	Delay time.Duration `json:"delay_ns"`
@@ -72,24 +72,7 @@ type SelfHostOptions struct {
 	// (typically a temp dir; required when StorePath is empty).
 	ScratchDir string
 	// Seed feeds the synthetic ensemble and the ingest profile stream.
-	Seed int64
-	// Watchdog thresholds. The loadgen defaults are deliberately less
-	// trigger-happy than thicketd's: CI machines jitter at the scale of
-	// the µs-level baselines this harness produces, and the closed-loop
-	// contract is "a clean run stays quiet" — so a regression must be
-	// both Sigma EWMA deviations and Factor× beyond the baseline.
-	BaselineWindow time.Duration // 0 selects 1s
-	Sigma          float64       // 0 selects 5
-	Factor         float64       // 0 selects 3
-	MinSamples     int64         // 0 selects 10
-	Warmup         int           // 0 selects 3
-	// MinDelta is the absolute regression floor: loopback baselines are
-	// µs-scale, far below the OS noise floor (GC pauses, scheduler
-	// stalls), so without an absolute margin a clean run occasionally
-	// alarms on jitter. A 5ms floor silences noise while any injected
-	// regression worth the name (tens of ms over a µs baseline) clears
-	// it by an order of magnitude. <0 disables; 0 selects 5ms.
-	MinDelta      time.Duration
+	Seed          int64
 	MaxConcurrent int
 	// SelfProfilePath overrides ScratchDir/self.tks.
 	SelfProfilePath string
@@ -100,22 +83,55 @@ type SelfHostOptions struct {
 	// defaults.
 	Ingest ingest.Options
 	// MonitorRules overrides the self-monitor's alert rules (nil selects
-	// monitor.DefaultRules; an explicit empty slice disables alerting).
-	// The determinism tests pass fixed rules here.
+	// selfHostRules; an explicit empty slice disables alerting). The
+	// determinism tests pass fixed rules here.
 	MonitorRules []monitor.Rule
 }
 
+// Self-host alerting. The monitor ticks once per selfHostTick of the
+// replay's virtual clock, which is also the latency-baseline window.
+// The baseline rules are thicketd's with deliberately less
+// trigger-happy thresholds: CI machines jitter at the scale of the
+// µs-level loopback baselines this harness produces, and the
+// closed-loop contract is "a clean run stays quiet". So a regression
+// must clear 5σ and 3× the baseline over intervals of at least 10
+// requests, and an absolute 5ms floor: loopback baselines sit far below
+// the OS noise floor (GC pauses, scheduler stalls), while any injected
+// regression worth the name (tens of ms over a µs baseline) clears the
+// floor by an order of magnitude.
+const (
+	selfHostTick       = time.Second
+	selfHostSigma      = 5
+	selfHostFactor     = 3
+	selfHostMinSamples = 10
+	selfHostMinDeltaS  = 0.005
+)
+
+// selfHostRules is monitor.DefaultRules with the baseline rules at the
+// self-host thresholds.
+func selfHostRules() []monitor.Rule {
+	rules := monitor.DefaultRules()
+	for i := range rules {
+		if rules[i].Kind == monitor.KindBaseline {
+			rules[i].Value = selfHostSigma
+			rules[i].Factor = selfHostFactor
+			rules[i].MinSamples = selfHostMinSamples
+			rules[i].MinDeltaS = selfHostMinDeltaS
+		}
+	}
+	return rules
+}
+
 // SelfHost is a live in-process thicketd wired for closed-loop load
-// testing: a private metrics registry, a latency-baseline watchdog
-// ticked by the replay's virtual clock, a trace collector whose tail
-// sampler is the watchdog's judge, and a self-profiler exporting
-// retained slow traces to an ensemble store. Always Close it —
-// installing the collector mutates process-global telemetry state that
-// Close restores.
+// testing: a private metrics registry, a self-monitor ticked by the
+// replay's virtual clock whose latency-baseline rules flag regressions,
+// a trace collector whose tail sampler is the monitor's IsSlow, and a
+// self-profiler exporting retained slow traces to an ensemble store.
+// Always Close it — installing the collector mutates process-global
+// telemetry state that Close restores.
 type SelfHost struct {
 	URL       string
 	Server    *server.Server
-	Watchdog  *telemetry.Watchdog
 	Collector *telemetry.Collector
 	Profiler  *selfprofile.Profiler
 	Registry  *telemetry.Registry
@@ -135,25 +151,8 @@ type SelfHost struct {
 }
 
 func (o SelfHostOptions) withDefaults() SelfHostOptions {
-	if o.BaselineWindow <= 0 {
-		o.BaselineWindow = time.Second
-	}
-	if o.Sigma <= 0 {
-		o.Sigma = 5
-	}
-	if o.Factor <= 0 {
-		o.Factor = 3
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 10
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 3
-	}
-	if o.MinDelta == 0 {
-		o.MinDelta = 5 * time.Millisecond
-	} else if o.MinDelta < 0 {
-		o.MinDelta = 0
+	if o.MonitorRules == nil {
+		o.MonitorRules = selfHostRules()
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -206,20 +205,21 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 	}
 
 	reg := telemetry.NewRegistry()
-	wd := telemetry.NewWatchdog(reg, telemetry.WatchdogOptions{
-		// The replay paces ticks itself (Target.OnTick); the window here
-		// only matters if a caller starts Run, so keep it equal to the
-		// virtual tick for consistency.
-		Window:     opts.BaselineWindow,
-		Sigma:      opts.Sigma,
-		Factor:     opts.Factor,
-		MinSamples: opts.MinSamples,
-		Warmup:     opts.Warmup,
-		MinDelta:   opts.MinDelta,
+	// The self-monitor samples on the replay's virtual clock (Target
+	// ticks it), so same-seed runs observe identical sample instants.
+	mon, err := monitor.New(monitor.Options{
+		Interval: selfHostTick,
+		Registry: reg,
+		Rules:    opts.MonitorRules,
+		Logger:   opts.Logger,
 	})
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
 	col := &telemetry.Collector{Policy: &telemetry.Policy{
 		HeadProbability: 0, // tail-only: retain exactly the slow traces
-		Judge:           wd.IsSlow,
+		Judge:           mon.IsSlow,
 	}}
 
 	selfPath := opts.SelfProfilePath
@@ -255,28 +255,11 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 		return nil, err
 	}
 
-	// The self-monitor samples on the replay's virtual clock (Target
-	// ticks it alongside the watchdog), so same-seed runs observe
-	// identical sample instants. One ring slot per baseline window.
-	mon, err := monitor.New(monitor.Options{
-		Interval: opts.BaselineWindow,
-		Registry: reg,
-		Rules:    opts.MonitorRules,
-		Logger:   opts.Logger,
-	})
-	if err != nil {
-		ing.Close()
-		sp.Close()
-		st.Close()
-		return nil, err
-	}
-
 	srv := server.New(th, st, server.Options{
 		MaxConcurrent: opts.MaxConcurrent,
 		Registry:      reg,
 		Logger:        opts.Logger,
 		Trace:         col,
-		Watchdog:      wd,
 		SlowQuery:     -1, // loadgen floods would spam the slow log
 		Ingest:        ing,
 		Monitor:       mon,
@@ -291,7 +274,6 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 	h := &SelfHost{
 		URL:       "http://" + ln.Addr().String(),
 		Server:    srv,
-		Watchdog:  wd,
 		Collector: col,
 		Profiler:  sp,
 		Registry:  reg,
@@ -360,19 +342,17 @@ func (h *SelfHost) Ingester() *ingest.Ingester { return h.ing }
 
 // Target wires the self-hosted server into a replay target: requests go
 // to the loopback listener, ingest events append to the store, and the
-// watchdog ticks on the virtual clock. A non-nil regress is armed at
-// its onset.
+// self-monitor ticks on the virtual clock. A non-nil regress is armed
+// at its onset.
 func (h *SelfHost) Target(concurrency int, regress *Regression) Target {
 	t := Target{
 		BaseURL:   h.URL,
 		Ingest:    h.Ingest,
-		TickEvery: h.opts.BaselineWindow,
-		// Both the watchdog and the self-monitor tick on the virtual
-		// clock. The monitor gets virtual timestamps (epoch + tick·window)
-		// so same-seed runs record identical sample instants.
+		TickEvery: selfHostTick,
+		// The monitor gets virtual timestamps (epoch + tick·window) so
+		// same-seed runs record identical sample instants.
 		OnTick: func(tick int) {
-			h.Watchdog.Tick()
-			h.Monitor.Tick(time.Unix(0, 0).Add(time.Duration(tick) * h.opts.BaselineWindow))
+			h.Monitor.Tick(time.Unix(0, 0).Add(time.Duration(tick) * selfHostTick))
 		},
 		Concurrency: concurrency,
 	}
@@ -390,7 +370,7 @@ func (h *SelfHost) Target(concurrency int, regress *Regression) Target {
 // efficiency, resource usage from the self-monitor).
 func (h *SelfHost) Annotate(rep *Report) (exported int, err error) {
 	exported, err = h.Profiler.Flush()
-	rep.Measured.Anomalies = len(h.Watchdog.Anomalies())
+	rep.Measured.Anomalies = baselineFirings(h.Monitor.Alerts())
 	rep.Measured.RetainedTraces = h.Collector.Len()
 	if pe, perr := h.planEfficiency(); perr == nil {
 		rep.Measured.Plan = pe
@@ -403,6 +383,18 @@ func (h *SelfHost) Annotate(rep *Report) (exported int, err error) {
 		err = rerr
 	}
 	return exported, err
+}
+
+// baselineFirings counts the firing transitions of the latency-baseline
+// rules: each is one regression flagged on one target.
+func baselineFirings(a monitor.AlertsSnapshot) int {
+	n := 0
+	for _, r := range a.Rules {
+		if r.Kind == monitor.KindBaseline {
+			n += int(r.FiredTotal)
+		}
+	}
+	return n
 }
 
 // resourceSummary scrapes the run's runtime-resource footprint from the

@@ -68,9 +68,10 @@ type MeasuredReport struct {
 	IngestSkipped int                    `json:"ingest_skipped,omitempty"`
 	// IngestShed totals ingest submissions rejected with 429 — offered
 	// write load the server deliberately shed to protect query traffic.
-	IngestShed    int `json:"ingest_shed,omitempty"`
-	WatchdogTicks int `json:"watchdog_ticks,omitempty"`
-	Anomalies     int `json:"anomalies"`
+	IngestShed int `json:"ingest_shed,omitempty"`
+	// Anomalies counts the firing transitions of the self-monitor's
+	// latency-baseline rules (self-host mode only).
+	Anomalies int `json:"anomalies"`
 	// RetainedTraces counts the traces the tail sampler kept (self-host
 	// mode only).
 	RetainedTraces int `json:"retained_traces,omitempty"`
@@ -265,7 +266,6 @@ func BuildReport(sched *Schedule, m *Measured) *Report {
 			Clients:       clients,
 			IngestSkipped: m.IngestSkipped,
 			IngestShed:    totalShed,
-			WatchdogTicks: m.Ticks,
 		},
 	}
 }
@@ -313,11 +313,9 @@ func (r *Report) RenderText(w io.Writer) {
 			cl.OfferedRPS, cl.AchievedRPS)
 	}
 	tw.Flush()
-	if r.Measured.Anomalies > 0 || r.Measured.WatchdogTicks > 0 {
-		fmt.Fprintf(w, "\nwatchdog: %d ticks, %d anomalies, %d retained traces\n",
-			r.Measured.WatchdogTicks, r.Measured.Anomalies, r.Measured.RetainedTraces)
-	}
 	if res := r.Measured.Resources; res != nil && res.Samples > 0 {
+		fmt.Fprintf(w, "\nlatency baselines: %d anomalies over %d monitor samples, %d retained traces\n",
+			r.Measured.Anomalies, res.Samples, r.Measured.RetainedTraces)
 		fmt.Fprintf(w, "resources: peak heap %.1f MiB, GC pause %.2fms total, GC CPU %.2f%%, max %d goroutines, %d alerts fired\n",
 			float64(res.PeakHeapBytes)/(1<<20), res.GCPauseTotalS*1e3,
 			res.GCCPUMeanPct, res.MaxGoroutines, res.AlertsFired)

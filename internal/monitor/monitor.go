@@ -4,8 +4,9 @@
 // timestamped ring, with counter→rate derivation guarded against
 // resets; (2) the /debug/monitor windowed-series endpoint and the
 // `thicket monitor` CLI that reads it; (3) a declarative rules engine
-// (threshold, rate-of-change, absence) whose firing/resolved states
-// surface at /debug/alerts, on /metrics, and as slog events; and
+// (threshold, rate-of-change, absence, and per-series latency
+// baselines) whose firing/resolved states surface at /debug/alerts, on
+// /metrics, and as slog events; and
 // (4) a history flusher that periodically appends ring samples to a
 // dedicated ensemble store — one profile per interval, metrics as
 // columns — so the service's own operation is queryable through the
@@ -84,6 +85,11 @@ type Sampler struct {
 	prev    prevState
 	leak    [][]byte // injected retained allocations (test/demo hook)
 	leakPer int
+
+	// baseMu guards the baseline rules' series for IsSlow. A tick
+	// writes them holding both locks, so readers may hold either.
+	baseMu   sync.Mutex
+	byTarget map[string]*seriesBaseline // target -> series (IsSlow lookups)
 }
 
 // prevState is the last tick's cumulative values, kept for rate
@@ -130,16 +136,24 @@ func New(opts Options) (*Sampler, error) {
 			"Unix time of the monitor's most recent sample."),
 		alertTotals: make(map[string]*telemetry.Counter),
 		ring:        make([]Sample, 0, opts.RingSize),
+		byTarget:    make(map[string]*seriesBaseline),
 	}
 	for i := range opts.Rules {
 		r := opts.Rules[i].withDefaults()
 		if err := r.validate(); err != nil {
 			return nil, err
 		}
+		if err := r.checkRing(opts.RingSize); err != nil {
+			return nil, err
+		}
 		if _, dup := s.alertTotals[r.Name]; dup {
 			return nil, fmt.Errorf("monitor: duplicate rule name %q", r.Name)
 		}
-		s.rules = append(s.rules, &ruleState{Rule: r})
+		st := &ruleState{Rule: r}
+		if r.Kind == KindBaseline {
+			st.series = make(map[string]*seriesBaseline)
+		}
+		s.rules = append(s.rules, st)
 		s.alertTotals[r.Name] = opts.Registry.Counter("thicket_monitor_alerts_total",
 			"Alert firing transitions by rule.", "rule", r.Name)
 	}
@@ -183,7 +197,8 @@ func (s *Sampler) SetInjectedLeak(bytesPerTick int) {
 
 // Tick takes one sample at the given instant: snapshot registry +
 // runtime into the ring, derive rates against the previous tick,
-// evaluate the alert rules, and hand the sample to the history writer.
+// evaluate the alert rules (folding each baseline rule's interval into
+// its series' baselines), and hand the sample to the history writer.
 // The loadgen self-host target calls this with virtual timestamps.
 func (s *Sampler) Tick(now time.Time) {
 	s.mu.Lock()
@@ -208,13 +223,14 @@ func (s *Sampler) Tick(now time.Time) {
 	s.ring = append(s.ring, sample)
 
 	transitions := evalRules(s.rules, s.ring, s.ticks, now.UnixNano())
-	firing := 0
+	transitions = append(transitions, s.evalBaselines(s.ticks, now.UnixNano())...)
+	var firingNames []string
 	for _, st := range s.rules {
-		if st.Firing {
-			firing++
+		if firing, _ := st.active(); firing {
+			firingNames = append(firingNames, st.Name)
 		}
 	}
-	s.firingGauge.Set(int64(firing))
+	s.firingGauge.Set(int64(len(firingNames)))
 	for _, tr := range transitions {
 		if tr.Firing {
 			s.alertTotals[tr.Rule].Inc()
@@ -225,13 +241,6 @@ func (s *Sampler) Tick(now time.Time) {
 		}
 		s.log = append(s.log, tr)
 	}
-
-	var firingNames []string
-	for _, st := range s.rules {
-		if st.Firing {
-			firingNames = append(firingNames, st.Name)
-		}
-	}
 	h := s.history
 	s.mu.Unlock()
 
@@ -241,7 +250,7 @@ func (s *Sampler) Tick(now time.Time) {
 			state = "firing"
 		}
 		s.opts.Logger.Warn("alert "+state,
-			"rule", tr.Rule, "value", tr.Value, "tick", tr.Tick)
+			"rule", tr.Rule, "target", tr.Target, "value", tr.Value, "tick", tr.Tick)
 	}
 	if h != nil {
 		h.record(sample, firingNames)
@@ -452,13 +461,16 @@ func (s *Sampler) Timestamps() []int64 {
 	return out
 }
 
-// RuleStatus is one rule's public state at /debug/alerts.
+// RuleStatus is one rule's public state at /debug/alerts. A baseline
+// rule fires while any of its series does, and lists every series'
+// rolling baseline.
 type RuleStatus struct {
 	Rule
-	Firing      bool    `json:"firing"`
-	SinceUnixNS int64   `json:"since_unix_ns,omitempty"`
-	LastValue   float64 `json:"last_value"`
-	FiredTotal  int64   `json:"fired_total"`
+	Firing      bool             `json:"firing"`
+	SinceUnixNS int64            `json:"since_unix_ns,omitempty"`
+	LastValue   float64          `json:"last_value"`
+	FiredTotal  int64            `json:"fired_total"`
+	Baselines   []BaselineStatus `json:"baselines,omitempty"`
 }
 
 // AlertsSnapshot is the /debug/alerts response body.
@@ -484,13 +496,14 @@ func (s *Sampler) Alerts() AlertsSnapshot {
 	for _, st := range s.rules {
 		rs := RuleStatus{
 			Rule:       st.Rule,
-			Firing:     st.Firing,
 			LastValue:  st.lastValue,
 			FiredTotal: st.firedTotal,
 		}
-		if st.Firing {
-			rs.SinceUnixNS = st.sinceUnixNS
+		if rs.Firing, rs.SinceUnixNS = st.active(); rs.Firing {
 			out.Firing = append(out.Firing, st.Name)
+		}
+		if st.Kind == KindBaseline {
+			rs.Baselines = st.baselines()
 		}
 		out.Rules = append(out.Rules, rs)
 	}

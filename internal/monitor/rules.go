@@ -11,6 +11,7 @@ const (
 	KindThreshold = "threshold" // latest value compared against Value
 	KindRate      = "rate"      // per-second change over WindowTicks samples
 	KindAbsence   = "absence"   // metric missing from the last WindowTicks samples
+	KindBaseline  = "baseline"  // each series of a histogram family vs its own rolling latency baseline
 )
 
 // Rule is one declarative alert. Rules are plain JSON so operators can
@@ -19,6 +20,11 @@ const (
 //	[{"name": "heap-growth", "kind": "rate",
 //	  "metric": "go_heap_inuse_bytes", "op": ">", "value": 67108864,
 //	  "window_ticks": 5, "for_ticks": 5}]
+//
+// A baseline rule names a histogram family in Metric and judges each of
+// its labelled series against that series' own rolling baseline (see
+// baseline.go): Value is the σ multiple, and Factor, MinSamples and
+// MinDeltaS are its other thresholds.
 type Rule struct {
 	Name        string  `json:"name"`
 	Description string  `json:"description,omitempty"`
@@ -29,6 +35,9 @@ type Rule struct {
 	ForTicks    int     `json:"for_ticks,omitempty"`    // consecutive breaches to fire (default 3)
 	ClearTicks  int     `json:"clear_ticks,omitempty"`  // consecutive ok ticks to resolve (default ForTicks)
 	WindowTicks int     `json:"window_ticks,omitempty"` // rate/absence lookback (default 5)
+	Factor      float64 `json:"factor,omitempty"`       // baseline: interval mean must exceed baseline×Factor
+	MinSamples  int64   `json:"min_samples,omitempty"`  // baseline: observations an interval needs to be judged (at least 1)
+	MinDeltaS   float64 `json:"min_delta_s,omitempty"`  // baseline: ...and exceed the baseline by at least this many seconds
 }
 
 func (r Rule) withDefaults() Rule {
@@ -55,12 +64,27 @@ func (r Rule) validate() error {
 		return fmt.Errorf("monitor: rule %q: metric required", r.Name)
 	}
 	switch r.Kind {
-	case KindThreshold, KindRate, KindAbsence:
+	case KindThreshold, KindRate, KindAbsence, KindBaseline:
 	default:
 		return fmt.Errorf("monitor: rule %q: unknown kind %q", r.Name, r.Kind)
 	}
 	if r.Op != ">" && r.Op != "<" {
 		return fmt.Errorf("monitor: rule %q: op must be > or <, got %q", r.Name, r.Op)
+	}
+	if r.Kind == KindBaseline && r.Op != ">" {
+		return fmt.Errorf("monitor: rule %q: a baseline rule only judges slowdowns (op >)", r.Name)
+	}
+	return nil
+}
+
+// checkRing rejects a rule the ring can never judge: a rate rule needs
+// WindowTicks+1 samples and an absence rule WindowTicks, and the ring
+// never holds more than ringSize.
+func (r Rule) checkRing(ringSize int) error {
+	if (r.Kind == KindRate && r.WindowTicks >= ringSize) ||
+		(r.Kind == KindAbsence && r.WindowTicks > ringSize) {
+		return fmt.Errorf("monitor: rule %q: window_ticks %d can never be judged on a ring of %d samples",
+			r.Name, r.WindowTicks, ringSize)
 	}
 	return nil
 }
@@ -95,6 +119,16 @@ func DefaultRules() []Rule {
 			Op: "<", Value: 0.05, ForTicks: 5,
 			Description: "response-cache hit ratio collapsed below 5% under traffic",
 		},
+		{
+			Name: "http-latency", Kind: KindBaseline, Metric: "thicket_http_request_seconds",
+			Value: 3, Factor: 1.5, MinSamples: 5, ForTicks: 1, ClearTicks: 1,
+			Description: "an endpoint's interval mean latency above 1.5x and 3 sigma beyond its rolling baseline",
+		},
+		{
+			Name: "span-latency", Kind: KindBaseline, Metric: "thicket_span_seconds",
+			Value: 3, Factor: 1.5, MinSamples: 5, ForTicks: 1, ClearTicks: 1,
+			Description: "a span's interval mean duration above 1.5x and 3 sigma beyond its rolling baseline",
+		},
 	}
 }
 
@@ -121,58 +155,93 @@ func LoadRules(path string) ([]Rule, error) {
 // Transition is one firing or resolved edge.
 type Transition struct {
 	Rule   string  `json:"rule"`
+	Target string  `json:"target,omitempty"` // baseline rules: the series' target
 	Firing bool    `json:"firing"`
 	Value  float64 `json:"value"`
 	Tick   int64   `json:"tick"`
 	UnixNS int64   `json:"unix_ns"`
 }
 
-// ruleState tracks one rule's hysteresis: breachRun counts consecutive
-// breaching ticks (fire at ForTicks), okRun counts consecutive clean
-// ticks while firing (resolve at ClearTicks). An alternating boundary
-// value therefore never flaps: each ok tick resets breachRun and each
-// breach resets okRun, so neither run reaches its trigger length.
-type ruleState struct {
-	Rule
+// hysteresis is the fire/clear state machine every alert runs through:
+// breachRun counts consecutive breaching ticks (fire at ForTicks),
+// okRun counts consecutive clean ticks while firing (resolve at
+// ClearTicks). An alternating boundary value therefore never flaps:
+// each ok tick resets breachRun and each breach resets okRun, so
+// neither run reaches its trigger length.
+type hysteresis struct {
 	Firing      bool
 	breachRun   int
 	okRun       int
-	lastValue   float64
-	firedTotal  int64
 	sinceUnixNS int64
 }
 
-// evalRules advances every rule against the ring and returns the
-// transitions this tick produced. Caller holds the sampler lock.
+// ruleState is one rule's runtime state. Scalar kinds run the embedded
+// hysteresis; a baseline rule runs one per series instead.
+type ruleState struct {
+	Rule
+	hysteresis
+	lastValue  float64
+	firedTotal int64
+	series     map[string]*seriesBaseline // baseline kind: label key -> series
+}
+
+// advance steps h by one verdict (unjudged ticks count as clean) and
+// appends the edge it crossed, if any, to out.
+func (st *ruleState) advance(h *hysteresis, breached bool, target string, value float64, tick, nowNS int64, out []Transition) []Transition {
+	if breached {
+		h.breachRun++
+		h.okRun = 0
+		if h.Firing || h.breachRun < st.ForTicks {
+			return out
+		}
+		h.Firing = true
+		h.sinceUnixNS = nowNS
+		st.firedTotal++
+	} else {
+		h.breachRun = 0
+		if !h.Firing {
+			return out
+		}
+		h.okRun++
+		if h.okRun < st.ClearTicks {
+			return out
+		}
+		h.Firing = false
+		h.okRun = 0
+		h.sinceUnixNS = 0
+	}
+	return append(out, Transition{Rule: st.Name, Target: target, Firing: h.Firing, Value: value, Tick: tick, UnixNS: nowNS})
+}
+
+// active reports whether the rule is firing (a baseline rule: any of
+// its series) and since when.
+func (st *ruleState) active() (firing bool, sinceUnixNS int64) {
+	if st.Kind != KindBaseline {
+		return st.Firing, st.sinceUnixNS
+	}
+	for _, b := range st.series {
+		if b.Firing && (!firing || b.sinceUnixNS < sinceUnixNS) {
+			firing, sinceUnixNS = true, b.sinceUnixNS
+		}
+	}
+	return firing, sinceUnixNS
+}
+
+// evalRules advances every scalar rule against the ring and returns
+// the transitions this tick produced; baseline rules are judged per
+// series by Sampler.evalBaselines. Caller holds the sampler lock.
 func evalRules(rules []*ruleState, ring []Sample, tick, nowNS int64) []Transition {
 	var out []Transition
 	for _, st := range rules {
+		if st.Kind == KindBaseline {
+			continue
+		}
 		breached, value, judged := judge(st.Rule, ring)
 		if judged {
 			st.lastValue = value
 		}
-		if judged && breached {
-			st.breachRun++
-			st.okRun = 0
-			if !st.Firing && st.breachRun >= st.ForTicks {
-				st.Firing = true
-				st.firedTotal++
-				st.sinceUnixNS = nowNS
-				out = append(out, Transition{Rule: st.Name, Firing: true, Value: value, Tick: tick, UnixNS: nowNS})
-			}
-			continue
-		}
-		// Not breaching (or not judgeable yet — warmup counts as clean).
-		st.breachRun = 0
-		if st.Firing {
-			st.okRun++
-			if st.okRun >= st.ClearTicks {
-				st.Firing = false
-				st.okRun = 0
-				st.sinceUnixNS = 0
-				out = append(out, Transition{Rule: st.Name, Firing: false, Value: value, Tick: tick, UnixNS: nowNS})
-			}
-		}
+		// Not judgeable yet (warmup) counts as clean.
+		out = st.advance(&st.hysteresis, judged && breached, "", value, tick, nowNS, out)
 	}
 	return out
 }

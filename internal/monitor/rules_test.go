@@ -3,6 +3,7 @@ package monitor
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -193,14 +194,19 @@ func TestLoadRules(t *testing.T) {
 	good := filepath.Join(dir, "rules.json")
 	os.WriteFile(good, []byte(`[
 		{"name": "heap", "kind": "rate", "metric": "go_heap_inuse_bytes", "value": 1048576},
-		{"name": "quiet", "kind": "absence", "metric": "thicket_http_requests_total", "window_ticks": 4}
+		{"name": "quiet", "kind": "absence", "metric": "thicket_http_requests_total", "window_ticks": 4},
+		{"name": "lat", "kind": "baseline", "metric": "thicket_http_request_seconds",
+		 "value": 3, "factor": 1.5, "min_samples": 5, "min_delta_s": 0.005, "for_ticks": 1}
 	]`), 0o644)
 	rules, err := LoadRules(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rules) != 2 || rules[0].Op != ">" || rules[0].ForTicks != 3 || rules[1].WindowTicks != 4 {
+	if len(rules) != 3 || rules[0].Op != ">" || rules[0].ForTicks != 3 || rules[1].WindowTicks != 4 {
 		t.Fatalf("defaults not applied: %+v", rules)
+	}
+	if b := rules[2]; b.Kind != KindBaseline || b.Factor != 1.5 || b.MinSamples != 5 || b.MinDeltaS != 0.005 || b.ClearTicks != 1 {
+		t.Fatalf("baseline fields not parsed: %+v", b)
 	}
 
 	bad := filepath.Join(dir, "bad.json")
@@ -210,6 +216,44 @@ func TestLoadRules(t *testing.T) {
 	}
 	if _, err := LoadRules(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	os.WriteFile(bad, []byte(`[{"name": "x", "kind": "baseline", "metric": "m", "op": "<"}]`), 0o644)
+	if _, err := LoadRules(bad); err == nil {
+		t.Fatal("baseline rule with op < accepted")
+	}
+}
+
+// TestRulesThatCanNeverFireRejected: a rate rule needs WindowTicks+1
+// samples and an absence rule WindowTicks, so New must refuse either
+// when the ring can never hold that many, naming the rule.
+func TestRulesThatCanNeverFireRejected(t *testing.T) {
+	for _, tc := range []struct {
+		rule Rule
+		ring int
+		ok   bool
+	}{
+		{Rule{Name: "r", Kind: KindRate, Metric: "m", WindowTicks: 4}, 4, false},
+		{Rule{Name: "r", Kind: KindRate, Metric: "m", WindowTicks: 9}, 4, false},
+		{Rule{Name: "r", Kind: KindRate, Metric: "m", WindowTicks: 3}, 4, true},
+		{Rule{Name: "a", Kind: KindAbsence, Metric: "m", WindowTicks: 5}, 4, false},
+		{Rule{Name: "a", Kind: KindAbsence, Metric: "m", WindowTicks: 4}, 4, true},
+		{Rule{Name: "t", Kind: KindThreshold, Metric: "m", WindowTicks: 99}, 4, true},
+		{Rule{Name: "b", Kind: KindBaseline, Metric: "m", WindowTicks: 99}, 4, true},
+	} {
+		_, err := New(Options{Registry: newTestRegistry(), RingSize: tc.ring, Rules: []Rule{tc.rule}})
+		if tc.ok && err != nil {
+			t.Errorf("%s window %d ring %d: %v", tc.rule.Kind, tc.rule.WindowTicks, tc.ring, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), `"`+tc.rule.Name+`"`)) {
+			t.Errorf("%s window %d ring %d: err %v, want one naming rule %q",
+				tc.rule.Kind, tc.rule.WindowTicks, tc.ring, err, tc.rule.Name)
+		}
+	}
+	// The shipped set on a 4-sample ring: heap-growth (rate over 5
+	// ticks) is the first rule that could never fire.
+	_, err := New(Options{Registry: newTestRegistry(), RingSize: 4})
+	if err == nil || !strings.Contains(err.Error(), `"heap-growth"`) {
+		t.Fatalf("default rules on a 4-sample ring: %v", err)
 	}
 }
 

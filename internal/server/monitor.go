@@ -30,8 +30,8 @@ func (s *Server) handleDebugMonitor(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugAlerts exposes the rules engine: every rule's definition
-// and firing state, the currently-firing set, and the recent
-// transition log.
+// and firing state (with each baseline rule's per-target latency
+// baselines), the currently-firing set, and the recent transition log.
 func (s *Server) handleDebugAlerts(w http.ResponseWriter, r *http.Request) {
 	m := s.opts.Monitor
 	if m == nil {

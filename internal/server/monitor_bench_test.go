@@ -17,8 +17,10 @@ import (
 // absent vs running at an aggressive 50ms wall interval — two orders of
 // magnitude hotter than the default 10s cadence, so the pair is an
 // upper bound. The request path itself gains no code from the monitor;
-// what the On side pins is the background registry+runtime snapshot
-// contending for the registry lock while requests count into it.
+// what the On side pins is the background registry+runtime snapshot,
+// and the shipped rules' evaluation (the latency-baseline rules read
+// every endpoint histogram series), contending for the registry lock
+// while requests count into it.
 // scripts/bench.sh monitor diffs the Off/On pairs and gates the mean.
 func benchServingMonitor(b *testing.B, path string, withMonitor bool) {
 	reg := telemetry.NewRegistry()

@@ -100,16 +100,14 @@ type Options struct {
 	// Trace, when set, backs /debug/traces with the collector's retained
 	// (sampled) traces.
 	Trace *telemetry.Collector
-	// Watchdog, when set, backs /debug/anomalies with the rolling
-	// latency baselines and flagged regressions.
-	Watchdog *telemetry.Watchdog
 	// Monitor, when set, backs /debug/monitor (windowed metric series
-	// from the self-monitoring ring) and /debug/alerts (rule states).
+	// from the self-monitoring ring) and /debug/alerts (rule states,
+	// latency baselines, and the transition log).
 	Monitor *monitor.Sampler
 	// InjectLatency adds an artificial delay to the named endpoints
 	// (path -> delay) — the regression-injection hook behind the
-	// watchdog demo and its tests. Adjustable at runtime via
-	// SetInjectedLatency.
+	// latency-baseline alert demo and its tests. Adjustable at runtime
+	// via SetInjectedLatency.
 	InjectLatency map[string]time.Duration
 	// Ingest, when set, enables POST /ingest: request bodies are
 	// submitted to the sink and acked once durable. nil answers /ingest
@@ -267,7 +265,7 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	for _, path := range []string{
 		"/healthz", "/metrics", "/api/info", "/api/profiles", "/api/stats",
 		"/api/groupby", "/api/summary", "/api/query", "/api/tree",
-		"/ingest", "/debug/traces", "/debug/anomalies",
+		"/ingest", "/debug/traces",
 		"/debug/queries", "/debug/querylog",
 		"/debug/monitor", "/debug/alerts",
 	} {
@@ -369,7 +367,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/tree", s.route("/api/tree", depNone, s.treeResponse))
 	mux.HandleFunc("/ingest", s.instrument("/ingest", s.handleIngest))
 	mux.HandleFunc("/debug/traces", s.instrument("/debug/traces", s.handleDebugTraces))
-	mux.HandleFunc("/debug/anomalies", s.instrument("/debug/anomalies", s.handleDebugAnomalies))
 	mux.HandleFunc("/debug/queries", s.instrument("/debug/queries", s.handleDebugQueries))
 	mux.HandleFunc("/debug/queries/", s.instrument("/debug/queries", s.handleDebugQueryKill))
 	mux.HandleFunc("/debug/querylog", s.instrument("/debug/querylog", s.handleDebugQuerylog))
@@ -405,8 +402,8 @@ func (s *Server) trace(h http.Handler) http.Handler {
 }
 
 // SetInjectedLatency sets (or, with d <= 0, clears) the artificial
-// delay added to one endpoint — the runtime knob behind the watchdog
-// regression demo.
+// delay added to one endpoint — the runtime knob behind the
+// latency-baseline alert demo.
 func (s *Server) SetInjectedLatency(path string, d time.Duration) {
 	if d <= 0 {
 		s.inject.Delete(path)
@@ -849,33 +846,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		"dropped":     c.Dropped(),
 		"sampled_out": c.SampledOut(),
 		"traces":      retained,
-	})
-}
-
-// handleDebugAnomalies exposes the latency-baseline watchdog: resolved
-// thresholds, per-target rolling baselines, and the retained anomaly
-// log (plus the latest tick's flags under "current").
-func (s *Server) handleDebugAnomalies(w http.ResponseWriter, r *http.Request) {
-	wd := s.opts.Watchdog
-	if wd == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
-	o := wd.Options()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled": true,
-		"ticks":   wd.Ticks(),
-		"options": map[string]any{
-			"window_s":    o.Window.Seconds(),
-			"alpha":       o.Alpha,
-			"sigma":       o.Sigma,
-			"factor":      o.Factor,
-			"min_samples": o.MinSamples,
-			"warmup":      o.Warmup,
-		},
-		"baselines": wd.Baselines(),
-		"current":   wd.Current(),
-		"anomalies": wd.Anomalies(),
 	})
 }
 

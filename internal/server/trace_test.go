@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/monitor"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -148,15 +149,23 @@ func TestDebugTraces(t *testing.T) {
 }
 
 // TestDebugAnomaliesAndInjection: an injected slowdown on one endpoint
-// drives the watchdog to flag it, surface it at /debug/anomalies, and
-// bump the alert counter in /metrics.
+// fires the monitor's latency-baseline rule for that endpoint, which
+// /debug/alerts shows as a per-target transition next to the rolling
+// baselines, and which bumps the rule's alert counter in /metrics. The
+// sampler ticks at synthetic instants, so no wall clock is involved.
 func TestDebugAnomaliesAndInjection(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	wd := telemetry.NewWatchdog(reg, telemetry.WatchdogOptions{
-		Warmup:     2,
-		MinSamples: 2,
-	})
-	srv := server.New(buildThicket(t), nil, server.Options{Registry: reg, Watchdog: wd})
+	mon, err := monitor.New(monitor.Options{Registry: reg, Rules: []monitor.Rule{{
+		Name: "http-latency", Kind: monitor.KindBaseline, Metric: "thicket_http_request_seconds",
+		Value: 3, Factor: 1.5, MinSamples: 2, ForTicks: 1, ClearTicks: 1,
+		// µs loopback jitter (scheduler, GC) sits below this noise
+		// floor; the injected 30ms clears it sixfold.
+		MinDeltaS: 0.005,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(buildThicket(t), nil, server.Options{Registry: reg, Monitor: mon})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -170,49 +179,42 @@ func TestDebugAnomaliesAndInjection(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	// Warm the baseline over fast intervals, paced by manual ticks.
-	for i := 0; i < 3; i++ {
+	// Warm the baseline over fast intervals, one tick each.
+	for i := int64(1); i <= monitor.BaselineWarmup; i++ {
 		hit(5)
-		if flagged := wd.Tick(); len(flagged) != 0 {
-			t.Fatalf("baseline warmup flagged %v", flagged)
+		mon.Tick(time.Unix(i, 0))
+		if tr := mon.Alerts().Transitions; len(tr) != 0 {
+			t.Fatalf("baseline warmup fired %+v", tr)
 		}
 	}
 	// Inject a regression and fold one loud interval.
 	srv.SetInjectedLatency("/api/info", 30*time.Millisecond)
 	hit(5)
-	flagged := wd.Tick()
+	mon.Tick(time.Unix(monitor.BaselineWarmup+1, 0))
 	srv.SetInjectedLatency("/api/info", 0)
-	if len(flagged) == 0 {
-		t.Fatal("injected slowdown not flagged")
+
+	var alerts monitor.AlertsSnapshot
+	_, raw := getBody(t, ts, "/debug/alerts")
+	if err := json.Unmarshal([]byte(raw), &alerts); err != nil {
+		t.Fatalf("/debug/alerts: %v\n%s", err, raw)
+	}
+	if len(alerts.Transitions) != 1 {
+		t.Fatalf("transitions = %+v, want one firing for /api/info", alerts.Transitions)
+	}
+	if tr := alerts.Transitions[0]; tr.Rule != "http-latency" || tr.Target != "/api/info" || !tr.Firing {
+		t.Fatalf("transition = %+v, want http-latency firing for /api/info", tr)
 	}
 	found := false
-	for _, a := range flagged {
-		if a.Target == "/api/info" {
+	for _, b := range alerts.Rules[0].Baselines {
+		if b.Target == "/api/info" && b.Intervals == monitor.BaselineWarmup+1 && b.Count == 20 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("flagged %v, want /api/info", flagged)
+		t.Errorf("baselines missing /api/info after four intervals: %+v", alerts.Rules[0].Baselines)
 	}
 
-	out := getJSON(t, ts.URL+"/debug/anomalies")
-	if out["enabled"] != true {
-		t.Fatalf("/debug/anomalies = %v", out)
-	}
-	if n := len(out["anomalies"].([]any)); n == 0 {
-		t.Error("anomaly log empty after a flagged regression")
-	}
-	if n := len(out["baselines"].([]any)); n == 0 {
-		t.Error("baselines missing")
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(raw), `thicket_watchdog_anomalies_total{target="/api/info"}`) {
+	if _, metrics := getBody(t, ts, "/metrics"); !strings.Contains(metrics, `thicket_monitor_alerts_total{rule="http-latency"} 1`) {
 		t.Error("alert counter missing from /metrics")
 	}
 }

@@ -52,7 +52,8 @@ type Policy struct {
 	HeadProbability float64
 	// Judge reports whether a finished root (name, seconds) is slow
 	// against the rolling baseline; slow traces are always retained,
-	// whatever the head decision. Typically Watchdog.IsSlow.
+	// whatever the head decision. Typically (*monitor.Sampler).IsSlow,
+	// which judges against the monitor's latency-baseline rules.
 	Judge func(name string, seconds float64) bool
 }
 

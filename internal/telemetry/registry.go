@@ -176,7 +176,8 @@ func (r *Registry) lookup(name, help, typ string, labels []string, mk func() any
 // VisitHistograms calls f for every series of the named histogram
 // family with its sorted (key, value) label pairs. Series appearing
 // after the snapshot under the lock are picked up on the next visit —
-// the latency-baseline watchdog polls this every window.
+// the monitor's baseline rules read their family this way every
+// sampler tick.
 func (r *Registry) VisitHistograms(name string, f func(kv []string, h *Histogram)) {
 	r.mu.Lock()
 	fam := r.fams[name]

@@ -16,8 +16,9 @@
 #   BENCH_loadgen.json (per-SLO-class latency percentiles, achieved vs
 #   offered throughput, Jain fairness index). Fails on any HTTP error,
 #   any class p99 over its budget (MAX_P99 is the fallback budget for
-#   classes without one), or any spurious watchdog anomaly — a clean
-#   run must stay quiet. Override with SEED / DURATION / RATE / MAX_P99.
+#   classes without one), or any latency-baseline alert firing (the
+#   self-monitor's http-latency/span-latency rules) — a clean run must
+#   stay quiet. Override with SEED / DURATION / RATE / MAX_P99.
 #   This is the CI gate on the serving path under load.
 #
 # Ingest mode: scripts/bench.sh ingest [output.json]
@@ -28,7 +29,7 @@
 #   aggressive (-ingest-flush 4 -ingest-compact-run 4) so a short run
 #   exercises the whole segment lifecycle. Fails on any query error —
 #   ingest pressure must shed via 429, never starve reads — any class
-#   p99 over budget, or a watchdog anomaly. Override with SEED /
+#   p99 over budget, or a latency-baseline alert. Override with SEED /
 #   DURATION / RATE / MAX_P99. This is the CI gate on the ingest path.
 #
 # Overhead mode: scripts/bench.sh overhead [output.json]
@@ -50,7 +51,8 @@
 #   Serving-overhead gate on the continuous self-monitor: runs the
 #   BenchmarkMonitor{Off,On}* endpoint pairs (identical server, the On
 #   side with a sampler ticking at an aggressive 50ms — the default
-#   cadence is 10s, so this is an upper bound), -count COUNT rounds
+#   cadence is 10s, so this is an upper bound — and evaluating the
+#   shipped rule set, latency-baseline rules included), -count COUNT rounds
 #   interleaved by declaration order, compares best-of-COUNT ns/op per
 #   endpoint, writes BENCH_monitor_overhead.json, and exits non-zero if
 #   the MEAN overhead across endpoints exceeds MAX_MONITOR_OVERHEAD_PCT
@@ -261,7 +263,7 @@ monitor_mode() {
 	}
 	END {
 		printf "{\n"
-		printf "  \"description\": \"Per-endpoint best-of-%d ns/op with the self-monitor absent vs sampling every 50ms (200x the default cadence), interleaved rounds. The request path gains no code from the monitor; the On side pins background snapshot contention. Gate is on the mean overhead: %s%%.\",\n", count, max
+		printf "  \"description\": \"Per-endpoint best-of-%d ns/op with the self-monitor absent vs sampling every 50ms (200x the default cadence), interleaved rounds. The request path gains no code from the monitor; the On side pins background snapshot and rule-evaluation contention (shipped rules, latency baselines included). Gate is on the mean overhead: %s%%.\",\n", count, max
 		printf "  \"benchtime\": \"%s\",\n", benchtime
 		printf "  \"max_mean_overhead_pct\": %s,\n", max
 		printf "  \"environment\": { \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\" },\n", goos, goarch, cpu

@@ -398,26 +398,22 @@ type (
 	// MetricsRegistry holds typed counters/gauges/histograms and renders
 	// them in the Prometheus text format.
 	MetricsRegistry = telemetry.Registry
-	// Watchdog folds latency histograms into rolling per-target EWMA
-	// baselines and flags regressions.
-	Watchdog = telemetry.Watchdog
-	// WatchdogOptions tunes the latency-baseline watchdog.
-	WatchdogOptions = telemetry.WatchdogOptions
 	// SelfProfiler exports retained slow traces into an ensemble store —
 	// the dogfood loop feeding thicketd's history back to its own EDA.
 	SelfProfiler = selfprofile.Profiler
 	// SelfProfileOptions configures the self-profiler.
 	SelfProfileOptions = selfprofile.Options
 	// Monitor is the continuous self-monitoring sampler: registry +
-	// runtime metrics into a timestamped ring, declarative alert rules,
-	// and an optional queryable history store.
+	// runtime metrics into a timestamped ring, declarative alert rules
+	// (including per-endpoint latency baselines, whose IsSlow is the
+	// tail-sampling judge), and an optional queryable history store.
 	Monitor = monitor.Sampler
 	// MonitorOptions configures the monitor sampler.
 	MonitorOptions = monitor.Options
 	// MonitorHistoryOptions configures the monitor-store flusher.
 	MonitorHistoryOptions = monitor.HistoryOptions
-	// AlertRule is one declarative monitor alert (threshold, rate, or
-	// absence).
+	// AlertRule is one declarative monitor alert (threshold, rate,
+	// absence, or latency baseline).
 	AlertRule = monitor.Rule
 )
 
@@ -426,13 +422,6 @@ func NewTraceContext() TraceContext { return telemetry.NewTraceContext() }
 
 // ParseTraceparent parses a W3C traceparent header.
 func ParseTraceparent(h string) (TraceContext, error) { return telemetry.ParseTraceparent(h) }
-
-// NewWatchdog builds a latency-baseline watchdog over reg's histograms
-// (nil selects the process-wide registry). Call Run to start the
-// background snapshotter.
-func NewWatchdog(reg *MetricsRegistry, opts WatchdogOptions) *Watchdog {
-	return telemetry.NewWatchdog(reg, opts)
-}
 
 // NewSelfProfiler builds the slow-trace exporter of the dogfood loop.
 func NewSelfProfiler(opts SelfProfileOptions) (*SelfProfiler, error) {
@@ -446,7 +435,7 @@ func NewMonitor(opts MonitorOptions) (*Monitor, error) { return monitor.New(opts
 
 // DefaultAlertRules is the shipped monitor alert set: heap growth, GC
 // pause p99, goroutine leak, ingest-queue saturation, cache hit-rate
-// collapse.
+// collapse, and per-endpoint and per-span latency baselines.
 func DefaultAlertRules() []AlertRule { return monitor.DefaultRules() }
 
 // LoadAlertRules reads and validates a JSON alert-rules file.
