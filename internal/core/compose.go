@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/calltree"
 	"repro/internal/dataframe"
-	"repro/internal/parallel"
 )
 
 // Compose hierarchically composes thickets with the same index structure
@@ -51,28 +50,18 @@ func Compose(groups []string, thickets []*Thicket) (*Thicket, error) {
 	}
 	tree := calltree.Intersect(trees...)
 
-	// Surviving profile-index values: encode per-profile rows in chunk
-	// parallel, then union the partials (set union is order-insensitive).
-	profLv := perf.Index().LevelByName(first.profileLevel)
-	if profLv == nil {
+	// Surviving profiles: the first input's metadata rows that some
+	// joined perf row maps onto.
+	if perf.Index().LevelByName(first.profileLevel) == nil {
 		return nil, fmt.Errorf("core: composed index lacks level %q", first.profileLevel)
 	}
-	parts := parallel.MapChunks(profLv.Len(), func(lo, hi int) map[string]bool {
-		part := make(map[string]bool)
-		for r := lo; r < hi; r++ {
-			part[dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})] = true
-		}
-		return part
-	})
-	keep := map[string]bool{}
-	for _, part := range parts {
-		for enc := range part {
-			keep[enc] = true
+	keep := make([]bool, first.Metadata.NRows())
+	for _, o := range profileOrdinals(perf, first.Metadata, first.profileLevel) {
+		if o >= 0 {
+			keep[o] = true
 		}
 	}
-	meta := first.Metadata.Filter(func(r dataframe.Row) bool {
-		return keep[dataframe.EncodeKey(first.Metadata.Index().KeyAt(r.Pos()))]
-	})
+	meta := first.Metadata.Filter(func(r dataframe.Row) bool { return keep[r.Pos()] })
 
 	return &Thicket{
 		Tree:         tree,

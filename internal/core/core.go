@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/calltree"
@@ -94,26 +95,27 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 		level = opts.IndexBy
 	}
 
-	// Assign profile index values.
-	indexVals := make([]dataframe.Value, len(profiles))
-	seen := make(map[string]int)
+	// Assign profile index values. A repeat before the first profile
+	// lacking its index value is reported first, as a one-pass scan would.
+	indexVals := make([]dataframe.Value, 0, len(profiles))
+	var lackErr error
 	for i, p := range profiles {
-		var v dataframe.Value
-		if opts.IndexBy != "" {
-			mv, ok := p.Meta(opts.IndexBy)
-			if !ok {
-				return nil, fmt.Errorf("core: profile %d lacks metadata %q requested as index", i, opts.IndexBy)
-			}
-			v = mv
-		} else {
-			v = dataframe.Int64(p.Hash())
+		if opts.IndexBy == "" {
+			indexVals = append(indexVals, dataframe.Int64(p.Hash()))
+			continue
 		}
-		enc := dataframe.EncodeKey([]dataframe.Value{v})
-		if j, dup := seen[enc]; dup {
-			return nil, fmt.Errorf("core: profiles %d and %d share index value %s; use the default hash index or a distinguishing column", j, i, v)
+		mv, ok := p.Meta(opts.IndexBy)
+		if !ok {
+			lackErr = fmt.Errorf("core: profile %d lacks metadata %q requested as index", i, opts.IndexBy)
+			break
 		}
-		seen[enc] = i
-		indexVals[i] = v
+		indexVals = append(indexVals, mv)
+	}
+	if j, i, dup := firstRepeat(level, indexVals); dup {
+		return nil, fmt.Errorf("core: profiles %d and %d share index value %s; use the default hash index or a distinguishing column", j, i, indexVals[i])
+	}
+	if lackErr != nil {
+		return nil, lackErr
 	}
 
 	// Union (or intersection) call tree and metric-name union in
@@ -293,7 +295,10 @@ func (t *Thicket) NodeByPathString(path string) *calltree.Node {
 	return t.Tree.NodeByPath(strings.Split(path, "/"))
 }
 
-// copyWith assembles a new thicket sharing no mutable state.
+// copyWith assembles a new thicket from the given parts, keeping t's
+// profile level. It copies nothing: whatever the caller passes in is
+// shared with its other holders, so callers that need isolation pass
+// fresh copies.
 func (t *Thicket) copyWith(tree *calltree.Tree, perf, meta, stats *dataframe.Frame) *Thicket {
 	return &Thicket{
 		Tree:         tree,
@@ -309,10 +314,19 @@ func (t *Thicket) Copy() *Thicket {
 	return t.copyWith(t.Tree.Copy(), t.PerfData.Copy(), t.Metadata.Copy(), t.Stats.Copy())
 }
 
+// StatsCopy returns a thicket that shares t's tree, performance data and
+// metadata, read-only, and owns a deep copy of the stats table: enough
+// isolation for AggregateStats, which writes only Stats, to run on a
+// thicket other goroutines are reading.
+func (t *Thicket) StatsCopy() *Thicket {
+	return t.copyWith(t.Tree, t.PerfData, t.Metadata, t.Stats.Copy())
+}
+
 // Validate checks the relational invariants of Figure 3: every PerfData
 // row's profile exists in Metadata, every PerfData node exists in the
 // tree, every Stats node exists in the tree, and Metadata profiles are
-// unique.
+// unique. A failure names the first offending row; a PerfData row with
+// both an unknown node and an unknown profile reports the node.
 func (t *Thicket) Validate() error {
 	if t.Metadata.Index().HasDuplicates() {
 		return fmt.Errorf("core: duplicate profile index in metadata")
@@ -322,48 +336,131 @@ func (t *Thicket) Validate() error {
 	if nodeLv == nil || profLv == nil {
 		return fmt.Errorf("core: perf data index must have levels (%s, %s)", NodeLevel, t.profileLevel)
 	}
-	// Perf rows are the cross product of nodes × profiles, so distinct
-	// level values are few; memoize the per-value checks instead of
-	// re-resolving paths and index keys on every row.
-	okNodes := make(map[string]struct{}, t.Tree.Len())
-	okProfiles := make(map[dataframe.Value]struct{}, t.Metadata.NRows())
-	for r := 0; r < t.PerfData.NRows(); r++ {
-		if path := nodeLv.At(r).Str(); !mapHas(okNodes, path) {
-			if t.NodeByPathString(path) == nil {
-				return fmt.Errorf("core: perf row %d references unknown node %q", r, path)
-			}
-			okNodes[path] = struct{}{}
+	resolved := make(map[string]bool, t.Tree.Len())
+	badNode, path := t.firstUnknownNode(nodeLv, resolved)
+	badProf := -1
+	for r, o := range t.Metadata.Index().Locate(profLv) {
+		if o < 0 {
+			badProf = r
+			break
 		}
-		if prof := profLv.At(r); !mapHasValue(okProfiles, prof) {
-			if !t.Metadata.Index().Contains([]dataframe.Value{prof}) {
-				return fmt.Errorf("core: perf row %d references unknown profile %s", r, prof)
-			}
-			okProfiles[prof] = struct{}{}
-		}
+	}
+	switch {
+	case badNode >= 0 && (badProf < 0 || badNode <= badProf):
+		return fmt.Errorf("core: perf row %d references unknown node %q", badNode, path)
+	case badProf >= 0:
+		return fmt.Errorf("core: perf row %d references unknown profile %s", badProf, profLv.At(badProf))
 	}
 	statsLv := t.Stats.Index().LevelByName(NodeLevel)
 	if statsLv == nil {
 		return fmt.Errorf("core: stats index must have level %q", NodeLevel)
 	}
-	for r := 0; r < t.Stats.NRows(); r++ {
-		if path := statsLv.At(r).Str(); !mapHas(okNodes, path) {
-			if t.NodeByPathString(path) == nil {
-				return fmt.Errorf("core: stats row %d references unknown node %q", r, path)
-			}
-			okNodes[path] = struct{}{}
-		}
+	if r, path := t.firstUnknownNode(statsLv, resolved); r >= 0 {
+		return fmt.Errorf("core: stats row %d references unknown node %q", r, path)
 	}
 	return nil
 }
 
-func mapHas(m map[string]struct{}, k string) bool {
-	_, ok := m[k]
-	return ok
+// firstUnknownNode returns the first row of a node level whose path is
+// not in the tree, and that path; -1 when every row resolves. Each
+// dictionary code is checked once, not each row, and each path resolves
+// once across calls sharing resolved. Null and non-string cells read as
+// the empty path, as Value.Str renders them.
+func (t *Thicket) firstUnknownNode(lv *dataframe.Series, resolved map[string]bool) (int, string) {
+	dict, codes := lv.StringData()
+	words := 0
+	if dict != nil {
+		words = dict.Len()
+	}
+	pathOf := func(c int) string {
+		if c < words {
+			return dict.Word(uint32(c))
+		}
+		return ""
+	}
+	const unseen, known, unknown = 0, 1, 2
+	state := make([]uint8, words+1) // per code; the last slot is the empty path
+	for r, null := range lv.Nulls() {
+		c := words
+		if dict != nil && !null {
+			c = int(codes[r])
+		}
+		if state[c] == unseen {
+			path := pathOf(c)
+			ok, seen := resolved[path]
+			if !seen {
+				ok = t.NodeByPathString(path) != nil
+				resolved[path] = ok
+			}
+			state[c] = unknown
+			if ok {
+				state[c] = known
+			}
+		}
+		if state[c] == unknown {
+			return r, pathOf(c)
+		}
+	}
+	return -1, ""
 }
 
-func mapHasValue(m map[dataframe.Value]struct{}, k dataframe.Value) bool {
-	_, ok := m[k]
-	return ok
+// profileOrdinals maps every row of perf onto meta, the integer form of
+// Figure 3's PerfData → Metadata key: out[r] is the metadata row of perf
+// row r's profile, or -1 when meta lacks it (or perf has no such level).
+// Identity is the profile index's own: kind-aware and null-blind. The
+// rewritten verbs compare ordinals where they once compared string keys,
+// relying on the invariant Validate enforces: metadata profiles are
+// unique, so each profile has exactly one row.
+func profileOrdinals(perf, meta *dataframe.Frame, level string) []int32 {
+	profLv := perf.Index().LevelByName(level)
+	if profLv == nil {
+		out := make([]int32, perf.NRows())
+		for r := range out {
+			out[r] = -1
+		}
+		return out
+	}
+	return meta.Index().Locate(profLv)
+}
+
+// firstRepeat reports the first i whose value repeats an earlier vals[j]
+// under the profile-index identity. Values of different kinds never
+// match while nulls of every kind do, so each kind's values are located
+// together with the nulls, one pass per kind.
+func firstRepeat(level string, vals []dataframe.Value) (j, i int, found bool) {
+	i = len(vals)
+	var kinds []dataframe.Kind
+	for _, v := range vals {
+		if !v.IsNull() && !slices.Contains(kinds, v.Kind()) {
+			kinds = append(kinds, v.Kind())
+		}
+	}
+	if len(kinds) == 0 {
+		kinds = []dataframe.Kind{dataframe.Int} // all null: any kind will do
+	}
+	for _, k := range kinds {
+		var pos []int
+		var part []dataframe.Value
+		for x, v := range vals {
+			if v.IsNull() || v.Kind() == k {
+				pos = append(pos, x)
+				part = append(part, v)
+			}
+		}
+		s, err := dataframe.SeriesOf(level, part)
+		if err != nil {
+			panic(err) // part holds one kind plus nulls
+		}
+		for x, first := range dataframe.MustIndex(s).Locate(s) {
+			if int(first) != x {
+				if pos[x] < i {
+					j, i, found = pos[first], pos[x], true
+				}
+				break
+			}
+		}
+	}
+	return j, i, found
 }
 
 // MetricColumns returns the PerfData column keys holding numeric metrics.

@@ -19,9 +19,9 @@ type MetaRow struct {
 // Profile returns the row's profile index value.
 func (m MetaRow) Profile(level string) dataframe.Value { return m.row.IndexValue(level) }
 
-// Pos returns the physical metadata row position — the hook that lets a
-// vectorized evaluator precompute a selection mask and feed it through
-// FilterMetadata without re-evaluating predicates row-at-a-time.
+// Pos returns the physical metadata row position, for predicates that
+// precompute a per-row outcome. Callers holding a selection vector pass
+// it to SelectProfiles instead.
 func (m MetaRow) Pos() int { return m.row.Pos() }
 
 // Value returns the metadata cell under the named column. A column that
@@ -97,28 +97,56 @@ func keepLevelPred(lv *dataframe.Series, keep map[string]bool) func(dataframe.Ro
 // data is restricted to the surviving profiles; the tree and stats are
 // carried over.
 func (t *Thicket) FilterMetadata(pred func(MetaRow) bool) *Thicket {
-	meta := t.Metadata.Filter(func(r dataframe.Row) bool { return pred(MetaRow{row: r}) })
-	keep := make(map[string]bool, meta.NRows())
-	for r := 0; r < meta.NRows(); r++ {
-		keep[dataframe.EncodeKey(meta.Index().KeyAt(r))] = true
-	}
-	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
-	perf := t.PerfData.Filter(func(r dataframe.Row) bool {
-		return keep[dataframe.EncodeKey([]dataframe.Value{profLv.At(r.Pos())})]
+	return t.SelectProfiles(t.metaSel(pred))
+}
+
+// metaSel evaluates pred on every metadata row and returns the
+// positions of the rows it keeps.
+func (t *Thicket) metaSel(pred func(MetaRow) bool) dataframe.Sel {
+	sel := dataframe.Sel{}
+	t.Metadata.Each(func(r dataframe.Row) {
+		if pred(MetaRow{row: r}) {
+			sel = append(sel, uint32(r.Pos()))
+		}
 	})
-	return t.copyWith(t.Tree.Copy(), perf, meta, t.Stats.Copy())
+	return sel
+}
+
+// SelectProfiles is FilterMetadata by position: it keeps the metadata
+// rows at the ascending positions in sel and the performance rows of
+// those profiles. Callers that already hold a selection vector (the
+// compiled where= path, delta reloads) pass it straight in.
+func (t *Thicket) SelectProfiles(sel dataframe.Sel) *Thicket {
+	return t.selectProfiles(sel, profileOrdinals(t.PerfData, t.Metadata, t.profileLevel))
+}
+
+// selectProfiles is SelectProfiles over precomputed profile ordinals, so
+// callers cutting one thicket many ways map its perf rows once.
+func (t *Thicket) selectProfiles(sel dataframe.Sel, ords []int32) *Thicket {
+	picked := make([]bool, t.Metadata.NRows())
+	for _, r := range sel {
+		picked[r] = true
+	}
+	rows := make([]int, 0, len(ords))
+	for r, o := range ords {
+		if o >= 0 && picked[o] {
+			rows = append(rows, r)
+		}
+	}
+	meta := t.Metadata.SelectRows(dataframe.SelToRows(sel))
+	return t.copyWith(t.Tree.Copy(), t.PerfData.SelectRows(rows), meta, t.Stats.Copy())
 }
 
 // FilterProfiles keeps only the profiles whose index value appears in
 // values.
 func (t *Thicket) FilterProfiles(values []dataframe.Value) *Thicket {
-	want := make(map[string]bool, len(values))
+	picked := make([]bool, t.Metadata.NRows())
 	for _, v := range values {
-		want[dataframe.EncodeKey([]dataframe.Value{v})] = true
+		for _, r := range t.Metadata.Index().Lookup([]dataframe.Value{v}) {
+			picked[r] = true
+		}
 	}
-	return t.FilterMetadata(func(m MetaRow) bool {
-		return want[dataframe.EncodeKey([]dataframe.Value{m.Profile(t.profileLevel)})]
-	})
+	return t.FilterMetadata(func(m MetaRow) bool { return picked[m.Pos()] })
 }
 
 // GroupedThicket is one output of GroupBy: the unique key values and the
@@ -137,10 +165,10 @@ func (t *Thicket) GroupBy(columns ...string) ([]GroupedThicket, error) {
 	if err != nil {
 		return nil, err
 	}
+	ords := profileOrdinals(t.PerfData, t.Metadata, t.profileLevel)
 	out := make([]GroupedThicket, 0, len(groups))
 	for _, g := range groups {
-		g := g
-		sub := t.FilterMetadata(func(m MetaRow) bool {
+		sel := t.metaSel(func(m MetaRow) bool {
 			for ci, col := range columns {
 				if !m.Value(col).Equal(g.Key[ci]) {
 					return false
@@ -148,7 +176,7 @@ func (t *Thicket) GroupBy(columns ...string) ([]GroupedThicket, error) {
 			}
 			return true
 		})
-		out = append(out, GroupedThicket{Key: g.Key, Columns: columns, Thicket: sub})
+		out = append(out, GroupedThicket{Key: g.Key, Columns: columns, Thicket: t.selectProfiles(sel, ords)})
 	}
 	return out, nil
 }

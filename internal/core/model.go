@@ -31,15 +31,9 @@ func (t *Thicket) ModelExtrap(metric dataframe.ColKey, paramColumn string, opts 
 	if err != nil {
 		return nil, err
 	}
-	// profile index value -> parameter value.
-	params := make(map[string]float64, t.Metadata.NRows())
-	for r := 0; r < t.Metadata.NRows(); r++ {
-		key := dataframe.EncodeKey(t.Metadata.Index().KeyAt(r))
-		f, ok := paramCol.At(r).AsFloat()
-		if !ok {
-			return nil, fmt.Errorf("core: metadata %q at profile %s is not numeric", paramColumn, dataframe.FormatKey(t.Metadata.Index().KeyAt(r)))
-		}
-		params[key] = f
+	params, err := t.numericParam(paramCol, paramColumn)
+	if err != nil {
+		return nil, err
 	}
 
 	col, err := t.PerfData.Column(metric)
@@ -47,22 +41,16 @@ func (t *Thicket) ModelExtrap(metric dataframe.ColKey, paramColumn string, opts 
 		return nil, err
 	}
 	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
-	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
 
 	type sample struct{ p, y float64 }
 	samples := map[string][]sample{}
-	for r := 0; r < t.PerfData.NRows(); r++ {
+	for r, o := range profileOrdinals(t.PerfData, t.Metadata, t.profileLevel) {
 		y, ok := col.At(r).AsFloat()
-		if !ok {
-			continue
-		}
-		pkey := dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})
-		pv, ok := params[pkey]
-		if !ok {
+		if !ok || o < 0 {
 			continue
 		}
 		node := nodeLv.At(r).Str()
-		samples[node] = append(samples[node], sample{p: pv, y: y})
+		samples[node] = append(samples[node], sample{p: params[o], y: y})
 	}
 
 	paths := t.NodePaths()
@@ -106,6 +94,20 @@ func (t *Thicket) ModelExtrap(metric dataframe.ColKey, paramColumn string, opts 
 	return out, nil
 }
 
+// numericParam reads a metadata column as one modeling-parameter value
+// per metadata row, failing on the first non-numeric cell.
+func (t *Thicket) numericParam(col *dataframe.Series, column string) ([]float64, error) {
+	out := make([]float64, t.Metadata.NRows())
+	for r := range out {
+		f, ok := col.At(r).AsFloat()
+		if !ok {
+			return nil, fmt.Errorf("core: metadata %q at profile %s is not numeric", column, dataframe.FormatKey(t.Metadata.Index().KeyAt(r)))
+		}
+		out[r] = f
+	}
+	return out, nil
+}
+
 // NodeModel2 pairs a call-tree node path with a fitted two-parameter
 // model.
 type NodeModel2 struct {
@@ -120,20 +122,12 @@ type NodeModel2 struct {
 // ("covering one or more modeling parameters"). Output order matches
 // tree pre-order; fitting fans out across a bounded worker pool.
 func (t *Thicket) ModelExtrap2(metric dataframe.ColKey, paramP, paramQ string, opts extrap.Options2) ([]NodeModel2, error) {
-	lookupParam := func(column string) (map[string]float64, error) {
+	lookupParam := func(column string) ([]float64, error) {
 		col, err := t.Metadata.ColumnByName(column)
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[string]float64, t.Metadata.NRows())
-		for r := 0; r < t.Metadata.NRows(); r++ {
-			f, ok := col.At(r).AsFloat()
-			if !ok {
-				return nil, fmt.Errorf("core: metadata %q at profile %s is not numeric", column, dataframe.FormatKey(t.Metadata.Index().KeyAt(r)))
-			}
-			out[dataframe.EncodeKey(t.Metadata.Index().KeyAt(r))] = f
-		}
-		return out, nil
+		return t.numericParam(col, column)
 	}
 	pOf, err := lookupParam(paramP)
 	if err != nil {
@@ -148,23 +142,16 @@ func (t *Thicket) ModelExtrap2(metric dataframe.ColKey, paramP, paramQ string, o
 		return nil, err
 	}
 	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
-	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
 
 	type sample struct{ p, q, y float64 }
 	samples := map[string][]sample{}
-	for r := 0; r < t.PerfData.NRows(); r++ {
+	for r, o := range profileOrdinals(t.PerfData, t.Metadata, t.profileLevel) {
 		y, ok := col.At(r).AsFloat()
-		if !ok {
-			continue
-		}
-		pkey := dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})
-		pv, pok := pOf[pkey]
-		qv, qok := qOf[pkey]
-		if !pok || !qok {
+		if !ok || o < 0 {
 			continue
 		}
 		node := nodeLv.At(r).Str()
-		samples[node] = append(samples[node], sample{p: pv, q: qv, y: y})
+		samples[node] = append(samples[node], sample{p: pOf[o], q: qOf[o], y: y})
 	}
 
 	paths := t.NodePaths()

@@ -293,6 +293,12 @@ func (t *Thicket) GroupedStats(groupColumns []string, metrics []dataframe.ColKey
 	if err != nil {
 		return nil, err
 	}
+	return groupedStats(groups, groupColumns, metrics, aggs)
+}
+
+// groupedStats order-reduces every group's sub-thicket and stacks the
+// per-group stats tables under (groupColumns..., node).
+func groupedStats(groups []GroupedThicket, groupColumns []string, metrics []dataframe.ColKey, aggs []string) (*dataframe.Frame, error) {
 	// Each group's order reduction touches only its own sub-thicket;
 	// groups fan out across the pool, then rows are assembled in group
 	// order so the result is independent of parallelism.
@@ -348,16 +354,14 @@ func (t *Thicket) PivotMetric(metric dataframe.ColKey, metaColumn, agg string) (
 	if err != nil {
 		return nil, err
 	}
-	// profile index -> metadata value.
-	valOf := map[string]dataframe.Value{}
-	for r := 0; r < t.Metadata.NRows(); r++ {
-		valOf[dataframe.EncodeKey(t.Metadata.Index().KeyAt(r))] = metaCol.At(r)
-	}
+	// Metadata row -> output column: the position of its value among the
+	// column's distinct non-null values, or -1 for a null.
 	colKeys := metaCol.Uniques()
-	colPos := map[string]int{}
-	for i, v := range colKeys {
-		colPos[dataframe.EncodeKey([]dataframe.Value{v})] = i
+	uniq, err := dataframe.SeriesOf(metaColumn, colKeys)
+	if err != nil {
+		return nil, err
 	}
+	colOf := dataframe.MustIndex(uniq).Locate(metaCol)
 	paths := t.NodePaths()
 	rowPos := map[string]int{}
 	for i, p := range paths {
@@ -368,17 +372,12 @@ func (t *Thicket) PivotMetric(metric dataframe.ColKey, metaColumn, agg string) (
 		cells[i] = make([][]float64, len(colKeys))
 	}
 	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
-	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
-	for r := 0; r < t.PerfData.NRows(); r++ {
+	for r, o := range profileOrdinals(t.PerfData, t.Metadata, t.profileLevel) {
 		v, ok := col.At(r).AsFloat()
-		if !ok {
+		if !ok || o < 0 || colOf[o] < 0 {
 			continue
 		}
-		mv, ok := valOf[dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})]
-		if !ok || mv.IsNull() {
-			continue
-		}
-		ci := colPos[dataframe.EncodeKey([]dataframe.Value{mv})]
+		ci := colOf[o]
 		ri := rowPos[nodeLv.At(r).Str()]
 		cells[ri][ci] = append(cells[ri][ci], v)
 	}

@@ -539,3 +539,109 @@ func TestDifferentialUniques(t *testing.T) {
 		}
 	}
 }
+
+// refLocate is Locate as a sequential EncodeKey scan: the first row of
+// every key, then one map probe per probe cell.
+func refLocate(ix *Index, probe *Series) []int32 {
+	first := make(map[string]int32)
+	for r := ix.NRows() - 1; r >= 0; r-- {
+		first[EncodeKey(ix.KeyAt(r))] = int32(r)
+	}
+	out := make([]int32, probe.Len())
+	for r := range out {
+		pos, ok := first[EncodeKey([]Value{probe.At(r)})]
+		if !ok {
+			pos = -1
+		}
+		out[r] = pos
+	}
+	return out
+}
+
+func TestDifferentialIndexLocate(t *testing.T) {
+	assertLocate := func(t *testing.T, label string, ix *Index, probe *Series) {
+		t.Helper()
+		want, got := refLocate(ix, probe), ix.Locate(probe)
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d positions, want %d", label, len(got), len(want))
+		}
+		for r := range want {
+			if want[r] != got[r] {
+				t.Fatalf("%s: cell %d (%v) -> %d, want %d", label, r, probe.At(r), got[r], want[r])
+			}
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(600 + seed))
+		base, other := diffFrame(rng, 120, false), diffFrame(rng, 200, false)
+		// Every column of base as a single-level index (repeated keys and
+		// nulls included), probed with every column of other: same-kind
+		// probes hit, cross-kind probes miss except on nulls.
+		for c := 0; c < base.NCols(); c++ {
+			ix := MustIndex(base.ColumnAt(c))
+			for p := 0; p < other.NCols(); p++ {
+				assertLocate(t, fmt.Sprintf("seed %d %s<-%s", seed, base.ColumnAt(c).Name(), other.ColumnAt(p).Name()),
+					ix, other.ColumnAt(p))
+			}
+		}
+		assertLocate(t, fmt.Sprintf("seed %d multi-level", seed), base.Index(), other.Index().Level(1))
+	}
+	// A unique Int index (the perf → metadata shape) probed in index
+	// order with gaps, repeats, absent keys and nulls.
+	rng := rand.New(rand.NewSource(42))
+	for _, withNull := range []bool{false, true} {
+		keys := rng.Perm(50)
+		vals := make([]Value, len(keys))
+		for i, k := range keys {
+			vals[i] = Int64(int64(k))
+		}
+		if withNull {
+			vals[rng.Intn(len(vals))] = Null(Int)
+		}
+		ix := MustIndex(mustSeries(t, "p", vals))
+		var probe []Value
+		for round := 0; round < 4; round++ {
+			for _, v := range vals {
+				switch rng.Intn(10) {
+				case 0: // a profile missing from this node
+				case 1:
+					probe = append(probe, Int64(1000+int64(rng.Intn(5))))
+				case 2:
+					probe = append(probe, Null(Int))
+				case 3:
+					probe = append(probe, vals[rng.Intn(len(vals))])
+				default:
+					probe = append(probe, v)
+				}
+			}
+		}
+		assertLocate(t, fmt.Sprintf("unique int index, null %v", withNull), ix, mustSeries(t, "p", probe))
+	}
+
+	// Int 1 ≠ Float 1.0; an Int null, a Float NaN and a String null are
+	// one key.
+	ints := MustIndex(NewIntSeries("p", []int64{0, 1, 2}))
+	withNull := MustIndex(mustSeries(t, "p", []Value{Int64(7), Null(Int), Int64(1)}))
+	floats := mustSeries(t, "q", []Value{Float64(1), Float64(0), NaN(), Null(Float), Float64(2)})
+	strs := mustSeries(t, "q", []Value{Str("1"), Null(String)})
+	// A null Int cell stores 0, which must not match the probe's 0.
+	zeros := mustSeries(t, "q", []Value{Int64(7), Int64(0), Int64(1), Null(Int)})
+	for _, ix := range []*Index{ints, withNull} {
+		assertLocate(t, "int<-float", ix, floats)
+		assertLocate(t, "int<-string", ix, strs)
+		assertLocate(t, "int<-int", ix, zeros)
+	}
+	if got := withNull.Locate(floats); got[2] != 1 || got[3] != 1 || got[0] != -1 {
+		t.Fatalf("null-blind, kind-aware identity broken: %v", got)
+	}
+}
+
+// mustSeries builds a series from values or fails the test.
+func mustSeries(t *testing.T, name string, vals []Value) *Series {
+	t.Helper()
+	s, err := SeriesOf(name, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

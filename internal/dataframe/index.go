@@ -129,6 +129,50 @@ func (ix *Index) Lookup(key []Value) []int {
 // Contains reports whether the composite key appears in the index.
 func (ix *Index) Contains(key []Value) bool { return len(ix.Lookup(key)) > 0 }
 
+// Locate maps every cell of probe onto this single-level index: out[r]
+// is the row holding probe's r-th value as its key (the first such row
+// when the key repeats), or -1 when no row does. Key identity is
+// Lookup's and EncodeKey's: kind-aware (Int 1 ≠ Float 1.0) and
+// null-blind (nulls of every kind, NaN included, are one key). It runs
+// on the index's lazily built lookup and translates each distinct probe
+// value once, so the per-cell work is two table loads. A one-value key
+// matches no row of a multi-level index, so there every cell maps to -1.
+func (ix *Index) Locate(probe *Series) []int32 {
+	out := make([]int32, probe.Len())
+	if ix.NLevels() != 1 {
+		for r := range out {
+			out[r] = -1
+		}
+		return out
+	}
+	lk := ix.buildLookup()
+	pc := encodeSeries(probe)
+	defer pc.release()
+	tr := translateCodes(pc, lk.ks.finds[0])
+	rowOf := make([]int32, len(tr)) // probe code → index row, or -1
+	for c, ic := range tr {
+		rowOf[c] = lk.firstRow(ic)
+	}
+	for r, c := range pc.codes {
+		out[r] = rowOf[c]
+	}
+	return out
+}
+
+// firstRow returns the first index row whose level-0 code is c, or -1
+// (absentID and codes the index never saw included). Single-level
+// lookups only.
+func (lk *indexLookup) firstRow(c uint32) int32 {
+	if c == absentID || int(c) >= len(lk.ks.tr0) {
+		return -1
+	}
+	id := lk.ks.tr0[c]
+	if id == absentID {
+		return -1
+	}
+	return lk.ks.first[id]
+}
+
 // HasDuplicates reports whether any composite key maps to multiple rows.
 func (ix *Index) HasDuplicates() bool {
 	lk := ix.buildLookup()

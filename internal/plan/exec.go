@@ -40,7 +40,7 @@ const (
 
 // ExecuteThicket runs the compiled filter against an already-resident
 // thicket: predicates are validated and evaluated vectorized over the
-// metadata frame, then the selection mask drives one FilterMetadata
+// metadata frame, then the selection vector drives one SelectProfiles
 // pass. Bit-identical to NaiveFilter by construction and by test.
 func ExecuteThicket(th *core.Thicket, preds []Predicate) (*core.Thicket, ExecStats, error) {
 	out, es, _, err := executeThicket(context.Background(), th, preds, execRun)
@@ -117,11 +117,7 @@ func executeThicket(ctx context.Context, th *core.Thicket, preds []Predicate, mo
 	}
 	st.RowsMaterialized = len(sel)
 	stageTo(ctx, StageMaterialize)
-	mask := make([]bool, th.Metadata.NRows())
-	for _, r := range sel {
-		mask[r] = true
-	}
-	out := th.FilterMetadata(func(m core.MetaRow) bool { return mask[m.Pos()] })
+	out := th.SelectProfiles(sel)
 	if collect {
 		ex.Stages.MaterializeNS += time.Since(t).Nanoseconds()
 		ex.Stats = st
@@ -404,11 +400,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			stageTo(ctx, StagePrune)
 			continue
 		}
-		mask := make([]bool, nrows)
-		for _, r := range sel {
-			mask[r] = true
-		}
-		thickets = append(thickets, th.FilterMetadata(func(m core.MetaRow) bool { return mask[m.Pos()] }))
+		thickets = append(thickets, th.SelectProfiles(sel))
 		lap(&stages.MaterializeNS)
 		stageTo(ctx, StagePrune)
 	}

@@ -1074,9 +1074,9 @@ func (s *Server) statsResponse(r *http.Request) (int, any) {
 	if qr.planOnly {
 		return qr.planPayload()
 	}
-	// AggregateStats mutates its receiver's stats table; work on a copy
-	// so concurrent requests stay isolated.
-	th := qr.th.Copy()
+	// AggregateStats writes only its receiver's stats table; give it its
+	// own, so concurrent requests stay isolated without copying the rest.
+	th := qr.th.StatsCopy()
 	if err := th.AggregateStats(colKeys(splitArg(r, "metrics")), aggs); err != nil {
 		return errPayload(http.StatusBadRequest, err)
 	}

@@ -768,7 +768,11 @@ func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segme
 		}
 		// The segment's tree may hold paths only the seen rows use; prev
 		// already has them, so the union tree comes out the same.
-		tail = append(tail, th.FilterMetadata(func(m core.MetaRow) bool { return m.Pos() >= seen }))
+		unseen := make(dataframe.Sel, 0, th.NumProfiles()-seen)
+		for r := seen; r < th.NumProfiles(); r++ {
+			unseen = append(unseen, uint32(r))
+		}
+		tail = append(tail, th.SelectProfiles(unseen))
 	}
 	for _, seg := range segs[k+1:] {
 		th, err := s.loadSegment(ctx, sp, seg, nil, false)

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# bench.sh — run the old-vs-new dataframe kernel benchmark pairs and emit
-# a machine-readable BENCH_kernels.json.
+# bench.sh — run the old-vs-new benchmark pairs of the dataframe kernels
+# and the core verbs, and emit a machine-readable BENCH_kernels.json.
 #
-# Each kernel has a *Ref benchmark (the preserved string-key
-# implementation from differential_test.go) and a *New benchmark (the
-# shipping integer-key kernel); this script diffs the pairs into
-# wall-clock speedups and allocation reductions.
+# Each kernel or verb has a *Ref benchmark (the preserved string-key
+# implementation from its package's differential_test.go) and a *New
+# benchmark (the shipping integer-key code); this script diffs the
+# pairs into wall-clock speedups and allocation reductions. The
+# dataframe pairs run on 20000-row synthetic frames, the core pairs
+# (FilterMetadata, FilterProfiles, Validate, GroupedStats, PivotMetric)
+# on the 560-profile Figure-13 ensemble.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=30x scripts/bench.sh     # override go test -benchtime
@@ -345,7 +348,7 @@ fi
 OUT="${1:-BENCH_kernels.json}"
 BENCHTIME="${BENCHTIME:-20x}"
 
-RAW="$(go test ./internal/dataframe -run '^$' -bench '(Ref|New)$' \
+RAW="$(go test ./internal/dataframe ./internal/core -run '^$' -bench '(Ref|New)$' \
 	-benchtime "$BENCHTIME" -timeout 20m)"
 echo "$RAW" >&2
 
@@ -369,7 +372,7 @@ echo "$RAW" | awk -v benchtime="$BENCHTIME" '
 }
 END {
 	printf "{\n"
-	printf "  \"description\": \"Dataframe kernel rewrite: string-keyed reference implementations vs dictionary-encoded integer-key kernels, sequential (1 worker), %d-row mixed-kind frames with nulls. Ref benchmarks preserve the pre-rewrite EncodeKey code paths verbatim.\",\n", 20000
+	printf "  \"description\": \"String-keyed reference implementations vs integer-key code, sequential (1 worker). Dataframe kernels (dictionary-encoded key ids) on %d-row mixed-kind frames with nulls; core verbs (profile ordinals: FilterMetadata, FilterProfiles, Validate via FromParts, GroupedStats, PivotMetric) on the 560-profile Figure-13 ensemble. Ref benchmarks preserve the pre-rewrite EncodeKey code paths verbatim.\",\n", 20000
 	printf "  \"benchtime\": \"%s\",\n", benchtime
 	printf "  \"environment\": { \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\" },\n", goos, goarch, cpu
 	printf "  \"kernels\": {\n"
