@@ -73,10 +73,17 @@ func TestExplainAnalyze(t *testing.T) {
 		}
 	}
 
-	// Resident-thicket fallback: no segments, rows still reported.
+	// A -dir ensemble is planned as a one-segment in-memory store.
 	out = invoke(t, "explain", "-dir", writeEnsemble(t), "-where", "cluster=rztopaz", "-analyze")
-	if !strings.Contains(out, "mode=thicket") || !strings.Contains(out, "materialized") {
-		t.Errorf("explain -analyze thicket output:\n%s", out)
+	for _, want := range []string{
+		"mode=store",
+		"1 scanned, 0 pruned of 1",
+		"matched=4",
+		"rows: 8 scanned, 4 materialized",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explain -dir -analyze output missing %q:\n%s", want, out)
+		}
 	}
 
 	// Unknown columns fail compile, matching the filter verb.

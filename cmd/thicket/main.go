@@ -141,7 +141,7 @@ func run(args []string, w io.Writer) (err error) {
 		return
 	}
 	var th *thicket.Thicket
-	var st *thicket.Store // non-nil when loaded from -ensemble-store
+	var st *thicket.Store // the store th came from, for where= plans
 	switch {
 	case *storePath != "":
 		st = openStore(*storePath)
@@ -160,6 +160,13 @@ func run(args []string, w io.Writer) (err error) {
 		th = loadDirThicket(*dir, *indexBy)
 	default:
 		fatal(fmt.Errorf("-dir, -load, or -ensemble-store is required"))
+	}
+	if st == nil && (cmd == "filter" || cmd == "explain") {
+		// where= plans run against a store: hold th as a one-segment
+		// store in memory.
+		if st, err = thicket.StoreFromThicket(th); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(stdout, "loaded %d profiles, %d call-tree nodes, %d perf rows\n\n",
 		th.NumProfiles(), th.Tree.Len(), th.PerfData.NRows())
@@ -263,24 +270,15 @@ func run(args []string, w io.Writer) (err error) {
 		if err != nil {
 			fatal(err)
 		}
-		// The compiled path: against the store when one backs this run
-		// (zone maps skip non-matching segments before any decode),
-		// vectorized over the resident thicket otherwise.
-		var filtered *thicket.Thicket
-		var ps thicket.PlanStats
-		if st != nil {
-			filtered, ps, err = thicket.FilterStore(st, preds)
-		} else {
-			filtered, ps, err = thicket.FilterThicket(th, preds)
-		}
+		// The compiled path: zone maps skip non-matching segments before
+		// any decode.
+		filtered, ps, err := thicket.FilterStore(st, preds)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(stdout, "%d of %d profiles match %s\n", filtered.NumProfiles(), th.NumProfiles(), thicket.DescribePredicates(preds))
-		if ps.Segments > 0 {
-			fmt.Fprintf(stdout, "(%d/%d segments pruned, %d blocks skipped, %d scanned)\n",
-				ps.SegmentsPruned, ps.Segments, ps.BlocksSkipped, ps.BlocksScanned)
-		}
+		fmt.Fprintf(stdout, "(%d/%d segments pruned, %d blocks skipped, %d scanned)\n",
+			ps.SegmentsPruned, ps.Segments, ps.BlocksSkipped, ps.BlocksScanned)
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, filtered.Metadata.Render(dataframe.RenderOptions{MaxRows: *maxRows, HideRepeated: true}))
 	case "explain":
@@ -292,19 +290,12 @@ func run(args []string, w io.Writer) (err error) {
 			fatal(err)
 		}
 		// EXPLAIN plans from headers alone; -analyze executes and
-		// reports measured block counts and stage times. Against a
-		// store the verdicts are the real pushdown's; a resident
-		// thicket has no segments, so the tree only reports rows.
+		// reports measured block counts and stage times.
 		var ex *thicket.QueryPlan
-		switch {
-		case st != nil && *analyze:
+		if *analyze {
 			_, ex, err = thicket.AnalyzeStore(st, preds)
-		case st != nil:
+		} else {
 			ex, err = thicket.ExplainStore(st, preds)
-		case *analyze:
-			_, ex, err = thicket.AnalyzeThicket(th, preds)
-		default:
-			ex, err = thicket.ExplainThicket(th, preds)
 		}
 		if err != nil {
 			fatal(err)

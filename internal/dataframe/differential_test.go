@@ -413,9 +413,9 @@ func TestDifferentialIndexLookup(t *testing.T) {
 		[]Value{Str("nope"), Int64(0)},
 		[]Value{Str("main"), Int64(99)},
 		[]Value{Null(String), Int64(1)},
-		[]Value{Str("main")},                          // wrong arity
-		[]Value{Int64(1), Str("main")},                // wrong kinds
-		[]Value{Str("main"), Int64(1), Str("extra")},  // too long
+		[]Value{Str("main")},                         // wrong arity
+		[]Value{Int64(1), Str("main")},               // wrong kinds
+		[]Value{Str("main"), Int64(1), Str("extra")}, // too long
 	)
 	for qi, key := range queries {
 		want := refLookup(ix, key)

@@ -14,9 +14,9 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(appendWALRecord(nil, []byte("hello")))
 	f.Add(appendWALRecord(appendWALRecord(nil, []byte("a")), []byte("b")))
 	f.Add([]byte{})
-	f.Add([]byte{0x05, 0x00, 0x00})                                  // short header
-	f.Add(binary.LittleEndian.AppendUint32(nil, ^uint32(0)))         // absurd length
-	f.Add(append(appendWALRecord(nil, []byte("torn"))[:8], 0x00))    // truncated payload
+	f.Add([]byte{0x05, 0x00, 0x00})                               // short header
+	f.Add(binary.LittleEndian.AppendUint32(nil, ^uint32(0)))      // absurd length
+	f.Add(append(appendWALRecord(nil, []byte("torn"))[:8], 0x00)) // truncated payload
 	corrupt := appendWALRecord(nil, []byte("payload"))
 	corrupt[4] ^= 0xFF // flip a CRC byte
 	f.Add(corrupt)

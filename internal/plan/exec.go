@@ -21,7 +21,7 @@ type ExecStats struct {
 	BlocksSkipped    int `json:"blocks_skipped"`    // meta+perf blocks never read (pruned segments)
 	RowsScanned      int `json:"rows_scanned"`      // metadata rows evaluated by filter kernels
 	RowsMaterialized int `json:"rows_materialized"` // metadata rows surviving all predicates
-	Rows             int `json:"rows"`              // total metadata rows in the store/thicket
+	Rows             int `json:"rows"`              // total metadata rows in the store
 }
 
 // execMode selects how much an execution does and records.
@@ -37,133 +37,6 @@ const (
 	// materialization; scanned counts are would-decode estimates.
 	execPlanOnly
 )
-
-// ExecuteThicket runs the compiled filter against an already-resident
-// thicket: predicates are validated and evaluated vectorized over the
-// metadata frame, then the selection vector drives one SelectProfiles
-// pass. Bit-identical to NaiveFilter by construction and by test.
-func ExecuteThicket(th *core.Thicket, preds []Predicate) (*core.Thicket, ExecStats, error) {
-	out, es, _, err := executeThicket(context.Background(), th, preds, execRun)
-	return out, es, err
-}
-
-// ExecuteThicketCtx is ExecuteThicket with a cancellation context.
-func ExecuteThicketCtx(ctx context.Context, th *core.Thicket, preds []Predicate) (*core.Thicket, ExecStats, error) {
-	out, es, _, err := executeThicket(ctx, th, preds, execRun)
-	return out, es, err
-}
-
-// AnalyzeThicket executes the resident-thicket filter and returns the
-// result together with its plan tree (EXPLAIN ANALYZE).
-func AnalyzeThicket(ctx context.Context, th *core.Thicket, preds []Predicate) (*core.Thicket, *Explain, error) {
-	out, _, ex, err := executeThicket(ctx, th, preds, execAnalyze)
-	return out, ex, err
-}
-
-// PlanThicket validates the predicates against the resident thicket and
-// returns the plan tree without executing (EXPLAIN). A resident thicket
-// has no segments to prune, so the tree only reports the row count.
-func PlanThicket(ctx context.Context, th *core.Thicket, preds []Predicate) (*Explain, error) {
-	_, _, ex, err := executeThicket(ctx, th, preds, execPlanOnly)
-	return ex, err
-}
-
-func executeThicket(ctx context.Context, th *core.Thicket, preds []Predicate, mode execMode) (*core.Thicket, ExecStats, *Explain, error) {
-	collect := mode != execRun
-	var ex *Explain
-	if collect {
-		ex = &Explain{Where: Describe(preds), Mode: "thicket", Analyzed: mode == execAnalyze}
-	}
-	var st ExecStats
-	st.Rows = th.Metadata.NRows()
-	finish := func(err error) (*core.Thicket, ExecStats, *Explain, error) {
-		if ex != nil {
-			ex.Stats = st
-		}
-		return nil, st, ex, err
-	}
-	if err := Validate(th.Metadata, preds); err != nil {
-		return finish(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return finish(err)
-	}
-	if len(preds) == 0 || mode == execPlanOnly {
-		if mode == execPlanOnly {
-			// Would-scan estimate: a resident thicket always evaluates
-			// every row; nothing materializes without executing.
-			st.RowsScanned = st.Rows
-			if len(preds) == 0 {
-				st.RowsMaterialized = st.Rows
-			}
-		} else {
-			st.RowsMaterialized = st.Rows
-		}
-		if ex != nil {
-			ex.Stats = st
-		}
-		return th, st, ex, nil
-	}
-	st.RowsScanned = st.Rows
-	stageTo(ctx, StageFilter)
-	var t time.Time
-	if collect {
-		t = time.Now()
-	}
-	sel := evalFrame(th.Metadata, preds)
-	if collect {
-		ex.Stages.FilterNS += time.Since(t).Nanoseconds()
-		t = time.Now()
-	}
-	st.RowsMaterialized = len(sel)
-	stageTo(ctx, StageMaterialize)
-	out := th.SelectProfiles(sel)
-	if collect {
-		ex.Stages.MaterializeNS += time.Since(t).Nanoseconds()
-		ex.Stats = st
-	}
-	return out, st, ex, nil
-}
-
-// evalFrame evaluates the conjunction over one metadata frame with the
-// frame's own name resolution (exact key first, then unambiguous leaf),
-// returning the surviving row selection. Resolution failures reproduce
-// Row.Value's behavior — the cell reads as a String null — and the
-// index-level fallback applies wherever the column cell is null.
-func evalFrame(meta *dataframe.Frame, preds []Predicate) dataframe.Sel {
-	n := meta.NRows()
-	var sel dataframe.Sel
-	for i := range preds {
-		p := preds[i]
-		lvl := meta.Index().LevelByName(p.Column)
-		col, err := meta.ColumnByName(p.Column)
-		switch {
-		case err != nil && lvl != nil:
-			sel = filterPlain(sel, lvl, p)
-		case err != nil:
-			sel = dataframe.FilterConst(sel, n, p.Matches(dataframe.Null(dataframe.String)))
-		case lvl == nil:
-			sel = filterPlain(sel, col, p)
-		default:
-			// Composite: a data column shadowed by a same-named index
-			// level; null cells fall through to the level value.
-			sel = dataframe.FilterFunc(sel, n, func(r int) bool {
-				v := col.At(r)
-				if v.IsNull() {
-					v = lvl.At(r)
-				}
-				return p.Matches(v)
-			})
-		}
-		if len(sel) == 0 && sel != nil {
-			break
-		}
-	}
-	if sel == nil {
-		sel = dataframe.FilterConst(nil, n, true)
-	}
-	return sel
-}
 
 // filterPlain dispatches one predicate over one series to the vectorized
 // kernel matching its kind, falling back to boxed evaluation for the
@@ -270,21 +143,6 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			ex.Stats, ex.Stages = es, stages
 		}
 		return nil, es, ex, err
-	}
-	if len(preds) == 0 && mode != execPlanOnly {
-		th, err := st.LoadCtx(ctx)
-		if err != nil {
-			return finish(err)
-		}
-		es.Rows = th.Metadata.NRows()
-		es.RowsMaterialized = es.Rows
-		if collect {
-			// Even an unfiltered analyze reports the segment layout: every
-			// segment scanned, no predicate to prune with.
-			describeUnfiltered(st, &es, ex, colIdx)
-			ex.Stats = es
-		}
-		return th, es, ex, nil
 	}
 	sn := st.Snapshot()
 	defer sn.Release()
@@ -424,28 +282,6 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		ex.Stats, ex.Stages = es, stages
 	}
 	return out, es, ex, nil
-}
-
-// describeUnfiltered fills the segment lines of a no-predicate analyze:
-// nothing can prune, every segment is scanned in full.
-func describeUnfiltered(st *store.Store, es *ExecStats, ex *Explain, colIdx explainCols) {
-	sn := st.Snapshot()
-	defer sn.Release()
-	es.Segments = sn.NumSegments()
-	for i := 0; i < sn.NumSegments(); i++ {
-		sv := sn.Segment(i)
-		nrows := sv.NRows(store.FrameMeta)
-		scanned := sv.BlockCount(store.FrameMeta, store.FramePerf)
-		es.BlocksScanned += scanned
-		es.RowsScanned += nrows
-		if err := addSegmentColumns(ex, colIdx, sv, true); err != nil {
-			continue // header description is best-effort here; the load succeeded
-		}
-		ex.Segments = append(ex.Segments, SegmentExplain{
-			Segment: i, Gen: sv.Gen(), Version: sv.Version(), Rows: nrows,
-			Verdict: VerdictScanned, BlocksDecoded: scanned, RowsMatched: nrows,
-		})
-	}
 }
 
 // addSegmentColumns folds one segment's meta+perf blocks into the

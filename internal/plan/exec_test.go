@@ -122,15 +122,28 @@ func randomPreds(rng *rand.Rand) []plan.Predicate {
 	return preds
 }
 
-// TestExecuteThicketMatchesNaive is the resident-thicket differential:
-// for random thickets and random predicate conjunctions, the compiled
-// path must reproduce NaiveFilter exactly.
-func TestExecuteThicketMatchesNaive(t *testing.T) {
+// memStore holds th as a one-segment in-memory store — how a thicket
+// that did not come from a store reaches the planner.
+func memStore(t *testing.T, th *core.Thicket) *store.Store {
+	t.Helper()
+	s, err := store.FromThicket(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestInMemoryStoreMatchesNaive is the store-less differential: for
+// random thickets held as in-memory stores and random predicate
+// conjunctions, the compiled path must reproduce NaiveFilter over the
+// source thicket exactly.
+func TestInMemoryStoreMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
 		th := thicketOf(t, ensemble(t, seed, 0, 2+int(seed%5), seed%2 == 0))
 		preds := randomPreds(rng)
-		got, st, err := plan.ExecuteThicket(th, preds)
+		got, st, err := plan.ExecuteStore(memStore(t, th), preds)
 		if err != nil {
 			// Drift can drop a column from every profile; the compiled
 			// path must then fail validation exactly like the endpoints.
@@ -215,8 +228,7 @@ func TestExecuteStoreNoPredicates(t *testing.T) {
 	}
 }
 
-// TestUnknownColumnError pins the endpoints' historical message on both
-// execution paths.
+// TestUnknownColumnError pins the endpoints' historical message.
 func TestUnknownColumnError(t *testing.T) {
 	s := buildStore(t, ensemble(t, 3, 0, 3, false))
 	preds, err := plan.Compile([]string{"ghost=1"})
@@ -226,14 +238,6 @@ func TestUnknownColumnError(t *testing.T) {
 	if _, _, err := plan.ExecuteStore(s, preds); err == nil ||
 		err.Error() != `unknown metadata column "ghost"` {
 		t.Fatalf("store path error = %v", err)
-	}
-	th, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := plan.ExecuteThicket(th, preds); err == nil ||
-		err.Error() != `unknown metadata column "ghost"` {
-		t.Fatalf("thicket path error = %v", err)
 	}
 }
 
@@ -477,20 +481,22 @@ func ambiguousThicket(t *testing.T, levelName string) *core.Thicket {
 
 // TestAmbiguousLeafResolution: when two multi-part keys share a leaf,
 // the naive path reads the cell as a String null, and a same-named
-// index level then supplies the value. The compiled path must agree.
-// With no such level, both paths reject the column like the endpoints.
+// index level then supplies the value. The compiled path, run over the
+// thicket held as an in-memory store, must agree. With no such level,
+// both paths reject the column like the endpoints.
 func TestAmbiguousLeafResolution(t *testing.T) {
 	// The index level is itself named "dup": every cell resolves
 	// ambiguous → null → level fallback, so the predicate effectively
 	// filters on the level.
 	th := ambiguousThicket(t, "dup")
+	s := memStore(t, th)
 	for _, c := range []struct {
 		expr string
 		rows int
 	}{{"dup=1", 1}, {"dup!=1", 3}, {"dup<=2", 3}} {
 		preds, _ := plan.Compile([]string{c.expr})
 		want := plan.NaiveFilter(th, preds)
-		got, _, err := plan.ExecuteThicket(th, preds)
+		got, _, err := plan.ExecuteStore(s, preds)
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
@@ -503,7 +509,7 @@ func TestAmbiguousLeafResolution(t *testing.T) {
 	// Without a same-named level the ambiguity is a validation error.
 	th = ambiguousThicket(t, "id")
 	preds, _ := plan.Compile([]string{"dup=1"})
-	if _, _, err := plan.ExecuteThicket(th, preds); err == nil ||
+	if _, _, err := plan.ExecuteStore(memStore(t, th), preds); err == nil ||
 		err.Error() != `unknown metadata column "dup"` {
 		t.Fatalf("ambiguous without level: %v", err)
 	}

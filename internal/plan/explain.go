@@ -72,7 +72,7 @@ type StageTimes struct {
 // Explain is the structured plan tree for one query.
 type Explain struct {
 	Where string `json:"where"` // the predicate conjunction, source form
-	Mode  string `json:"mode"`  // "store" (pushdown) or "thicket" (resident)
+	Mode  string `json:"mode"`  // always "store": every plan runs over store segments
 	// Analyzed is true when the plan was executed (block and row counts
 	// are measurements); false for a prune-only plan, whose scanned
 	// counts are would-decode estimates from headers.

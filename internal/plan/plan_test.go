@@ -10,8 +10,8 @@ import (
 
 func TestParsePredicate(t *testing.T) {
 	cases := []struct {
-		expr            string
-		col, op, value  string
+		expr           string
+		col, op, value string
 	}{
 		{"cluster=chama", "cluster", "=", "chama"},
 		{"numhosts<=32", "numhosts", "<=", "32"},

@@ -21,7 +21,7 @@ var (
 func benchServer(b *testing.B) *httptest.Server {
 	b.Helper()
 	benchOnce.Do(func() {
-		srv := server.New(buildThicket(b), nil, server.Options{})
+		srv := memServer(b, buildThicket(b), server.Options{})
 		benchTS = httptest.NewServer(srv.Handler())
 	})
 	return benchTS

@@ -32,7 +32,7 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (int, string) {
 // TestCacheHitCounter: the second identical request is a hit and serves
 // byte-identical content.
 func TestCacheHitCounter(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -52,7 +52,7 @@ func TestCacheHitCounter(t *testing.T) {
 // TestCacheCanonicalKey: requests that differ only in query-parameter
 // order share one cache entry.
 func TestCacheCanonicalKey(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -68,7 +68,7 @@ func TestCacheCanonicalKey(t *testing.T) {
 
 // TestCacheErrorsNotCached: 400 responses bypass the cache.
 func TestCacheErrorsNotCached(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -84,7 +84,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 
 // TestCacheDisabled: a negative budget turns caching off entirely.
 func TestCacheDisabled(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{CacheBytes: -1})
+	srv := memServer(t, buildThicket(t), server.Options{CacheBytes: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -186,7 +186,7 @@ func TestAppendInvalidatesCache(t *testing.T) {
 // rest wait for the leader's bytes. With the race detector this also
 // validates the flight-table synchronization.
 func TestCacheSingleFlight(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

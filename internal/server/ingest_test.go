@@ -146,7 +146,7 @@ func (f *fakeSink) SubmitBytes([]byte) error { return f.err }
 
 func TestIngestStatusMapping(t *testing.T) {
 	sink := &fakeSink{}
-	srv := server.New(buildThicket(t), nil, server.Options{Ingest: sink})
+	srv := memServer(t, buildThicket(t), server.Options{Ingest: sink})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -180,7 +180,7 @@ func TestIngestStatusMapping(t *testing.T) {
 // precisely so these error paths stamp the header too.
 func TestIngestTraceparentEcho(t *testing.T) {
 	sink := &fakeSink{}
-	srv := server.New(buildThicket(t), nil, server.Options{Ingest: sink})
+	srv := memServer(t, buildThicket(t), server.Options{Ingest: sink})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -237,7 +237,7 @@ func TestIngestTraceparentEcho(t *testing.T) {
 }
 
 func TestIngestNotEnabled(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if status, _, _ := postBody(t, ts, "/ingest", []byte("x")); status != http.StatusNotImplemented {

@@ -39,7 +39,7 @@ func benchServingMonitor(b *testing.B, path string, withMonitor bool) {
 		defer func() { cancel(); <-done }()
 		opts.Monitor = mon
 	}
-	srv := server.New(buildThicket(b), nil, opts)
+	srv := memServer(b, buildThicket(b), opts)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	b.ReportAllocs()

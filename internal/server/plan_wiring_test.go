@@ -86,7 +86,7 @@ func TestWhereFiltersEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSrv := server.New(plan.NaiveFilter(th, preds), nil, server.Options{})
+	refSrv := memServer(t, plan.NaiveFilter(th, preds), server.Options{})
 	ref := httptest.NewServer(refSrv.Handler())
 	defer ref.Close()
 

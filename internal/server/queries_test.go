@@ -181,6 +181,50 @@ func TestExplainAnalyzeReconcilesWithMetrics(t *testing.T) {
 	}
 }
 
+// TestUnfilteredExplainAnalyze: an explain=analyze with no where= runs
+// the store plan with zero predicates — every segment gets a scanned
+// line, and the payload is the unfiltered answer.
+func TestUnfilteredExplainAnalyze(t *testing.T) {
+	ts, _, th := planFixture(t)
+	status, body := fetch(t, ts, "/api/profiles?explain=analyze")
+	if status != http.StatusOK {
+		t.Fatalf("explain=analyze: %d\n%s", status, body)
+	}
+	var out struct {
+		Count   int           `json:"count"`
+		Total   int           `json:"total"`
+		Explain *plan.Explain `json:"explain"`
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	ex := out.Explain
+	if ex == nil {
+		t.Fatalf("explain=analyze returned no tree:\n%s", body)
+	}
+	if ex.Mode != "store" || !ex.Analyzed || ex.Where != "" {
+		t.Errorf("tree header: mode=%q analyzed=%v where=%q", ex.Mode, ex.Analyzed, ex.Where)
+	}
+	if len(ex.Segments) != 2 || ex.Stats.Segments != 2 || ex.Stats.SegmentsPruned != 0 {
+		t.Fatalf("want one scanned line per segment of 2, got %d lines, stats %+v", len(ex.Segments), ex.Stats)
+	}
+	rows := 0
+	for _, se := range ex.Segments {
+		if se.Verdict != plan.VerdictScanned || se.RowsMatched != se.Rows {
+			t.Errorf("segment g%d: verdict %q matched %d of %d", se.Gen, se.Verdict, se.RowsMatched, se.Rows)
+		}
+		rows += se.Rows
+	}
+	n := th.NumProfiles()
+	if ex.Stats.RowsMaterialized != n || ex.Stats.Rows != n || rows != n {
+		t.Errorf("rows_materialized %d, rows %d, segment rows %d; want %d profiles",
+			ex.Stats.RowsMaterialized, ex.Stats.Rows, rows, n)
+	}
+	if out.Count != n || out.Total != n {
+		t.Errorf("payload count %d total %d, want %d", out.Count, out.Total, n)
+	}
+}
+
 // TestActiveQueriesAndKill is the mid-scan cancellation path: a query
 // slowed by the injected per-block scan delay shows up in
 // /debug/queries with a live stage, dies promptly on DELETE, answers

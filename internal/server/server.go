@@ -159,10 +159,11 @@ type planMetrics struct {
 	segmentsPruned   *telemetry.Counter
 }
 
-// Server answers EDA queries over one resident thicket.
+// Server answers EDA queries over one resident thicket backed by a
+// store.
 type Server struct {
 	th   atomic.Pointer[core.Thicket]
-	st   *store.Store // optional; enriches /api/info, drives reloads
+	st   *store.Store // runs where=/explain= plans, backs /api/info, drives reloads
 	opts Options
 
 	sem chan struct{}
@@ -195,12 +196,14 @@ type Server struct {
 	inject sync.Map // endpoint path -> time.Duration artificial delay
 }
 
-// New builds a server over an already-loaded thicket. st may be nil
-// (serving a thicket that did not come from a store); when present it
-// backs /api/info with storage-level detail, and th should be what
-// st.Load() returned: whenever the store's generation moves (an
-// in-process append or compaction), the server refreshes th from the
-// store and invalidates the response cache incrementally.
+// New builds a server over an already-loaded thicket and the store it
+// came from; th should be what st.Load() returned. A thicket that did
+// not come from a store is served through store.FromThicket. Every
+// where= and explain= request runs its plan against st, /api/info
+// reports st's storage-level detail, and whenever the store's
+// generation moves (an in-process append or compaction) the server
+// refreshes th from the store and invalidates the response cache
+// incrementally.
 func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 64
@@ -255,13 +258,9 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	}
 	s.genGauge = reg.Gauge("thicket_resident_generation", "Store generation the resident thicket reflects.")
 	s.th.Store(th)
-	var contentGen int64
-	if st != nil {
-		s.gen.Store(st.Generation())
-		s.genGauge.Set(st.Generation())
-		contentGen = st.ContentGeneration()
-	}
-	s.cache.invalidate(contentGen, treeFingerprint(th))
+	s.gen.Store(st.Generation())
+	s.genGauge.Set(st.Generation())
+	s.cache.invalidate(st.ContentGeneration(), treeFingerprint(th))
 	for _, path := range []string{
 		"/healthz", "/metrics", "/api/info", "/api/profiles", "/api/stats",
 		"/api/groupby", "/api/summary", "/api/query", "/api/tree",
@@ -325,9 +324,6 @@ func treeFingerprint(th *core.Thicket) int64 {
 // server keeps answering from the stale thicket and counts the error;
 // the next request retries.
 func (s *Server) maybeReload() {
-	if s.st == nil {
-		return
-	}
 	if s.st.Generation() == s.gen.Load() {
 		return
 	}
@@ -866,9 +862,7 @@ func (s *Server) infoResponse(r *http.Request) (int, any) {
 		"perf_columns":  perfCols,
 		"meta_columns":  metaCols,
 		"profile_level": th.ProfileLevelName(),
-	}
-	if s.st != nil {
-		out["store"] = s.st.Info()
+		"store":         s.st.Info(),
 	}
 	return http.StatusOK, out
 }
@@ -902,10 +896,10 @@ func (qr queryResult) planPayload() (int, any) {
 }
 
 // filteredThicket resolves the endpoint's optional where= conjunction
-// through the compiled query path: directly against the store when one
-// backs the server (zone maps prune segments and blocks before any
-// decode), vectorized over the resident thicket otherwise. With no
-// where= (and no explain=) the resident thicket is returned untouched.
+// through the compiled query path, directly against the store (zone
+// maps prune segments and blocks before any decode). With no where=
+// (and no explain=) the resident thicket is returned untouched; an
+// unfiltered explain= runs the same plan with no predicates.
 // Every filtered execution also collects its plan tree — it feeds the
 // querylog record, the slow-query log, and (on explain=analyze) the
 // response itself; explain=plan stops after the prune verdicts. The
@@ -942,7 +936,6 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 		}
 		return qr, http.StatusInternalServerError, err
 	}
-	th := s.thicket()
 	if q != nil {
 		q.Stage(plan.StageCompile)
 	}
@@ -957,6 +950,7 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 	}
 	if len(preds) == 0 && !qr.planOnly && !qr.analyze {
 		// Fast path: no filter, no tree requested.
+		th := s.thicket()
 		n := th.Metadata.NRows()
 		qr.th = th
 		qr.stats = plan.ExecStats{Rows: n, RowsMaterialized: n}
@@ -969,19 +963,10 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 		out *core.Thicket
 		ex  *plan.Explain
 	)
-	switch {
-	case qr.planOnly:
-		if s.st != nil {
-			ex, err = plan.PlanStore(ctx, s.st, preds)
-		} else {
-			ex, err = plan.PlanThicket(ctx, th, preds)
-		}
-	case s.st != nil && len(preds) > 0:
+	if qr.planOnly {
+		ex, err = plan.PlanStore(ctx, s.st, preds)
+	} else {
 		out, ex, err = plan.AnalyzeStore(ctx, s.st, preds)
-	default:
-		// No store behind the server, or an explain over the
-		// unfiltered resident thicket.
-		out, ex, err = plan.AnalyzeThicket(ctx, th, preds)
 	}
 	if err != nil {
 		return fail(err)

@@ -39,11 +39,22 @@ func buildThicket(t testing.TB) *core.Thicket {
 	return th
 }
 
+// memServer builds a server over th held as a one-segment in-memory
+// store, the way a thicket that did not come from a store is served.
+func memServer(t testing.TB, th *core.Thicket, opts server.Options) *server.Server {
+	t.Helper()
+	st, err := store.FromThicket(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return server.New(th, st, opts)
+}
+
 // get fetches one path from a fresh server instance (fresh instance →
 // deterministic request counters in /healthz).
 func get(t *testing.T, path string) (int, string) {
 	t.Helper()
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + path)
@@ -180,7 +191,7 @@ func TestInfoIncludesStore(t *testing.T) {
 // the race detector validates that warmed indexes, the stats copy, and
 // the counters keep concurrent reads safe.
 func TestConcurrentRequests(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{MaxConcurrent: 4})
+	srv := memServer(t, buildThicket(t), server.Options{MaxConcurrent: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	paths := []string{
@@ -229,7 +240,7 @@ func TestConcurrentRequests(t *testing.T) {
 func TestStatsIsolation(t *testing.T) {
 	th := buildThicket(t)
 	before := th.Stats.NCols()
-	srv := server.New(th, nil, server.Options{})
+	srv := memServer(t, th, server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/api/stats?aggs=mean")
@@ -249,7 +260,7 @@ func TestStatsIsolation(t *testing.T) {
 // TestGracefulShutdown checks Serve drains and returns nil once its
 // context is cancelled.
 func TestGracefulShutdown(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx, "127.0.0.1:0") }()

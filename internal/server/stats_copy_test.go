@@ -80,7 +80,7 @@ func TestStatsCopyConcurrentMisses(t *testing.T) {
 		want[i] = statsBody(t, th, aggs)
 	}
 
-	srv := server.New(th, nil, server.Options{CacheBytes: -1, MaxConcurrent: 8})
+	srv := memServer(t, th, server.Options{CacheBytes: -1, MaxConcurrent: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	const rounds = 4

@@ -17,7 +17,7 @@ import (
 // TestMetricsEndpoint drives a few requests and checks /metrics renders
 // the registry in Prometheus text format with the expected families.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -62,13 +62,13 @@ func TestMetricsEndpoint(t *testing.T) {
 // shared registry merges.
 func TestRegistryIsolation(t *testing.T) {
 	th := buildThicket(t)
-	a := server.New(th, nil, server.Options{})
-	b := server.New(th, nil, server.Options{})
+	a := memServer(t, th, server.Options{})
+	b := memServer(t, th, server.Options{})
 	if a.Registry() == b.Registry() {
 		t.Error("default-option servers share a registry")
 	}
 	reg := telemetry.NewRegistry()
-	c := server.New(th, nil, server.Options{Registry: reg})
+	c := memServer(t, th, server.Options{Registry: reg})
 	if c.Registry() != reg {
 		t.Error("explicit registry not adopted")
 	}
@@ -79,7 +79,7 @@ func TestRegistryIsolation(t *testing.T) {
 // and that a negative threshold disables the log.
 func TestSlowQueryLog(t *testing.T) {
 	var sb strings.Builder
-	srv := server.New(buildThicket(t), nil, server.Options{
+	srv := memServer(t, buildThicket(t), server.Options{
 		SlowQuery: time.Nanosecond, // everything is slow
 		Logger:    telemetry.NewJSONLogger(&sb, slog.LevelWarn),
 	})
@@ -117,7 +117,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// Negative threshold: disabled.
 	sb.Reset()
-	srv2 := server.New(buildThicket(t), nil, server.Options{
+	srv2 := memServer(t, buildThicket(t), server.Options{
 		SlowQuery: -1,
 		Logger:    telemetry.NewJSONLogger(&sb, slog.LevelWarn),
 	})
@@ -143,7 +143,7 @@ func TestRequestSpans(t *testing.T) {
 	prevCol := telemetry.SetCollector(col)
 	defer telemetry.SetCollector(prevCol)
 
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for i := 0; i < 2; i++ { // miss then hit

@@ -42,7 +42,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	prevCol := telemetry.SetCollector(col)
 	defer telemetry.SetCollector(prevCol)
 
-	srv := server.New(buildThicket(t), nil, server.Options{})
+	srv := memServer(t, buildThicket(t), server.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -107,7 +107,7 @@ func TestDebugTraces(t *testing.T) {
 	prevCol := telemetry.SetCollector(col)
 	defer telemetry.SetCollector(prevCol)
 
-	srv := server.New(buildThicket(t), nil, server.Options{Trace: col})
+	srv := memServer(t, buildThicket(t), server.Options{Trace: col})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -140,7 +140,7 @@ func TestDebugTraces(t *testing.T) {
 
 	// Without a collector the endpoint reports disabled rather than 404,
 	// so probes can distinguish "off" from "wrong path".
-	srv2 := server.New(buildThicket(t), nil, server.Options{})
+	srv2 := memServer(t, buildThicket(t), server.Options{})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	if out := getJSON(t, ts2.URL+"/debug/traces"); out["enabled"] != false {
@@ -165,7 +165,7 @@ func TestDebugAnomaliesAndInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(buildThicket(t), nil, server.Options{Registry: reg, Monitor: mon})
+	srv := memServer(t, buildThicket(t), server.Options{Registry: reg, Monitor: mon})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

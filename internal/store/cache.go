@@ -48,14 +48,14 @@ type cacheEntry struct {
 	bytes int64
 }
 
-func newColumnCache(maxBytes int64, path string) *columnCache {
+func newColumnCache(maxBytes int64, path string, reg *telemetry.Registry) *columnCache {
 	return &columnCache{
 		max:   maxBytes,
 		order: list.New(),
 		items: make(map[cacheKey]*list.Element),
-		hits: telemetry.Default.Counter("thicket_store_cache_hits_total",
+		hits: reg.Counter("thicket_store_cache_hits_total",
 			"Decoded-column cache hits.", "store", path),
-		misses: telemetry.Default.Counter("thicket_store_cache_misses_total",
+		misses: reg.Counter("thicket_store_cache_misses_total",
 			"Decoded-column cache misses.", "store", path),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // ManifestName is the manifest file inside a directory store.
@@ -147,7 +148,7 @@ func openDir(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := newStore(dir, opts)
+	s := newStore(dir, opts, telemetry.Default)
 	s.dir = true
 	s.profileLevel = m.ProfileLevel
 	s.nextSegGen = m.NextGen
@@ -160,7 +161,7 @@ func openDir(dir string, opts Options) (*Store, error) {
 			s.Close()
 			return nil, fmt.Errorf("store: open %s: segment %s: %w", dir, ms.File, err)
 		}
-		segs, err := parseSegments(f)
+		segs, err := parseFile(f)
 		if err != nil {
 			f.Close()
 			s.Close()
@@ -265,7 +266,7 @@ func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
 	if err != nil {
 		return fmt.Errorf("store: %s: append: %w", s.path, err)
 	}
-	segs, err := parseSegments(f)
+	segs, err := parseFile(f)
 	if err != nil || len(segs) != 1 {
 		f.Close()
 		os.Remove(path)
@@ -365,7 +366,7 @@ func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) e
 	if err != nil {
 		return fmt.Errorf("store: %s: replace: %w", s.path, err)
 	}
-	parsed, err := parseSegments(f)
+	parsed, err := parseFile(f)
 	if err != nil || len(parsed) != 1 {
 		f.Close()
 		os.Remove(path)

@@ -165,7 +165,7 @@ func (v SegmentView) ReadColumn(frame string, cs ColumnStats) (*dataframe.Series
 // — for v1 plain-string blocks, which have no page to probe.
 func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (bool, error) {
 	buf := make([]byte, cs.cm.Length)
-	if _, err := v.seg.f.ReadAt(buf, v.seg.dataOff+int64(cs.cm.Offset)); err != nil {
+	if _, err := v.seg.r.ReadAt(buf, v.seg.dataOff+int64(cs.cm.Offset)); err != nil {
 		return false, fmt.Errorf("store: %s: segment g%d frame %s block %v: %w", v.st.path, v.seg.gen, frame, cs.cm.Key, err)
 	}
 	if len(buf) < 4+2 {

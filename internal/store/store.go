@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -23,8 +24,8 @@ import (
 // segMagic(4) + headerLen(4) + headerCRC(4) + dataLen(8).
 const segPreludeLen = 20
 
-// segment is one live segment: its parsed header, the file holding its
-// data area, and its lifecycle state. Segments are immutable once
+// segment is one live segment: its parsed header, the reader holding
+// its data area, and its lifecycle state. Segments are immutable once
 // scanned; compaction retires them, and a retired segment's file is
 // closed (and, for directory stores, deleted) once the last pinned
 // reader releases it.
@@ -35,9 +36,9 @@ type segment struct {
 
 	gen   int64  // unique per-segment generation stamp within the store
 	level int    // LSM level: 0 = fresh ingest, 1+ = compacted/sorted
-	file  string // owning file path; "" when data lives in the store file
-	f     *os.File
-	owned bool // this segment owns f (directory stores)
+	file  string // owning file path; "" when data lives in the store's own record
+	r     io.ReaderAt
+	owned bool // this segment owns r, its own *os.File (directory stores)
 
 	mu      sync.Mutex
 	refs    int
@@ -79,23 +80,33 @@ func (sg *segment) retire(remove bool) {
 }
 
 func (sg *segment) finalize() {
-	if sg.owned && sg.f != nil {
-		sg.f.Close()
+	if sg.owned {
+		sg.closeFile()
 		if sg.remove && sg.file != "" {
 			os.Remove(sg.file)
 		}
 	}
 }
 
-// Store is an open columnar ensemble store — either a single
-// append-only file or a directory of segment files under a manifest
-// (the streaming-ingest layout, which supports compaction). All methods
-// are safe for concurrent use; reads go through positional I/O and a
-// shared decoded-column LRU cache keyed by segment generation stamp.
+// closeFile closes the segment's own file; a no-op for segments that
+// share the store file or live in memory.
+func (sg *segment) closeFile() error {
+	if !sg.owned {
+		return nil
+	}
+	return sg.r.(*os.File).Close()
+}
+
+// Store is an open columnar ensemble store — a single append-only
+// file, a directory of segment files under a manifest (the
+// streaming-ingest layout, which supports compaction), or one read-only
+// segment held in memory (FromThicket). All methods are safe for
+// concurrent use; reads go through positional I/O and a shared
+// decoded-column LRU cache keyed by segment generation stamp.
 type Store struct {
 	path     string
 	dir      bool     // directory (manifest) layout
-	f        *os.File // single-file layout only
+	f        *os.File // single-file layout only; nil in memory
 	readOnly bool
 
 	appendMu sync.Mutex // serializes validate+commit of appends
@@ -175,10 +186,14 @@ func OpenWithOptions(path string, opts Options) (*Store, error) {
 		}
 		readOnly = true
 	}
-	s := newStore(path, opts)
+	s := newStore(path, opts, telemetry.Default)
 	s.f = f
 	s.readOnly = readOnly
-	if err := s.scan(); err != nil {
+	segs, err := parseFile(f)
+	if err == nil {
+		err = s.adopt(segs)
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
@@ -187,24 +202,63 @@ func OpenWithOptions(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func newStore(path string, opts Options) *Store {
+// memPath names an in-memory store in Info, metric labels and errors.
+const memPath = "(memory)"
+
+// FromThicket holds th as a read-only, single-segment store in memory:
+// the record Create would write, parsed the way Open parses it, with
+// block reads served from the encoded bytes. It is how a thicket that
+// did not come from a store reaches the query planner. Load reproduces
+// th exactly. The store's metrics live in a private registry, so
+// in-memory stores never share cache counters.
+func FromThicket(th *core.Thicket) (*Store, error) {
+	seg, err := encodeSegment(th)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", memPath, err)
+	}
+	rec := append([]byte(FileMagic), seg...)
+	s := newStore(memPath, Options{}, telemetry.NewRegistry())
+	s.readOnly = true
+	segs, err := parseSegments(bytes.NewReader(rec), int64(len(rec)))
+	if err == nil {
+		err = s.adopt(segs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", memPath, err)
+	}
+	return s, nil
+}
+
+// newStore builds an empty store whose generation gauge and cache
+// counters register in reg.
+func newStore(path string, opts Options, reg *telemetry.Registry) *Store {
 	cacheBytes := opts.CacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
 	}
 	return &Store{
 		path:  path,
-		cache: newColumnCache(cacheBytes, path),
-		genGauge: telemetry.Default.Gauge("thicket_store_generation",
+		cache: newColumnCache(cacheBytes, path, reg),
+		genGauge: reg.Gauge("thicket_store_generation",
 			"Store layout generation (bumps on every append or compaction).", "store", path),
 	}
 }
 
-// parseSegments scans one file's segment records starting after the
-// file magic, returning parsed headers with their data offsets.
-func parseSegments(f *os.File) ([]*segment, error) {
+// parseFile parses the segment records of one store file.
+func parseFile(f *os.File) ([]*segment, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return parseSegments(f, st.Size())
+}
+
+// parseSegments scans the segment records of one store record of size
+// bytes, starting after the file magic, returning parsed headers with
+// their data offsets.
+func parseSegments(r io.ReaderAt, size int64) ([]*segment, error) {
 	magic := make([]byte, len(FileMagic))
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(len(FileMagic))), magic); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(r, 0, int64(len(FileMagic))), magic); err != nil {
 		return nil, fmt.Errorf("reading magic: %w", err)
 	}
 	if string(magic) != FileMagic {
@@ -212,13 +266,9 @@ func parseSegments(f *os.File) ([]*segment, error) {
 	}
 	var segs []*segment
 	off := int64(len(FileMagic))
-	size, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	for off < size.Size() {
+	for off < size {
 		var prelude [segPreludeLen]byte
-		if _, err := f.ReadAt(prelude[:], off); err != nil {
+		if _, err := r.ReadAt(prelude[:], off); err != nil {
 			return nil, fmt.Errorf("segment %d prelude at offset %d: %w", len(segs), off, err)
 		}
 		if string(prelude[:4]) != segMagic {
@@ -227,11 +277,11 @@ func parseSegments(f *os.File) ([]*segment, error) {
 		headerLen := binary.LittleEndian.Uint32(prelude[4:8])
 		headerCRC := binary.LittleEndian.Uint32(prelude[8:12])
 		dataLen := binary.LittleEndian.Uint64(prelude[12:20])
-		if int64(headerLen) > size.Size()-off-segPreludeLen {
+		if int64(headerLen) > size-off-segPreludeLen {
 			return nil, fmt.Errorf("segment %d: header length %d exceeds file", len(segs), headerLen)
 		}
 		hdrBytes := make([]byte, headerLen)
-		if _, err := f.ReadAt(hdrBytes, off+segPreludeLen); err != nil {
+		if _, err := r.ReadAt(hdrBytes, off+segPreludeLen); err != nil {
 			return nil, fmt.Errorf("segment %d header: %w", len(segs), err)
 		}
 		if got := crc32.Checksum(hdrBytes, crcTable); got != headerCRC {
@@ -245,8 +295,8 @@ func parseSegments(f *os.File) ([]*segment, error) {
 			return nil, fmt.Errorf("segment %d: unsupported format version %d (want %d..%d)", len(segs), hdr.Version, minReadVersion, FormatVersion)
 		}
 		dataOff := off + segPreludeLen + int64(headerLen)
-		if dataOff+int64(dataLen) > size.Size() {
-			return nil, fmt.Errorf("segment %d: data area [%d, %d) exceeds file size %d", len(segs), dataOff, dataOff+int64(dataLen), size.Size())
+		if dataOff+int64(dataLen) > size {
+			return nil, fmt.Errorf("segment %d: data area [%d, %d) exceeds file size %d", len(segs), dataOff, dataOff+int64(dataLen), size)
 		}
 		for _, fm := range hdr.Frames {
 			for _, cm := range append(append([]columnMeta(nil), fm.Levels...), fm.Cols...) {
@@ -256,21 +306,18 @@ func parseSegments(f *os.File) ([]*segment, error) {
 			}
 		}
 		segs = append(segs, &segment{
-			header: hdr, dataOff: dataOff, dataLen: int64(dataLen), f: f,
+			header: hdr, dataOff: dataOff, dataLen: int64(dataLen), r: r,
 		})
 		off = dataOff + int64(dataLen)
 	}
 	return segs, nil
 }
 
-// scan (re)parses a single-file store's segment headers. Per-segment
-// generation stamps are positional: a single-file store only ever grows
-// at the end, so position is a stable identity.
-func (s *Store) scan() error {
-	segs, err := parseSegments(s.f)
-	if err != nil {
-		return err
-	}
+// adopt installs the parsed segments of a single-record store (a store
+// file, or an in-memory record). Per-segment generation stamps are
+// positional: such a store only ever grows at the end, so position is a
+// stable identity.
+func (s *Store) adopt(segs []*segment) error {
 	if len(segs) == 0 {
 		return fmt.Errorf("no segments")
 	}
@@ -303,10 +350,8 @@ func (s *Store) Close() error {
 	s.segs = nil
 	s.mu.Unlock()
 	for _, sg := range segs {
-		if sg.owned && sg.f != nil {
-			if cerr := sg.f.Close(); err == nil {
-				err = cerr
-			}
+		if cerr := sg.closeFile(); err == nil {
+			err = cerr
 		}
 	}
 	return err
@@ -376,10 +421,19 @@ func (s *Store) Segments() []SegmentInfo {
 	for i, sg := range s.segs {
 		out[i] = SegmentInfo{
 			Gen: sg.gen, Level: sg.level, Profiles: sg.header.NProfiles,
-			Bytes: segPreludeLen + sg.dataLen, File: filepath.Base(sg.file),
+			Bytes: segPreludeLen + sg.dataLen, File: sg.fileName(),
 		}
 	}
 	return out
+}
+
+// fileName is the base name of the segment's own file, "" when its data
+// lives in the store's own record.
+func (sg *segment) fileName() string {
+	if sg.file == "" {
+		return ""
+	}
+	return filepath.Base(sg.file)
 }
 
 // pin snapshots the live segment set and pins every member against
@@ -477,7 +531,7 @@ func (s *Store) readBlock(ctx context.Context, parent *telemetry.Span, seg *segm
 		return nil, fmt.Errorf("store: %s: segment g%d frame %s block %v: %w", s.path, seg.gen, frame, cm.Key, err)
 	}
 	buf := make([]byte, cm.Length)
-	if _, err := seg.f.ReadAt(buf, seg.dataOff+int64(cm.Offset)); err != nil {
+	if _, err := seg.r.ReadAt(buf, seg.dataOff+int64(cm.Offset)); err != nil {
 		return nil, fmt.Errorf("store: %s: segment g%d frame %s block %v: %w", s.path, seg.gen, frame, cm.Key, err)
 	}
 	fm := seg.header.frame(frame)
@@ -963,7 +1017,7 @@ func (s *Store) appendSegmentFile(rec []byte, nProfiles, level int) error {
 		dataLen: int64(dataLen),
 		gen:     s.nextSegGen,
 		level:   level,
-		f:       s.f,
+		r:       s.f,
 	})
 	s.nextSegGen++
 	s.gen++
@@ -1079,14 +1133,14 @@ func (s *Store) Info() Info {
 		info.Profiles += seg.header.NProfiles
 		segBytes := segPreludeLen + seg.dataLen
 		if seg.owned {
-			if st, err := seg.f.Stat(); err == nil {
-				segBytes = st.Size()
-			}
+			// A segment file is its magic and exactly one segment
+			// record, which parsing checked ends at the file's end.
+			segBytes = seg.dataOff + seg.dataLen
 			info.FileBytes += segBytes
 		}
 		info.SegmentList = append(info.SegmentList, SegmentInfo{
 			Gen: seg.gen, Level: seg.level, Profiles: seg.header.NProfiles,
-			Bytes: segBytes, File: filepath.Base(seg.file),
+			Bytes: segBytes, File: seg.fileName(),
 		})
 		if fm := seg.header.frame(framePerf); fm != nil {
 			info.PerfRows += fm.NRows

@@ -107,6 +107,34 @@ func TestCreateOpenLoad(t *testing.T) {
 	if info.Nodes != th.Tree.Len() {
 		t.Fatalf("info nodes %d, tree %d", info.Nodes, th.Tree.Len())
 	}
+	// A single-file store's segment has no file of its own.
+	if len(info.SegmentList) != 1 || info.SegmentList[0].File != "" {
+		t.Fatalf("info segment list: %+v", info.SegmentList)
+	}
+	if segs := s.Segments(); len(segs) != 1 || segs[0].File != "" {
+		t.Fatalf("segments: %+v", segs)
+	}
+}
+
+// TestFromThicketReadOnly: an in-memory store is one read-only segment
+// that refuses appends and compaction.
+func TestFromThicketReadOnly(t *testing.T) {
+	th := randomThicket(t, 8, 4)
+	s, err := store.FromThicket(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.NumSegments() != 1 || s.IsDir() || s.CanCompact() {
+		t.Fatalf("in-memory store: segments=%d dir=%v compact=%v", s.NumSegments(), s.IsDir(), s.CanCompact())
+	}
+	more := randomThicket(t, 9, 2)
+	if err := s.Append(more); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("Append on an in-memory store: %v, want a read-only error", err)
+	}
+	if info := s.Info(); info.Segments != 1 || info.Profiles != 4 || info.SegmentList[0].File != "" {
+		t.Fatalf("info: %+v", info)
+	}
 }
 
 // TestRoundTripMatchesJSON is the acceptance property test: for many
@@ -145,8 +173,18 @@ func TestRoundTripMatchesJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		mem, err := store.FromThicket(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaMemory, err := mem.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+
 		assertThicketsEqual(t, fmt.Sprintf("seed %d store-vs-source", seed), th, viaStore)
 		assertThicketsEqual(t, fmt.Sprintf("seed %d store-vs-json", seed), viaJSON, viaStore)
+		assertThicketsEqual(t, fmt.Sprintf("seed %d memory-vs-source", seed), th, viaMemory)
 	}
 }
 

@@ -248,8 +248,14 @@ func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 	return store.OpenWithOptions(path, opts)
 }
 
+// StoreFromThicket holds th as a read-only, one-segment store in memory,
+// so that a thicket that did not come from a store can be filtered,
+// explained and served through the same query plan as one that did.
+func StoreFromThicket(th *Thicket) (*Store, error) { return store.FromThicket(th) }
+
 // NewServer builds the thicketd HTTP query service over a loaded
-// thicket; st may be nil when the ensemble did not come from a store.
+// thicket and the store it came from (StoreFromThicket for an ensemble
+// that did not come from one).
 func NewServer(th *Thicket, st *Store, opts ServerOptions) *Server {
 	return server.New(th, st, opts)
 }
@@ -287,12 +293,6 @@ func FilterStore(st *Store, preds []Predicate) (*Thicket, PlanStats, error) {
 	return plan.ExecuteStore(st, preds)
 }
 
-// FilterThicket executes a compiled predicate conjunction vectorized
-// over an already-resident thicket.
-func FilterThicket(th *Thicket, preds []Predicate) (*Thicket, PlanStats, error) {
-	return plan.ExecuteThicket(th, preds)
-}
-
 // Query plans (EXPLAIN/ANALYZE, see repro/internal/plan). The same
 // trees back thicketd's explain= query parameter and /debug/querylog.
 type (
@@ -321,18 +321,6 @@ func ExplainStore(st *Store, preds []Predicate) (*QueryPlan, error) {
 // result is bit-identical to FilterStore's.
 func AnalyzeStore(st *Store, preds []Predicate) (*Thicket, *QueryPlan, error) {
 	return plan.AnalyzeStore(context.Background(), st, preds)
-}
-
-// ExplainThicket validates a filter against a resident thicket and
-// returns its plan tree without executing (EXPLAIN).
-func ExplainThicket(th *Thicket, preds []Predicate) (*QueryPlan, error) {
-	return plan.PlanThicket(context.Background(), th, preds)
-}
-
-// AnalyzeThicket executes the resident-thicket filter and returns the
-// result together with its measured plan tree (EXPLAIN ANALYZE).
-func AnalyzeThicket(th *Thicket, preds []Predicate) (*Thicket, *QueryPlan, error) {
-	return plan.AnalyzeThicket(context.Background(), th, preds)
 }
 
 // Streaming ingest (WAL + LSM-style segment lifecycle, see
