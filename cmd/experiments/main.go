@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/experiments"
 	reportpkg "repro/internal/report"
@@ -88,9 +89,14 @@ func run(args []string, stdout io.Writer) error {
 			if err := os.MkdirAll(*out, 0o755); err != nil {
 				return err
 			}
-			for name, svg := range res.SVGs {
+			names := make([]string, 0, len(res.SVGs))
+			for name := range res.SVGs {
+				names = append(names, name)
+			}
+			sort.Strings(names) // the HTML report's order too
+			for _, name := range names {
 				path := filepath.Join(*out, name)
-				if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(res.SVGs[name]), 0o644); err != nil {
 					return err
 				}
 				fmt.Fprintf(stdout, "  wrote %s\n", path)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,16 @@ func TestRunOneFigureWithOutputs(t *testing.T) {
 	entries, err := os.ReadDir(svgDir)
 	if err != nil || len(entries) == 0 {
 		t.Errorf("no SVGs written: %v", err)
+	}
+	// fig12 writes three SVGs; the "wrote" lines come in name order.
+	var wrote []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if path, ok := strings.CutPrefix(line, "  wrote "); ok {
+			wrote = append(wrote, filepath.Base(path))
+		}
+	}
+	if len(wrote) != 3 || !sort.StringsAreSorted(wrote) {
+		t.Errorf("wrote %v, want three SVG names in sorted order", wrote)
 	}
 }
 

@@ -138,6 +138,11 @@ func timePerCycleByNodes(th *thicket.Thicket) map[int][]float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
+	profLv, err := dataframe.SeriesOf(th.ProfileLevelName(), profs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows := th.Metadata.Index().Locate(profLv)
 	hostsCol, err := th.Metadata.ColumnByName("numhosts")
 	if err != nil {
 		log.Fatal(err)
@@ -146,18 +151,11 @@ func timePerCycleByNodes(th *thicket.Thicket) map[int][]float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hostOf := map[string]int{}
-	cyclesOf := map[string]float64{}
-	for r := 0; r < th.Metadata.NRows(); r++ {
-		key := dataframe.EncodeKey(th.Metadata.Index().KeyAt(r))
-		hostOf[key] = int(hostsCol.At(r).Int())
-		c, _ := cyclesCol.At(r).AsFloat()
-		cyclesOf[key] = c
-	}
 	out := map[int][]float64{}
 	for i, v := range vals {
-		key := dataframe.EncodeKey([]dataframe.Value{profs[i]})
-		out[hostOf[key]] = append(out[hostOf[key]], v/cyclesOf[key])
+		hosts := int(hostsCol.At(int(rows[i])).Int())
+		cycles, _ := cyclesCol.At(int(rows[i])).AsFloat()
+		out[hosts] = append(out[hosts], v/cycles)
 	}
 	return out
 }

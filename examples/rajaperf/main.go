@@ -13,7 +13,6 @@ import (
 
 	thicket "repro"
 	"repro/internal/core"
-	"repro/internal/dataframe"
 	"repro/internal/sim"
 	"repro/internal/viz"
 )
@@ -169,16 +168,13 @@ func main() {
 		log.Fatal(err)
 	}
 	// Annotate every perf row with its profile's block size, then pivot.
-	bsOf := map[string]int64{}
 	bsCol, err := blockTh.Metadata.ColumnByName("block size")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for r := 0; r < blockTh.Metadata.NRows(); r++ {
-		bsOf[dataframe.EncodeKey(blockTh.Metadata.Index().KeyAt(r))] = bsCol.At(r).Int()
-	}
+	bsOrds := blockTh.ProfileOrdinals()
 	if err := blockTh.AddDerived(thicket.ColKey{"block"}, func(r thicket.Row) thicket.Value {
-		return thicket.Int64(bsOf[dataframe.EncodeKey([]dataframe.Value{r.IndexValue(core.ProfileLevel)})])
+		return thicket.Int64(bsCol.At(int(bsOrds[r.Pos()])).Int())
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -231,18 +227,14 @@ func meanAt(th *thicket.Thicket, kernel string, size int64, metric string) float
 	if err != nil {
 		return 0
 	}
-	sizeOf := map[string]int64{}
-	for r := 0; r < th.Metadata.NRows(); r++ {
-		sizeOf[dataframe.EncodeKey(th.Metadata.Index().KeyAt(r))] = sizeCol.At(r).Int()
-	}
 	nodeLv := th.PerfData.Index().LevelByName(core.NodeLevel)
-	profLv := th.PerfData.Index().LevelByName(core.ProfileLevel)
+	ords := th.ProfileOrdinals()
 	sum, n := 0.0, 0.0
 	for r := 0; r < th.PerfData.NRows(); r++ {
 		if !strings.HasSuffix(nodeLv.At(r).Str(), "/"+kernel) {
 			continue
 		}
-		if sizeOf[dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})] != size {
+		if sizeCol.At(int(ords[r])).Int() != size {
 			continue
 		}
 		v, ok := col.At(r).AsFloat()
@@ -264,16 +256,12 @@ type sample struct {
 
 // collectSamples extracts (kernel, opt, speedup-vs-O0, retiring).
 func collectSamples(streamTh *thicket.Thicket) []sample {
-	optOf := map[string]string{}
 	optCol, err := streamTh.Metadata.ColumnByName("compiler optimizations")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for r := 0; r < streamTh.Metadata.NRows(); r++ {
-		optOf[dataframe.EncodeKey(streamTh.Metadata.Index().KeyAt(r))] = optCol.At(r).Str()
-	}
 	nodeLv := streamTh.PerfData.Index().LevelByName(core.NodeLevel)
-	profLv := streamTh.PerfData.Index().LevelByName(core.ProfileLevel)
+	ords := streamTh.ProfileOrdinals()
 	baseline := map[string]float64{}
 	var samples []sample
 	streamTh.PerfData.Each(func(r thicket.Row) {
@@ -281,7 +269,7 @@ func collectSamples(streamTh *thicket.Thicket) []sample {
 		if n == nil || !n.IsLeaf() {
 			return
 		}
-		opt := optOf[dataframe.EncodeKey([]dataframe.Value{profLv.At(r.Pos())})]
+		opt := optCol.At(int(ords[r.Pos()])).Str()
 		tm, _ := r.Value("time (exc)").AsFloat()
 		ret, _ := r.Value("Retiring").AsFloat()
 		if opt == "-O0" {

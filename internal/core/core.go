@@ -404,6 +404,13 @@ func (t *Thicket) firstUnknownNode(lv *dataframe.Series, resolved map[string]boo
 	return -1, ""
 }
 
+// ProfileOrdinals maps every PerfData row onto its profile's Metadata
+// row, or -1 for a profile the metadata lacks (which Validate rules
+// out): profileOrdinals over the thicket's own frames.
+func (t *Thicket) ProfileOrdinals() []int32 {
+	return profileOrdinals(t.PerfData, t.Metadata, t.profileLevel)
+}
+
 // profileOrdinals maps every row of perf onto meta, the integer form of
 // Figure 3's PerfData → Metadata key: out[r] is the metadata row of perf
 // row r's profile, or -1 when meta lacks it (or perf has no such level).

@@ -117,7 +117,7 @@ func (t *Thicket) metaSel(pred func(MetaRow) bool) dataframe.Sel {
 // those profiles. Callers that already hold a selection vector (the
 // compiled where= path, delta reloads) pass it straight in.
 func (t *Thicket) SelectProfiles(sel dataframe.Sel) *Thicket {
-	return t.selectProfiles(sel, profileOrdinals(t.PerfData, t.Metadata, t.profileLevel))
+	return t.selectProfiles(sel, t.ProfileOrdinals())
 }
 
 // selectProfiles is SelectProfiles over precomputed profile ordinals, so
@@ -165,7 +165,7 @@ func (t *Thicket) GroupBy(columns ...string) ([]GroupedThicket, error) {
 	if err != nil {
 		return nil, err
 	}
-	ords := profileOrdinals(t.PerfData, t.Metadata, t.profileLevel)
+	ords := t.ProfileOrdinals()
 	out := make([]GroupedThicket, 0, len(groups))
 	for _, g := range groups {
 		sel := t.metaSel(func(m MetaRow) bool {

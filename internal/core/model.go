@@ -44,7 +44,7 @@ func (t *Thicket) ModelExtrap(metric dataframe.ColKey, paramColumn string, opts 
 
 	type sample struct{ p, y float64 }
 	samples := map[string][]sample{}
-	for r, o := range profileOrdinals(t.PerfData, t.Metadata, t.profileLevel) {
+	for r, o := range t.ProfileOrdinals() {
 		y, ok := col.At(r).AsFloat()
 		if !ok || o < 0 {
 			continue
@@ -145,7 +145,7 @@ func (t *Thicket) ModelExtrap2(metric dataframe.ColKey, paramP, paramQ string, o
 
 	type sample struct{ p, q, y float64 }
 	samples := map[string][]sample{}
-	for r, o := range profileOrdinals(t.PerfData, t.Metadata, t.profileLevel) {
+	for r, o := range t.ProfileOrdinals() {
 		y, ok := col.At(r).AsFloat()
 		if !ok || o < 0 {
 			continue

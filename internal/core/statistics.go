@@ -372,7 +372,7 @@ func (t *Thicket) PivotMetric(metric dataframe.ColKey, metaColumn, agg string) (
 		cells[i] = make([][]float64, len(colKeys))
 	}
 	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
-	for r, o := range profileOrdinals(t.PerfData, t.Metadata, t.profileLevel) {
+	for r, o := range t.ProfileOrdinals() {
 		v, ok := col.At(r).AsFloat()
 		if !ok || o < 0 || colOf[o] < 0 {
 			continue

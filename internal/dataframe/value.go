@@ -286,7 +286,11 @@ func (v Value) encode(sb *strings.Builder) {
 }
 
 // EncodeKey produces a canonical string encoding of a composite key, safe
-// to use as a map key. Injective across value kinds and lengths.
+// to use as a map key. Injective across value kinds and lengths. Its
+// bytes must never change: they feed profile.Hash, whose values are
+// stored as profile indexes and in profile file names, so a new encoding
+// would re-key every stored ensemble. Key lookups go through Index
+// (Lookup, Locate), which keeps this identity on integer codes.
 func EncodeKey(vals []Value) string {
 	var sb strings.Builder
 	for _, v := range vals {

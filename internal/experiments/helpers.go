@@ -87,6 +87,20 @@ func kernelRows(th *core.Thicket, f *dataframe.Frame, kernels []string) *datafra
 	return th.RelabelledPerfData(filtered)
 }
 
+// metricRows is MetricVector with each value's profile given as its
+// metadata row.
+func metricRows(th *core.Thicket, node string, metric dataframe.ColKey) ([]float64, []int32, error) {
+	vals, profs, err := th.MetricVector(node, metric)
+	if err != nil {
+		return nil, nil, err
+	}
+	lv, err := dataframe.SeriesOf(th.ProfileLevelName(), profs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, th.Metadata.Index().Locate(lv), nil
+}
+
 // meanByNodeSize aggregates a metric to means per (kernel, problem size)
 // across trials; returns kernel -> size -> mean.
 func meanByNodeSize(th *core.Thicket, metric dataframe.ColKey, kernels []string) (map[string]map[int64]float64, error) {
@@ -99,18 +113,11 @@ func meanByNodeSize(th *core.Thicket, metric dataframe.ColKey, kernels []string)
 		want[k] = true
 	}
 	nodeLv := th.PerfData.Index().LevelByName(core.NodeLevel)
-	profLv := th.PerfData.Index().LevelByName(th.ProfileLevelName())
-
-	// profile index -> problem size.
 	sizeCol, err := th.Metadata.ColumnByName("problem size")
 	if err != nil {
 		return nil, err
 	}
-	sizeOf := map[string]int64{}
-	for r := 0; r < th.Metadata.NRows(); r++ {
-		key := dataframe.EncodeKey(th.Metadata.Index().KeyAt(r))
-		sizeOf[key] = sizeCol.At(r).Int()
-	}
+	ords := th.ProfileOrdinals()
 
 	sums := map[string]map[int64][2]float64{}
 	for r := 0; r < th.PerfData.NRows(); r++ {
@@ -124,7 +131,7 @@ func meanByNodeSize(th *core.Thicket, metric dataframe.ColKey, kernels []string)
 		if !ok {
 			continue
 		}
-		size := sizeOf[dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})]
+		size := sizeCol.At(int(ords[r])).Int()
 		if sums[kernel] == nil {
 			sums[kernel] = map[int64][2]float64{}
 		}

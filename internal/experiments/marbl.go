@@ -45,22 +45,17 @@ func Fig11(seed int64) (*Result, error) {
 		fmt.Fprintf(&report, "%s Extra-P model: %s   (R²=%.4f, SMAPE=%.2f%%)\n", names[cluster], model, model.R2, model.SMAPE)
 
 		// Measured means per rank count + the fitted curve.
-		vals, profs, err := th.MetricVector(solverNode, dataframe.ColKey{"Avg time/rank"})
+		vals, rows, err := metricRows(th, solverNode, dataframe.ColKey{"Avg time/rank"})
 		if err != nil {
 			return nil, err
 		}
-		ranksOf := map[string]float64{}
 		rankCol, err := th.Metadata.ColumnByName("mpi.world.size")
 		if err != nil {
 			return nil, err
 		}
-		for r := 0; r < th.Metadata.NRows(); r++ {
-			f, _ := rankCol.At(r).AsFloat()
-			ranksOf[dataframe.EncodeKey(th.Metadata.Index().KeyAt(r))] = f
-		}
 		sums := map[float64][2]float64{}
 		for i, v := range vals {
-			p := ranksOf[dataframe.EncodeKey([]dataframe.Value{profs[i]})]
+			p, _ := rankCol.At(int(rows[i])).AsFloat()
 			acc := sums[p]
 			sums[p] = [2]float64{acc[0] + v, acc[1] + 1}
 		}
@@ -160,7 +155,7 @@ func Fig17(seed int64) (*Result, error) {
 			return nil, err
 		}
 		// time per cycle = timeStepLoop Avg time/rank ÷ cycles, per profile.
-		vals, profs, err := th.MetricVector("main/timeStepLoop", dataframe.ColKey{"Avg time/rank"})
+		vals, rows, err := metricRows(th, "main/timeStepLoop", dataframe.ColKey{"Avg time/rank"})
 		if err != nil {
 			return nil, err
 		}
@@ -172,18 +167,11 @@ func Fig17(seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		hostOf := map[string]int{}
-		cyclesOf := map[string]float64{}
-		for r := 0; r < th.Metadata.NRows(); r++ {
-			key := dataframe.EncodeKey(th.Metadata.Index().KeyAt(r))
-			hostOf[key] = int(hostsCol.At(r).Int())
-			c, _ := cyclesCol.At(r).AsFloat()
-			cyclesOf[key] = c
-		}
 		byNodes := map[int][]float64{}
 		for i, v := range vals {
-			key := dataframe.EncodeKey([]dataframe.Value{profs[i]})
-			byNodes[hostOf[key]] = append(byNodes[hostOf[key]], v/cyclesOf[key])
+			hosts := int(hostsCol.At(int(rows[i])).Int())
+			cycles, _ := cyclesCol.At(int(rows[i])).AsFloat()
+			byNodes[hosts] = append(byNodes[hosts], v/cycles)
 		}
 		perCluster[cluster] = map[int][2]float64{}
 		s := viz.LineSeries{Label: names[cluster]}
@@ -281,17 +269,13 @@ func Fig18(seed int64) (*Result, error) {
 	}
 
 	// timeStepLoop per-profile metric aligned to metadata order.
-	vals, profs, err := th.MetricVector("main/timeStepLoop", dataframe.ColKey{"max#inclusive#sum#time.duration"})
+	vals, rows, err := metricRows(th, "main/timeStepLoop", dataframe.ColKey{"max#inclusive#sum#time.duration"})
 	if err != nil {
 		return nil, err
 	}
-	byProf := map[string]float64{}
-	for i, v := range vals {
-		byProf[dataframe.EncodeKey([]dataframe.Value{profs[i]})] = v
-	}
 	stepTime := make([]float64, th.Metadata.NRows())
-	for r := 0; r < th.Metadata.NRows(); r++ {
-		stepTime[r] = byProf[dataframe.EncodeKey(th.Metadata.Index().KeyAt(r))]
+	for i, v := range vals {
+		stepTime[rows[i]] = v
 	}
 
 	// Scatter 1: num_elems_max vs timeStepLoop duration, by architecture.

@@ -86,12 +86,11 @@ func Fig03(seed int64) (*Result, error) {
 
 	// Cardinalities: each metadata profile links to many perf rows; each
 	// stats node links to many perf rows.
-	perfProfiles := map[string]int{}
+	perfProfiles := map[int32]int{} // metadata row → perf rows
 	perfNodes := map[string]int{}
-	profLv := th.PerfData.Index().LevelByName(core.ProfileLevel)
 	nodeLv := th.PerfData.Index().LevelByName(core.NodeLevel)
-	for r := 0; r < th.PerfData.NRows(); r++ {
-		perfProfiles[dataframe.EncodeKey([]dataframe.Value{profLv.At(r)})]++
+	for r, o := range th.ProfileOrdinals() {
+		perfProfiles[o]++
 		perfNodes[nodeLv.At(r).Str()]++
 	}
 	oneToManyProfiles := true
@@ -124,7 +123,7 @@ func Fig03(seed int64) (*Result, error) {
 	return res, nil
 }
 
-func minOf(m map[string]int) int {
+func minOf[K comparable](m map[K]int) int {
 	first := true
 	out := 0
 	for _, v := range m {
@@ -440,24 +439,20 @@ func Fig10(seed int64) (*Result, error) {
 		kernel, opt                string
 		speedup, retiring, backend float64
 	}
-	optOf := map[string]string{}
 	optCol, err := streamTh.Metadata.ColumnByName("compiler optimizations")
 	if err != nil {
 		return nil, err
 	}
-	for r := 0; r < streamTh.Metadata.NRows(); r++ {
-		optOf[dataframe.EncodeKey(streamTh.Metadata.Index().KeyAt(r))] = optCol.At(r).Str()
-	}
 	baseline := map[string]float64{}
 	var samples []sample
 	nodeLv := streamTh.PerfData.Index().LevelByName(core.NodeLevel)
-	profLv := streamTh.PerfData.Index().LevelByName(core.ProfileLevel)
+	ords := streamTh.ProfileOrdinals()
 	streamTh.PerfData.Each(func(r dataframe.Row) {
 		n := streamTh.NodeByPathString(nodeLv.At(r.Pos()).Str())
 		if n == nil || !n.IsLeaf() {
 			return
 		}
-		opt := optOf[dataframe.EncodeKey([]dataframe.Value{profLv.At(r.Pos())})]
+		opt := optCol.At(int(ords[r.Pos()])).Str()
 		tm, _ := r.Value("time (exc)").AsFloat()
 		ret, _ := r.Value("Retiring").AsFloat()
 		be, _ := r.Value("Backend bound").AsFloat()

@@ -211,7 +211,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			}
 			if mode != execPlanOnly {
 				stageTo(ctx, StageMaterialize)
-				th, err := sv.EmptyThicketCtx(ctx, withStats)
+				th, err := sv.EmptyThicket(ctx, withStats)
 				if err != nil {
 					return finish(err)
 				}
@@ -239,7 +239,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			continue
 		}
 		stageTo(ctx, StageFilter)
-		th, err := sv.LoadThicketCtx(ctx, withStats)
+		th, err := sv.LoadThicket(ctx, withStats)
 		if err != nil {
 			return finish(err)
 		}

@@ -440,29 +440,18 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with per-endpoint accounting: W3C trace
-// context (an incoming traceparent is honoured, otherwise a fresh trace
-// is minted, and either way the response carries the server's own
-// traceparent), a request counter, a latency histogram, structured
-// access/slow-request logs carrying the trace ID, and — when telemetry
-// is enabled — a span covering the whole request, propagated through
-// the request context so downstream work can nest under it.
+// instrument wraps a handler with per-endpoint accounting under the
+// trace context the trace middleware put on the request: a request
+// counter, a latency histogram, structured access/slow-request logs
+// carrying the trace ID, and — when telemetry is enabled — a span
+// covering the whole request, propagated through the request context so
+// downstream work can nest under it.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	ep := s.eps[path]
 	return func(w http.ResponseWriter, r *http.Request) {
-		// The trace middleware normally minted the identity already;
-		// fall back to minting here for handlers mounted bare (tests).
-		self, ok := telemetry.TraceFromContext(r.Context())
+		// The trace middleware minted the identity already.
+		self, _ := telemetry.TraceFromContext(r.Context())
 		ctx := r.Context()
-		if !ok {
-			tc, err := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
-			if err != nil {
-				tc = telemetry.NewTraceContext()
-			}
-			self = tc.Child() // this request's server-side span identity
-			ctx = telemetry.ContextWithTrace(ctx, self)
-			w.Header().Set("traceparent", self.Traceparent())
-		}
 		if s.opts.QueryTimeout > 0 {
 			// Start the per-query budget before the injected-latency
 			// sleep so a delayed request can exhaust it — the demo path
@@ -926,19 +915,15 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 	fail := func(err error) (queryResult, int, error) {
 		switch {
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			if q != nil {
-				q.outcome = outcomeCanceled
-				q.reason = cancelReason(q, err)
-			}
+			q.outcome = outcomeCanceled
+			q.reason = cancelReason(q, err)
 			return qr, http.StatusServiceUnavailable, err
 		case errors.Is(err, plan.ErrUnknownColumn):
 			return qr, http.StatusBadRequest, err
 		}
 		return qr, http.StatusInternalServerError, err
 	}
-	if q != nil {
-		q.Stage(plan.StageCompile)
-	}
+	q.Stage(plan.StageCompile)
 	compileStart := time.Now()
 	preds, err := plan.Compile(r.URL.Query()["where"])
 	if err != nil {
@@ -954,9 +939,7 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 		n := th.Metadata.NRows()
 		qr.th = th
 		qr.stats = plan.ExecStats{Rows: n, RowsMaterialized: n}
-		if q != nil {
-			q.stats = &qr.stats
-		}
+		q.stats = &qr.stats
 		return qr, 0, nil
 	}
 	var (
@@ -975,10 +958,8 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 	qr.th = out
 	qr.explain = ex
 	qr.stats = ex.Stats
-	if q != nil {
-		q.stats = &qr.stats
-		q.tree = ex
-	}
+	q.stats = &qr.stats
+	q.tree = ex
 	if !qr.planOnly && len(preds) > 0 {
 		if pm := s.plans[endpoint]; pm != nil {
 			pm.blocksScanned.Add(int64(qr.stats.BlocksScanned))

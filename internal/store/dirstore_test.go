@@ -399,8 +399,10 @@ func TestRefresh(t *testing.T) {
 		t.Fatalf("tail of a merged segment: %d profiles, want 8", th.NumProfiles())
 	}
 
-	// Not a prefix: a foreign thicket, one longer than the store, nil.
+	// Not a prefix: a foreign thicket, stored profiles out of their
+	// order, one longer than the store, nil.
 	refresh(dirThicket(t, profiles[8:10]), RefreshFull)
+	refresh(dirThicket(t, []*profile.Profile{profiles[1], profiles[0]}), RefreshFull)
 	refresh(dirThicket(t, dirProfiles(t, 9, 22)), RefreshFull)
 	refresh(nil, RefreshFull)
 }

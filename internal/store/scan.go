@@ -23,9 +23,8 @@ import (
 
 // Exported frame names for Snapshot consumers.
 const (
-	FramePerf  = framePerf
-	FrameMeta  = frameMeta_
-	FrameStats = frameStats
+	FramePerf = framePerf
+	FrameMeta = frameMeta_
 )
 
 // ColumnStats is one block's header-level description: key, kind, zone
@@ -42,8 +41,7 @@ type ColumnStats struct {
 	// Nulls counts null rows; -1 means "unknown" (pre-v3 segments).
 	Nulls int
 
-	blockIdx int
-	cm       columnMeta
+	cm columnMeta
 }
 
 // Snapshot is a pinned view of the store's live segments. Callers must
@@ -97,10 +95,6 @@ func (v SegmentView) NRows(frame string) int {
 	return 0
 }
 
-// TreePaths returns the segment's call-tree paths in serialization
-// order.
-func (v SegmentView) TreePaths() [][]string { return v.seg.header.TreePaths }
-
 // Tree rebuilds the segment's call tree from header paths alone.
 func (v SegmentView) Tree() (*calltree.Tree, error) {
 	tree := calltree.New()
@@ -120,20 +114,19 @@ func (v SegmentView) Columns(frame string) ([]ColumnStats, error) {
 		return nil, fmt.Errorf("store: %s: segment g%d has no frame %q", v.st.path, v.seg.gen, frame)
 	}
 	out := make([]ColumnStats, 0, len(fm.Levels)+len(fm.Cols))
-	add := func(cm columnMeta, level bool, blockIdx int) error {
+	add := func(cm columnMeta, level bool) error {
 		kind, err := parseKindName(cm.Kind)
 		if err != nil {
 			return fmt.Errorf("store: %s: segment g%d frame %s block %v: %w", v.st.path, v.seg.gen, frame, cm.Key, err)
 		}
 		cs := ColumnStats{
-			Key:      dataframe.ColKey(cm.Key).Copy(),
-			Kind:     kind,
-			Level:    level,
-			Min:      cm.Min,
-			Max:      cm.Max,
-			Nulls:    -1,
-			blockIdx: blockIdx,
-			cm:       cm,
+			Key:   dataframe.ColKey(cm.Key).Copy(),
+			Kind:  kind,
+			Level: level,
+			Min:   cm.Min,
+			Max:   cm.Max,
+			Nulls: -1,
+			cm:    cm,
 		}
 		if v.seg.header.Version >= 3 && cm.Nulls != nil {
 			cs.Nulls = *cm.Nulls
@@ -141,22 +134,17 @@ func (v SegmentView) Columns(frame string) ([]ColumnStats, error) {
 		out = append(out, cs)
 		return nil
 	}
-	for l, cm := range fm.Levels {
-		if err := add(cm, true, l); err != nil {
+	for _, cm := range fm.Levels {
+		if err := add(cm, true); err != nil {
 			return nil, err
 		}
 	}
-	for c, cm := range fm.Cols {
-		if err := add(cm, false, len(fm.Levels)+c); err != nil {
+	for _, cm := range fm.Cols {
+		if err := add(cm, false); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// ReadColumn decodes one block through the store's column cache.
-func (v SegmentView) ReadColumn(frame string, cs ColumnStats) (*dataframe.Series, error) {
-	return v.st.readBlock(context.Background(), nil, v.seg, frame, cs.blockIdx, cs.cm, cs.Key.Leaf())
 }
 
 // DictHasWord probes a string block's dictionary page for word without
@@ -208,38 +196,20 @@ func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (boo
 	return false, nil
 }
 
-// LoadFrame decodes the named frame, optionally projecting data columns
-// (index levels always load). Decoded blocks land in the shared column
-// cache.
-func (v SegmentView) LoadFrame(frame string, keep func(dataframe.ColKey) bool) (*dataframe.Frame, error) {
-	return v.st.loadFrame(context.Background(), nil, v.seg, frame, keep)
-}
-
 // LoadThicket materializes the full segment thicket (the survivor path).
 // withStats controls whether the stored stats frame decodes; pass true
-// only for a single-segment store, matching Store.Load.
-func (v SegmentView) LoadThicket(withStats bool) (*core.Thicket, error) {
-	return v.LoadThicketCtx(context.Background(), withStats)
-}
-
-// LoadThicketCtx is LoadThicket with a cancellation context, checked at
-// every block boundary and wired to the context's ScanObserver.
-func (v SegmentView) LoadThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, error) {
+// only for a single-segment store, matching Store.Load. ctx is checked
+// at every block boundary and wired to the context's ScanObserver.
+func (v SegmentView) LoadThicket(ctx context.Context, withStats bool) (*core.Thicket, error) {
 	return v.st.loadSegment(ctx, nil, v.seg, nil, withStats)
 }
 
 // EmptyThicket builds the segment's zero-row thicket from the header
 // alone: full tree, meta/perf frames with the right schema and no rows.
 // No meta or perf block is read; with withStats the stored stats frame
-// still decodes (a pruned single-segment store must reproduce the
-// stats table the naive path carries over).
-func (v SegmentView) EmptyThicket(withStats bool) (*core.Thicket, error) {
-	return v.EmptyThicketCtx(context.Background(), withStats)
-}
-
-// EmptyThicketCtx is EmptyThicket with a cancellation context (the
-// stats-frame decode for single-segment stores is still a block read).
-func (v SegmentView) EmptyThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, error) {
+// still decodes under ctx (a pruned single-segment store must reproduce
+// the stats table the naive path carries over).
+func (v SegmentView) EmptyThicket(ctx context.Context, withStats bool) (*core.Thicket, error) {
 	tree, err := v.Tree()
 	if err != nil {
 		return nil, err

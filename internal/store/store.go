@@ -10,7 +10,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/calltree"
 	"repro/internal/core"
@@ -44,6 +46,12 @@ type segment struct {
 	refs    int
 	retired bool
 	remove  bool // delete file on finalize (compacted away)
+
+	// profiles indexes the metadata frame's profile level: the store's
+	// profile identity for the duplicate-append and refresh checks.
+	// Built on first use (profileIndex); the segment is immutable, so it
+	// never goes stale.
+	profiles atomic.Pointer[dataframe.Index]
 }
 
 // acquire pins the segment for a reader.
@@ -110,11 +118,6 @@ type Store struct {
 	readOnly bool
 
 	appendMu sync.Mutex // serializes validate+commit of appends
-	// profileKeys holds the EncodeKey of every stored profile-index
-	// value — the duplicate-append check. Built on the first append,
-	// extended after each committed one, and untouched by compaction,
-	// which moves rows without changing them. Guarded by appendMu.
-	profileKeys map[string]struct{}
 
 	mu           sync.Mutex // guards segs, gens, manifest writes
 	segs         []*segment
@@ -657,13 +660,6 @@ func (s *Store) Load() (*core.Thicket, error) {
 	return s.load(context.Background(), nil)
 }
 
-// LoadCtx is Load with a cancellation context: the load checks ctx at
-// every block boundary and reports progress to the context's
-// ScanObserver, if any.
-func (s *Store) LoadCtx(ctx context.Context) (*core.Thicket, error) {
-	return s.load(ctx, nil)
-}
-
 // LoadProjection materializes the store with the performance-data
 // columns restricted to keys — only those columns' blocks are read and
 // decoded, which is the point of the columnar layout. Metadata always
@@ -806,13 +802,12 @@ func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segme
 		start += segs[k].header.NProfiles
 		k++
 	}
-	profs, err := s.profileColumn(ctx, sp, segs[k])
+	ix, err := s.profileIndex(ctx, sp, segs[k])
 	if err != nil {
 		return nil, false, err
 	}
 	last := prev.Metadata.Index().Level(0).At(n - 1)
-	if row := n - 1 - start; row >= profs.Len() ||
-		dataframe.EncodeKey([]dataframe.Value{profs.At(row)}) != dataframe.EncodeKey([]dataframe.Value{last}) {
+	if !slices.Contains(ix.Lookup([]dataframe.Value{last}), n-1-start) {
 		return nil, false, nil
 	}
 	if seen := n - start; seen < segs[k].header.NProfiles {
@@ -838,14 +833,23 @@ func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segme
 	return tail, true, nil
 }
 
-// profileColumn decodes one segment's profile-index level of the
-// metadata frame: a single block, served from the column cache when
-// warm.
-func (s *Store) profileColumn(ctx context.Context, sp *telemetry.Span, seg *segment) (*dataframe.Series, error) {
+// profileIndex returns the index over one segment's profile level of
+// the metadata frame. The first use decodes that single block, through
+// the column cache; racing first uses may each build one, and all adopt
+// the first published.
+func (s *Store) profileIndex(ctx context.Context, sp *telemetry.Span, seg *segment) (*dataframe.Index, error) {
+	if ix := seg.profiles.Load(); ix != nil {
+		return ix, nil
+	}
 	if fm := seg.header.frame(frameMeta_); fm != nil {
 		for l, cm := range fm.Levels {
 			if name := cm.Key[len(cm.Key)-1]; name == seg.header.ProfileLevel {
-				return s.readBlock(ctx, sp, seg, frameMeta_, l, cm, name)
+				profs, err := s.readBlock(ctx, sp, seg, frameMeta_, l, cm, name)
+				if err != nil {
+					return nil, err
+				}
+				seg.profiles.CompareAndSwap(nil, dataframe.MustIndex(profs))
+				return seg.profiles.Load(), nil
 			}
 		}
 	}
@@ -897,11 +901,10 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 }
 
 // validateAppend checks th against the store's invariants: shared
-// profile level, no reused profile-index values, and column kinds that
-// agree with stored columns of the same key. Its cost is O(th) plus a
-// header walk: stored profile keys come from profileKeys, built from
-// the profile-index blocks on the first append only. Caller holds
-// appendMu.
+// profile level, index levels and columns whose kinds agree with stored
+// ones of the same name or key, and no reused profile-index values. Its
+// cost is a header walk plus one Locate of th's profiles per live
+// segment, on each segment's profile index. Caller holds appendMu.
 func (s *Store) validateAppend(th *core.Thicket) error {
 	if s.readOnly {
 		return fmt.Errorf("store: %s: opened read-only", s.path)
@@ -911,15 +914,27 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 	}
 	segs, release := s.pin()
 	defer release()
+	// Levels key apart from columns (\x01, not \x00), which may share
+	// their names.
 	kinds := map[string]string{}
 	for _, seg := range segs {
 		for _, fm := range seg.header.Frames {
+			for _, cm := range fm.Levels {
+				kinds[fm.Name+"\x01"+cm.Key[len(cm.Key)-1]] = cm.Kind
+			}
 			for _, cm := range fm.Cols {
 				kinds[fm.Name+"\x00"+dataframe.ColKey(cm.Key).String()] = cm.Kind
 			}
 		}
 	}
 	for name, fr := range map[string]*dataframe.Frame{framePerf: th.PerfData, frameMeta_: th.Metadata} {
+		ix := fr.Index()
+		for l := 0; l < ix.NLevels(); l++ {
+			if have, ok := kinds[name+"\x01"+ix.Names()[l]]; ok && have != ix.Level(l).Kind().String() {
+				return fmt.Errorf("store: %s: index level %q kind %s conflicts with stored kind %s",
+					s.path, ix.Names()[l], ix.Level(l).Kind(), have)
+			}
+		}
 		for c := 0; c < fr.NCols(); c++ {
 			k := name + "\x00" + fr.ColIndex().Key(c).String()
 			if have, ok := kinds[k]; ok && have != fr.ColumnAt(c).Kind().String() {
@@ -928,23 +943,22 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 			}
 		}
 	}
-	if s.profileKeys == nil {
-		keys := map[string]struct{}{}
-		for _, seg := range segs {
-			profs, err := s.profileColumn(context.Background(), nil, seg)
-			if err != nil {
-				return err
-			}
-			for r := 0; r < profs.Len(); r++ {
-				keys[dataframe.EncodeKey([]dataframe.Value{profs.At(r)})] = struct{}{}
+	probe := th.Metadata.Index().Level(0)
+	dup := probe.Len() // first batch row already stored
+	for _, seg := range segs {
+		ix, err := s.profileIndex(context.Background(), nil, seg)
+		if err != nil {
+			return err
+		}
+		for r, o := range ix.Locate(probe)[:dup] {
+			if o >= 0 {
+				dup = r
+				break
 			}
 		}
-		s.profileKeys = keys
 	}
-	for _, v := range th.Profiles() {
-		if _, dup := s.profileKeys[dataframe.EncodeKey([]dataframe.Value{v})]; dup {
-			return fmt.Errorf("store: %s: profile index %s already present", s.path, v)
-		}
+	if dup < probe.Len() {
+		return fmt.Errorf("store: %s: profile index %s already present", s.path, probe.At(dup))
 	}
 	return nil
 }
@@ -952,7 +966,8 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 // Append writes th as a new level-0 segment at the store's tail.
 // Existing blocks are untouched. The thicket must share the store's
 // profile level, must not reuse existing profile-index values, and its
-// column kinds must agree with stored columns of the same key.
+// index-level and column kinds must agree with stored ones of the same
+// name or key.
 func (s *Store) Append(th *core.Thicket) error { return s.AppendSegment(th, 0) }
 
 // AppendSegment is Append with an explicit LSM level for the new
@@ -981,13 +996,7 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 	} else {
 		err = s.appendSegmentFile(rec, th.NumProfiles(), level)
 	}
-	if err != nil {
-		return err
-	}
-	for _, v := range th.Profiles() {
-		s.profileKeys[dataframe.EncodeKey([]dataframe.Value{v})] = struct{}{}
-	}
-	return nil
+	return err
 }
 
 // appendSegmentFile commits rec at the tail of a single-file store.

@@ -282,7 +282,7 @@ func TestAppendMatchesConcat(t *testing.T) {
 			}
 		}
 	}
-	// A new profile still lands, and the key set remembers it.
+	// A new profile still lands, and the duplicate check then sees it.
 	extra := randomEnsemble(t, 43, 1)
 	extra[0].SetMeta("id", dataframe.Int64(100))
 	if err := d.AppendProfiles(extra); err != nil {
@@ -434,21 +434,53 @@ func TestOpenErrorsNamePath(t *testing.T) {
 }
 
 func TestAppendRejectsMismatchedProfileLevel(t *testing.T) {
-	th := randomThicket(t, 21, 3)                                             // indexed by "id"
+	th := randomThicket(t, 21, 3)                                             // indexed by "id", ints
 	other, err := core.FromProfiles(randomEnsemble(t, 22, 2), core.Options{}) // default hash index
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "lvl.tks")
-	if err := store.Create(path, th); err != nil {
-		t.Fatal(err)
-	}
-	s, err := store.Open(path)
+	p := randomEnsemble(t, 23, 1)[0]
+	p.SetMeta("id", dataframe.Float64(100.5))
+	floatID, err := core.FromProfiles([]*profile.Profile{p}, core.Options{IndexBy: "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.Append(other); err == nil || !strings.Contains(err.Error(), "profile level") {
-		t.Fatalf("expected profile-level mismatch error, got %v", err)
+	for _, tc := range []struct {
+		name, want string
+		th         *core.Thicket
+	}{
+		{"other profile level", "profile level", other},
+		{"float id on an int level", `index level "id" kind float conflicts with stored kind int`, floatID},
+	} {
+		for _, layout := range []string{"file", "dir"} {
+			label := tc.name + " (" + layout + ")"
+			path := filepath.Join(t.TempDir(), "lvl")
+			create := store.Create
+			if layout == "dir" {
+				create = store.CreateDir
+			}
+			if err := create(path, th); err != nil {
+				t.Fatal(err)
+			}
+			s, err := store.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append(tc.th); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: append err = %v, want %q", label, err, tc.want)
+			}
+			s.Close()
+			// The refused append left nothing behind: the store still loads.
+			s, err = store.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Load()
+			s.Close()
+			if err != nil {
+				t.Fatalf("%s: load after refused append: %v", label, err)
+			}
+			assertThicketsEqual(t, label, th, got)
+		}
 	}
 }
