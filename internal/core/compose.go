@@ -81,21 +81,29 @@ func ConcatProfiles(thickets []*Thicket) (*Thicket, error) {
 		return nil, fmt.Errorf("core: no thickets")
 	}
 	first := thickets[0]
-	for i, th := range thickets[1:] {
-		if th.profileLevel != first.profileLevel {
-			return nil, fmt.Errorf("core: thicket %d uses profile level %q, want %q", i+1, th.profileLevel, first.profileLevel)
-		}
-	}
 	trees := make([]*calltree.Tree, len(thickets))
 	perfs := make([]*dataframe.Frame, len(thickets))
 	metas := make([]*dataframe.Frame, len(thickets))
 	for i, th := range thickets {
+		if th.profileLevel != first.profileLevel {
+			return nil, fmt.Errorf("core: thicket %d uses profile level %q, want %q", i, th.profileLevel, first.profileLevel)
+		}
 		trees[i] = th.Tree
 		perfs[i] = th.PerfData
 		metas[i] = th.Metadata
 	}
-	// Outer concatenation: metric and metadata schemas may differ across
-	// inputs (multi-tool ensembles); missing cells become nulls.
+	return ConcatFrames(calltree.Union(trees...), perfs, metas, first.profileLevel)
+}
+
+// ConcatFrames stacks the performance and metadata frames of several
+// parts, in order, into one thicket over tree, which must hold every
+// part's call tree. Schemas may differ across parts (multi-tool
+// ensembles): missing cells become nulls. Profile-index values must be
+// distinct across parts; nothing else is re-validated, so each part's
+// frames must already satisfy Validate against its own tree. The result
+// owns fresh frames and the empty statistics table over tree, and shares
+// tree itself.
+func ConcatFrames(tree *calltree.Tree, perfs, metas []*dataframe.Frame, profileLevel string) (*Thicket, error) {
 	perf, err := dataframe.ConcatRowsOuter(perfs...)
 	if err != nil {
 		return nil, fmt.Errorf("core: perf data: %w", err)
@@ -107,12 +115,11 @@ func ConcatProfiles(thickets []*Thicket) (*Thicket, error) {
 	if meta.Index().HasDuplicates() {
 		return nil, fmt.Errorf("core: concatenated thickets share profile-index values")
 	}
-	tree := calltree.Union(trees...)
 	return &Thicket{
 		Tree:         tree,
 		PerfData:     perf,
 		Metadata:     meta,
 		Stats:        emptyStats(tree),
-		profileLevel: first.profileLevel,
+		profileLevel: profileLevel,
 	}, nil
 }

@@ -2,6 +2,7 @@ package dataframe
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -14,14 +15,20 @@ type ColKey []string
 // String joins the key parts with "/" for display and lookup messages.
 func (k ColKey) String() string { return strings.Join(k, "/") }
 
+// encode is the key's lookup form: each label as "<byte length>:<label>|".
 func (k ColKey) encode() string {
-	var sb strings.Builder
+	n := 0
 	for _, p := range k {
-		sb.WriteString(fmt.Sprintf("%d:", len(p)))
-		sb.WriteString(p)
-		sb.WriteByte('|')
+		n += len(p) + 4
 	}
-	return sb.String()
+	buf := make([]byte, 0, n)
+	for _, p := range k {
+		buf = strconv.AppendInt(buf, int64(len(p)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, p...)
+		buf = append(buf, '|')
+	}
+	return string(buf)
 }
 
 // Equal reports element-wise equality.

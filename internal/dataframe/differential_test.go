@@ -645,3 +645,47 @@ func mustSeries(t *testing.T, name string, vals []Value) *Series {
 	}
 	return s
 }
+
+// refEncodeColKey is the fmt-based ColKey encoding that encode replaced.
+func refEncodeColKey(k ColKey) string {
+	out := ""
+	for _, p := range k {
+		out += fmt.Sprintf("%d:", len(p)) + p + "|"
+	}
+	return out
+}
+
+// TestDifferentialColKeyEncode: the buffer-built encoding must produce
+// the fmt reference's bytes for every key shape — no levels, empty
+// labels, several levels, multi-byte labels and separator characters
+// inside labels — and, like it, keep distinct keys apart.
+func TestDifferentialColKeyEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	alphabet := []string{"a", "Z", "0", ":", "|", "/", " ", "é", "時間", "🔥", "\x00"}
+	label := func() string {
+		s := ""
+		for n := rng.Intn(14); n > 0; n-- {
+			s += alphabet[rng.Intn(len(alphabet))]
+		}
+		return s
+	}
+	keys := []ColKey{nil, {}, {""}, {"", ""}, {"time (exc)"}, {"CPU", "time (exc)"}, {"1:a|", ""}, {"時間"}}
+	for i := 0; i < 2000; i++ {
+		k := make(ColKey, rng.Intn(4))
+		for j := range k {
+			k[j] = label()
+		}
+		keys = append(keys, k)
+	}
+	byEnc := map[string]ColKey{}
+	for _, k := range keys {
+		got, want := k.encode(), refEncodeColKey(k)
+		if got != want {
+			t.Fatalf("encode(%q) = %q, reference %q", []string(k), got, want)
+		}
+		if prev, ok := byEnc[got]; ok && !prev.Equal(k) {
+			t.Fatalf("keys %q and %q share encoding %q", []string(prev), []string(k), got)
+		}
+		byEnc[got] = k
+	}
+}

@@ -678,23 +678,24 @@ func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
 			}
 		}
 	}
-	// Union of column keys with kinds (first wins; conflicts error).
+	// Union of column keys with kinds (first wins; conflicts error), each
+	// with the encoding every input's lookup table is keyed by.
 	var keys []ColKey
+	var encs []string
 	kinds := map[string]Kind{}
-	seen := map[string]bool{}
 	for _, f := range frames {
 		for c := 0; c < f.NCols(); c++ {
 			k := f.cols.Key(c)
 			enc := k.encode()
-			if seen[enc] {
-				if kinds[enc] != f.data[c].Kind() {
-					return nil, fmt.Errorf("dataframe: column %v has conflicting kinds %s and %s", k, kinds[enc], f.data[c].Kind())
+			if kind, seen := kinds[enc]; seen {
+				if kind != f.data[c].Kind() {
+					return nil, fmt.Errorf("dataframe: column %v has conflicting kinds %s and %s", k, kind, f.data[c].Kind())
 				}
 				continue
 			}
-			seen[enc] = true
 			kinds[enc] = f.data[c].Kind()
 			keys = append(keys, k.Copy())
+			encs = append(encs, enc)
 		}
 	}
 	// Build output frame column-at-a-time.
@@ -704,7 +705,7 @@ func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
 	}
 	cols := make([]*Series, len(keys))
 	for i, k := range keys {
-		cols[i] = NewSeries(k.Leaf(), kinds[k.encode()])
+		cols[i] = NewSeries(k.Leaf(), kinds[encs[i]])
 	}
 	for _, f := range frames {
 		for l := range levels {
@@ -712,9 +713,9 @@ func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
 				return nil, err
 			}
 		}
-		for i, k := range keys {
-			pos := f.cols.Find(k)
-			if pos < 0 {
+		for i := range keys {
+			pos, ok := f.cols.lookup[encs[i]]
+			if !ok {
 				cols[i].AppendNulls(f.NRows())
 				continue
 			}

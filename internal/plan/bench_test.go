@@ -56,10 +56,11 @@ func benchEnsemble(b *testing.B, seg int) []*profile.Profile {
 	return out
 }
 
-// benchStore builds the multi-segment store with the decoded-column
-// cache disabled, so every Naive iteration pays the full decode the
-// compiled path is designed to avoid.
-func benchStore(b *testing.B) *store.Store {
+// benchStore builds the multi-segment store with the given column
+// cache budget (store.Options.CacheBytes). The cold pairs disable the
+// cache, so every Naive iteration pays the full decode the compiled path
+// is designed to avoid.
+func benchStore(b *testing.B, cacheBytes int64) *store.Store {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.tks")
 	mk := func(seg int) *core.Thicket {
@@ -72,7 +73,7 @@ func benchStore(b *testing.B) *store.Store {
 	if err := store.Create(path, mk(0)); err != nil {
 		b.Fatal(err)
 	}
-	st, err := store.OpenWithOptions(path, store.Options{CacheBytes: -1})
+	st, err := store.OpenWithOptions(path, store.Options{CacheBytes: cacheBytes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,6 +104,35 @@ func fullScanPred(b *testing.B) []plan.Predicate {
 		b.Fatal(err)
 	}
 	return preds
+}
+
+// warmPreds is a question of the adhoc workload's shape: a prunable id
+// range that keeps the last three segments, and a broad predicate that
+// most of their profiles pass.
+func warmPreds(b *testing.B) []plan.Predicate {
+	b.Helper()
+	preds, err := plan.Compile([]string{fmt.Sprintf("id>=%d", (benchSegments-3)*benchIDStride), "group!=g0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return preds
+}
+
+// warmStore builds the store with the default column cache and warms
+// it, and the plan's per-segment parts, with one naive load and one
+// compiled run of preds; it returns the naive answer's profile count.
+// The warm pair thus times per-request work, not block decode.
+func warmStore(b *testing.B, preds []plan.Predicate) (*store.Store, int) {
+	b.Helper()
+	st := benchStore(b, 0)
+	th, err := st.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := plan.ExecuteStore(st, preds); err != nil {
+		b.Fatal(err)
+	}
+	return st, plan.NaiveFilter(th, preds).NumProfiles()
 }
 
 func runNaive(b *testing.B, st *store.Store, preds []plan.Predicate, wantRows int) {
@@ -143,21 +173,33 @@ func runPlan(b *testing.B, st *store.Store, preds []plan.Predicate, wantRows int
 }
 
 func BenchmarkQuerySelectiveNaive(b *testing.B) {
-	st := benchStore(b)
+	st := benchStore(b, -1)
 	runNaive(b, st, selectivePred(b), benchProfiles)
 }
 
 func BenchmarkQuerySelectivePlan(b *testing.B) {
-	st := benchStore(b)
+	st := benchStore(b, -1)
 	runPlan(b, st, selectivePred(b), benchProfiles)
 }
 
 func BenchmarkQueryFullScanNaive(b *testing.B) {
-	st := benchStore(b)
+	st := benchStore(b, -1)
 	runNaive(b, st, fullScanPred(b), benchSegments*benchProfiles)
 }
 
 func BenchmarkQueryFullScanPlan(b *testing.B) {
-	st := benchStore(b)
+	st := benchStore(b, -1)
 	runPlan(b, st, fullScanPred(b), benchSegments*benchProfiles)
+}
+
+func BenchmarkQueryWarmNaive(b *testing.B) {
+	preds := warmPreds(b)
+	st, want := warmStore(b, preds)
+	runNaive(b, st, preds, want)
+}
+
+func BenchmarkQueryWarmPlan(b *testing.B) {
+	preds := warmPreds(b)
+	st, want := warmStore(b, preds)
+	runPlan(b, st, preds, want)
 }

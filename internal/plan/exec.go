@@ -93,9 +93,12 @@ const (
 // segments: predicates resolve against the union schema assembled from
 // headers, zone maps and dictionary pages prune whole segments before
 // any block decodes, survivors evaluate vectorized, and only surviving
-// rows materialize. The result is bit-identical to
-// NaiveFilter(store.Load()) — same frames, same row order, same errors
-// on unknown columns.
+// rows materialize, in one concatenation per frame. The result is
+// bit-identical to NaiveFilter(store.Load()) — same frames, same row
+// order, same errors on unknown columns. Its call tree is the store's
+// union tree for the layout it read, shared read-only with every other
+// result over that layout, as the server's resident thicket is shared;
+// its frames and stats table are its own.
 func ExecuteStore(st *store.Store, preds []Predicate) (*core.Thicket, ExecStats, error) {
 	out, es, _, err := executeStore(context.Background(), st, preds, execRun)
 	return out, es, err
@@ -113,7 +116,8 @@ func ExecuteStoreCtx(ctx context.Context, st *store.Store, preds []Predicate) (*
 // together with its measured plan tree (EXPLAIN ANALYZE): per-segment
 // verdicts with the deciding predicate, per-column block accounting,
 // and per-stage wall times. The filtered thicket and ExecStats are
-// bit-identical to ExecuteStore's.
+// bit-identical to ExecuteStore's, and the thicket likewise shares the
+// store's union call tree read-only.
 func AnalyzeStore(ctx context.Context, st *store.Store, preds []Predicate) (*core.Thicket, *Explain, error) {
 	out, _, ex, err := executeStore(ctx, st, preds, execAnalyze)
 	return out, ex, err
@@ -176,8 +180,11 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		return finish(err)
 	}
 
+	// A single-segment store keeps its stored stats table, as Load does.
 	withStats := nseg == 1
-	thickets := make([]*core.Thicket, 0, nseg)
+	var stats *dataframe.Frame
+	perfs := make([]*dataframe.Frame, 0, nseg)
+	metas := make([]*dataframe.Frame, 0, nseg)
 	for i := 0; i < nseg; i++ {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
@@ -211,11 +218,11 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			}
 			if mode != execPlanOnly {
 				stageTo(ctx, StageMaterialize)
-				th, err := sv.EmptyThicket(ctx, withStats)
+				part, err := sv.Empty(ctx, withStats)
 				if err != nil {
 					return finish(err)
 				}
-				thickets = append(thickets, th)
+				perfs, metas, stats = append(perfs, part.Perf), append(metas, part.Meta), part.Stats
 				lap(&stages.MaterializeNS)
 				stageTo(ctx, StagePrune)
 			}
@@ -239,11 +246,11 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			continue
 		}
 		stageTo(ctx, StageFilter)
-		th, err := sv.LoadThicket(ctx, withStats)
+		part, err := sv.Scan(ctx, withStats)
 		if err != nil {
 			return finish(err)
 		}
-		sel := evalSegment(th.Metadata, preds, res)
+		sel := evalSegment(part.Meta, preds, res)
 		lap(&stages.FilterNS)
 		es.RowsMaterialized += len(sel)
 		se.RowsMatched = len(sel)
@@ -251,14 +258,12 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			ex.Segments = append(ex.Segments, se)
 		}
 		stageTo(ctx, StageMaterialize)
-		if len(sel) == nrows {
-			// Every row survives; the filter copy would be an identity.
-			thickets = append(thickets, th)
-			lap(&stages.MaterializeNS)
-			stageTo(ctx, StagePrune)
-			continue
+		// When every row survives, the selection would be an identity.
+		perf, meta := part.Perf, part.Meta
+		if len(sel) != nrows {
+			perf, meta = selectProfiles(part, sel)
 		}
-		thickets = append(thickets, th.SelectProfiles(sel))
+		perfs, metas, stats = append(perfs, perf), append(metas, meta), part.Stats
 		lap(&stages.MaterializeNS)
 		stageTo(ctx, StagePrune)
 	}
@@ -267,21 +272,39 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		return nil, es, ex, nil
 	}
 	stageTo(ctx, StageMaterialize)
-	if len(thickets) == 1 {
-		if ex != nil {
-			ex.Stats, ex.Stages = es, stages
-		}
-		return thickets[0], es, ex, nil
-	}
-	out, err := core.ConcatProfiles(thickets)
+	tree, err := sn.Tree()
 	if err != nil {
 		return finish(err)
+	}
+	out, err := core.ConcatFrames(tree, perfs, metas, sn.ProfileLevel())
+	if err != nil {
+		return finish(err)
+	}
+	if stats != nil {
+		out.Stats = stats.Copy()
 	}
 	lap(&stages.MaterializeNS)
 	if ex != nil {
 		ex.Stats, ex.Stages = es, stages
 	}
 	return out, es, ex, nil
+}
+
+// selectProfiles keeps one scanned segment's metadata rows in sel and
+// the perf rows of their profiles, each in row order, as the naive
+// filter keeps them; the segment's ordinals find the perf rows.
+func selectProfiles(part store.SegmentPart, sel dataframe.Sel) (perf, meta *dataframe.Frame) {
+	picked := make([]bool, part.Meta.NRows())
+	for _, r := range sel {
+		picked[r] = true
+	}
+	rows := make([]int, 0, len(part.Ordinals))
+	for r, o := range part.Ordinals {
+		if o >= 0 && picked[o] {
+			rows = append(rows, r)
+		}
+	}
+	return part.Perf.SelectRows(rows), part.Meta.SelectRows(dataframe.SelToRows(sel))
 }
 
 // addSegmentColumns folds one segment's meta+perf blocks into the

@@ -60,7 +60,7 @@ var idPools = map[dataframe.Kind][]dataframe.Value{
 		dataframe.Int64(-1), dataframe.Int64(math.MaxInt64), dataframe.Int64(100)},
 	dataframe.Float: {dataframe.Float64(0), dataframe.Float64(math.Copysign(0, -1)),
 		dataframe.Float64(1), dataframe.Float64(2.5), dataframe.Float64(100.5),
-		dataframe.Float64(math.NaN())},
+		dataframe.Float64(math.NaN()), dataframe.Float64(math.Inf(1)), dataframe.Float64(math.Inf(-1))},
 	dataframe.String: {dataframe.Str("a"), dataframe.Str("b"), dataframe.Str(""),
 		dataframe.Str("1"), dataframe.Str("n")},
 }

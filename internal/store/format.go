@@ -594,8 +594,9 @@ func decodeStringDict(payload []byte, name string, n int, isNull func(int) bool,
 // every comparison against the map, so the only sound statistic for
 // such a column is no statistic — a planner must scan, never skip.
 // (Store-decoded nulls carry zero payloads and don't trip this; the
-// null bitmap plus the header's null count covers them.) Non-numeric
-// or value-free series also get (nil, nil).
+// null bitmap plus the header's null count covers them.) A non-null ±Inf
+// opens the map too: the JSON header cannot hold an infinite bound.
+// Non-numeric or value-free series also get (nil, nil).
 func numericRange(s *dataframe.Series) (minp, maxp *float64) {
 	if s.Kind() != dataframe.Float && s.Kind() != dataframe.Int {
 		return nil, nil
@@ -631,6 +632,9 @@ func numericRange(s *dataframe.Series) (minp, maxp *float64) {
 		for i, f := range s.FloatData() {
 			if nulls[i] {
 				continue
+			}
+			if math.IsInf(f, 0) {
+				return nil, nil
 			}
 			if !seen {
 				lo, hi, seen = f, f, true

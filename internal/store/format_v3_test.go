@@ -18,6 +18,13 @@ func TestNumericRangeNaNOpen(t *testing.T) {
 		t.Fatalf("NaN payload should yield open map, got %v %v", lo, hi)
 	}
 
+	// An infinite bound cannot be written into the JSON header.
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		if lo, hi := numericRange(dataframe.NewFloatSeries("f", []float64{1, inf})); lo != nil || hi != nil {
+			t.Fatalf("%v should yield open map, got %v %v", inf, lo, hi)
+		}
+	}
+
 	clean := dataframe.NewFloatSeries("f", []float64{2.5, -1, 7})
 	lo, hi := numericRange(clean)
 	if lo == nil || hi == nil || *lo != -1 || *hi != 7 {

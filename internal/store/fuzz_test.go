@@ -14,7 +14,7 @@ import (
 // seedBlocks returns one valid encoded block per scalar kind, with
 // nulls sprinkled in.
 func seedBlocks(t interface{ Fatal(...any) }) [][]byte {
-	f := dataframe.NewFloatSeries("f", []float64{1.5, math.NaN(), -0.25, math.Inf(1)})
+	f := dataframe.NewFloatSeries("f", []float64{1.5, math.NaN(), -0.25, math.Inf(1), math.Inf(-1)})
 	i := dataframe.NewIntSeries("i", []int64{0, -9007199254740993, 42})
 	s := dataframe.NewStringSeries("s", []string{"", "hello", "περφ"})
 	b := dataframe.NewBoolSeries("b", []bool{true, false, true})

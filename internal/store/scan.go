@@ -16,10 +16,12 @@ import (
 // predicate — whether any row can match before a single block is
 // decoded. It exposes exactly what the planner needs and nothing more:
 // per-column min/max/null statistics from the header, dictionary-page
-// membership probes that parse only a block's word table, and
-// constructors for both the full segment thicket (survivors) and the
-// schema-only empty thicket (pruned segments still contribute their
-// column schema and tree paths to a multi-segment union).
+// membership probes that parse only a block's word table, each
+// segment's part of a result (its decoded frames when scanned, its
+// schema-only frames when pruned: a pruned segment still contributes its
+// column schema to a multi-segment union), and the union call tree.
+// What these cost beyond the block reads is paid once per segment, or
+// once per layout for the union tree, not once per query.
 
 // Exported frame names for Snapshot consumers.
 const (
@@ -50,14 +52,15 @@ type ColumnStats struct {
 type Snapshot struct {
 	st      *Store
 	segs    []*segment
+	gen     int64 // layout generation of exactly segs
 	release func()
 }
 
 // Snapshot pins the live segment set for header-level planning and
 // block reads.
 func (s *Store) Snapshot() *Snapshot {
-	segs, release := s.pin()
-	return &Snapshot{st: s, segs: segs, release: release}
+	segs, gen, _, release := s.pinAt()
+	return &Snapshot{st: s, segs: segs, gen: gen, release: release}
 }
 
 // Release unpins the snapshot's segments.
@@ -93,17 +96,6 @@ func (v SegmentView) NRows(frame string) int {
 		return fm.NRows
 	}
 	return 0
-}
-
-// Tree rebuilds the segment's call tree from header paths alone.
-func (v SegmentView) Tree() (*calltree.Tree, error) {
-	tree := calltree.New()
-	for i, p := range v.seg.header.TreePaths {
-		if _, err := tree.AddPath(p); err != nil {
-			return nil, fmt.Errorf("store: %s: segment g%d tree path %d: %w", v.st.path, v.seg.gen, i, err)
-		}
-	}
-	return tree, nil
 }
 
 // Columns describes the named frame's blocks — index levels first, then
@@ -196,40 +188,158 @@ func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (boo
 	return false, nil
 }
 
-// LoadThicket materializes the full segment thicket (the survivor path).
-// withStats controls whether the stored stats frame decodes; pass true
-// only for a single-segment store, matching Store.Load. ctx is checked
-// at every block boundary and wired to the context's ScanObserver.
-func (v SegmentView) LoadThicket(ctx context.Context, withStats bool) (*core.Thicket, error) {
-	return v.st.loadSegment(ctx, nil, v.seg, nil, withStats)
+// SegmentPart is one segment's share of a where= result: its perf and
+// metadata frames and, when the store has this one segment, its stored
+// stats table. The frames of a scanned segment hold cached column data
+// and those of a pruned one are shared: callers must not modify either.
+type SegmentPart struct {
+	Perf, Meta *dataframe.Frame
+	Stats      *dataframe.Frame // nil unless requested
+	// Ordinals maps each Perf row onto its profile's Meta row (Scan only).
+	Ordinals []int32
 }
 
-// EmptyThicket builds the segment's zero-row thicket from the header
-// alone: full tree, meta/perf frames with the right schema and no rows.
-// No meta or perf block is read; with withStats the stored stats frame
-// still decodes under ctx (a pruned single-segment store must reproduce
-// the stats table the naive path carries over).
-func (v SegmentView) EmptyThicket(ctx context.Context, withStats bool) (*core.Thicket, error) {
-	tree, err := v.Tree()
-	if err != nil {
-		return nil, err
+// headPart is what a segment contributes from its header alone: its
+// call tree and schema-only perf and metadata frames.
+type headPart struct {
+	tree       *calltree.Tree
+	perf, meta *dataframe.Frame
+}
+
+// head returns the segment's kept header part, or builds one that no
+// check has passed yet (kept false).
+func (v SegmentView) head() (hp *headPart, kept bool, err error) {
+	if hp := v.seg.head.Load(); hp != nil {
+		return hp, true, nil
+	}
+	tree := calltree.New()
+	for i, p := range v.seg.header.TreePaths {
+		if _, err := tree.AddPath(p); err != nil {
+			return nil, false, fmt.Errorf("store: %s: segment g%d tree path %d: %w", v.st.path, v.seg.gen, i, err)
+		}
 	}
 	perf, err := v.EmptyFrame(framePerf)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	meta, err := v.EmptyFrame(frameMeta_)
 	if err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	return &headPart{tree: tree, perf: perf, meta: meta}, false, nil
+}
+
+// check checks a header part, and the stored stats table when given, as
+// core.FromParts checks a thicket, and keeps the part once it passes.
+func (v SegmentView) check(hp *headPart, kept bool, stats *dataframe.Frame) error {
+	if kept && stats == nil {
+		return nil
+	}
+	if _, err := core.FromParts(hp.tree, hp.perf, hp.meta, stats, v.seg.header.ProfileLevel); err != nil {
+		return err
+	}
+	v.seg.head.CompareAndSwap(nil, hp)
+	return nil
+}
+
+// Scan decodes the segment's perf and metadata frames — and, with
+// withStats, its stored stats table; pass true only for a single-segment
+// store, matching Store.Load — through the column cache, reading the
+// blocks Store.Load reads, in the same order. ctx is checked at every
+// block boundary and wired to the context's ScanObserver. The first scan
+// checks the frames against the segment's tree as core.FromParts does
+// and, once that passes, keeps the check's verdict and the profile
+// ordinals; a segment that fails fails every scan with the same error.
+func (v SegmentView) Scan(ctx context.Context, withStats bool) (SegmentPart, error) {
+	hp, kept, err := v.head()
+	if err != nil {
+		return SegmentPart{}, err
+	}
+	perf, err := v.st.loadFrame(ctx, nil, v.seg, framePerf, nil)
+	if err != nil {
+		return SegmentPart{}, err
+	}
+	meta, err := v.st.loadFrame(ctx, nil, v.seg, frameMeta_, nil)
+	if err != nil {
+		return SegmentPart{}, err
 	}
 	var stats *dataframe.Frame
 	if withStats {
-		stats, err = v.st.loadFrame(ctx, nil, v.seg, frameStats, nil)
+		if stats, err = v.st.loadFrame(ctx, nil, v.seg, frameStats, nil); err != nil {
+			return SegmentPart{}, err
+		}
+	}
+	ords := v.seg.ords.Load()
+	if ords == nil {
+		th, err := core.FromParts(hp.tree, perf, meta, stats, v.seg.header.ProfileLevel)
+		if err != nil {
+			return SegmentPart{}, err
+		}
+		o := th.ProfileOrdinals()
+		v.seg.ords.CompareAndSwap(nil, &o)
+		ords = v.seg.ords.Load()
+		// The decoded frames carry the header's schema, so the header
+		// part passes its own check too.
+		v.seg.head.CompareAndSwap(nil, hp)
+	} else if err := v.check(hp, kept, stats); err != nil {
+		return SegmentPart{}, err
+	}
+	return SegmentPart{Perf: perf, Meta: meta, Stats: stats, Ordinals: *ords}, nil
+}
+
+// Empty returns a pruned segment's part from the header alone: zero-row
+// perf and metadata frames with the segment's schema. No meta or perf
+// block is read; with withStats the stored stats table still decodes
+// under ctx (a pruned single-segment store must reproduce the stats
+// table the naive path carries over). The header part is checked as
+// core.FromParts checks a thicket, and kept once that passes.
+func (v SegmentView) Empty(ctx context.Context, withStats bool) (SegmentPart, error) {
+	hp, kept, err := v.head()
+	if err != nil {
+		return SegmentPart{}, err
+	}
+	var stats *dataframe.Frame
+	if withStats {
+		if stats, err = v.st.loadFrame(ctx, nil, v.seg, frameStats, nil); err != nil {
+			return SegmentPart{}, err
+		}
+	}
+	if err := v.check(hp, kept, stats); err != nil {
+		return SegmentPart{}, err
+	}
+	return SegmentPart{Perf: hp.perf, Meta: hp.meta, Stats: stats}, nil
+}
+
+// unionTree is the union call tree of one layout generation.
+type unionTree struct {
+	gen  int64
+	tree *calltree.Tree
+}
+
+// Tree returns the union of the snapshot's segment call trees, in
+// layout order: the tree Store.Load's concatenation builds. It is built
+// once per layout generation and shared by every caller: read-only.
+func (sn *Snapshot) Tree() (*calltree.Tree, error) {
+	if u := sn.st.union.Load(); u != nil && u.gen == sn.gen {
+		return u.tree, nil
+	}
+	trees := make([]*calltree.Tree, len(sn.segs))
+	for i := range sn.segs {
+		hp, _, err := sn.Segment(i).head()
 		if err != nil {
 			return nil, err
 		}
+		trees[i] = hp.tree
 	}
-	return core.FromParts(tree, perf, meta, stats, v.seg.header.ProfileLevel)
+	u := &unionTree{gen: sn.gen, tree: calltree.Union(trees...)}
+	// Keep the newest layout's tree: an older snapshot finishing late
+	// must not evict it.
+	for {
+		old := sn.st.union.Load()
+		if old != nil && old.gen > u.gen || sn.st.union.CompareAndSwap(old, u) {
+			return u.tree, nil
+		}
+	}
 }
 
 // EmptyFrame builds a zero-row frame with the named frame's exact

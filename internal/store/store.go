@@ -52,6 +52,13 @@ type segment struct {
 	// Built on first use (profileIndex); the segment is immutable, so it
 	// never goes stale.
 	profiles atomic.Pointer[dataframe.Index]
+
+	// head and ords are the segment's memoized parts for where= queries
+	// (SegmentView.Empty and Scan): the header part, and each perf row's
+	// metadata row. Each is kept only once its check has passed, and,
+	// like profiles, lives as long as the segment.
+	head atomic.Pointer[headPart]
+	ords atomic.Pointer[[]int32]
 }
 
 // acquire pins the segment for a reader.
@@ -126,6 +133,10 @@ type Store struct {
 	nextSegGen   int64 // allocator for per-segment stamps
 	profileLevel string
 	cache        *columnCache
+
+	// union is the call tree over the live segments, built once per
+	// layout generation (Snapshot.Tree).
+	union atomic.Pointer[unionTree]
 
 	genGauge *telemetry.Gauge // mirrors gen into the registry
 }

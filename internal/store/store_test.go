@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -481,6 +482,88 @@ func TestAppendRejectsMismatchedProfileLevel(t *testing.T) {
 				t.Fatalf("%s: load after refused append: %v", label, err)
 			}
 			assertThicketsEqual(t, label, th, got)
+		}
+	}
+}
+
+// infEnsemble is randomEnsemble with ±Inf planted in the "time" metric
+// and in a float metadata column, "bound", of every profile.
+func infEnsemble(t *testing.T, seed int64, idBase int64, n int) []*profile.Profile {
+	t.Helper()
+	profiles := randomEnsemble(t, seed, n)
+	for i, p := range profiles {
+		p.SetMeta("id", dataframe.Int64(idBase+int64(i)))
+		inf := math.Inf(1 - 2*(i%2))
+		p.SetMeta("bound", dataframe.Float64(inf))
+		if err := p.AddSample([]string{"main"}, map[string]dataframe.Value{"time": dataframe.Float64(-inf)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return profiles
+}
+
+// TestInfRoundTrip: float columns holding ±Inf, in metrics and in
+// metadata, must survive Create, Append and compaction in both layouts.
+// An infinite bound cannot go into the JSON header, so such blocks carry
+// no zone map.
+func TestInfRoundTrip(t *testing.T) {
+	first, second := infEnsemble(t, 61, 0, 3), infEnsemble(t, 62, 100, 4)
+	compose := func(ps []*profile.Profile) *core.Thicket {
+		th, err := core.FromProfiles(ps, core.Options{IndexBy: "id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	th1 := compose(first)
+	for _, layout := range []string{"file", "dir"} {
+		path := filepath.Join(t.TempDir(), "inf")
+		create := store.Create
+		if layout == "dir" {
+			create = store.CreateDir
+		}
+		if err := create(path, th1); err != nil {
+			t.Fatalf("%s: create: %v", layout, err)
+		}
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		got, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertThicketsEqual(t, layout+" create", th1, got)
+
+		if err := s.Append(compose(second)); err != nil {
+			t.Fatalf("%s: append: %v", layout, err)
+		}
+		want, err := core.ConcatProfiles([]*core.Thicket{th1, compose(second)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = s.Load(); err != nil {
+			t.Fatal(err)
+		}
+		assertThicketsEqual(t, layout+" append", want, got)
+
+		if layout == "dir" {
+			if err := ingest.CompactAll(s); err != nil {
+				t.Fatalf("compact: %v", err)
+			}
+			if s.NumSegments() != 1 {
+				t.Fatalf("compacted to %d segments, want 1", s.NumSegments())
+			}
+			if got, err = s.Load(); err != nil {
+				t.Fatal(err)
+			}
+			assertThicketsEqual(t, "compact", compose(append(first, second...)), got)
+		}
+		for _, c := range s.Info().MetaColumns {
+			if c.Key.Leaf() == "bound" && c.Kind != "float" {
+				t.Fatalf("%s: bound stored as %s", layout, c.Kind)
+			}
 		}
 	}
 }

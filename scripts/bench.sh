@@ -67,8 +67,11 @@
 #   Compiled-query-path benchmark pairs: Naive (full store load, then
 #   the boxed row-at-a-time reference filter) vs Plan (zone-map
 #   predicate pushdown + vectorized filters + late materialization)
-#   over an 8-segment store with disjoint id ranges and the decoded-
-#   column cache disabled. Writes BENCH_query.json and gates: the
+#   over an 8-segment store with disjoint id ranges. The Selective and
+#   FullScan pairs disable the decoded-column cache; the Warm pair turns
+#   it on and warms it, so it times per-request assembly on a
+#   two-predicate question of the adhoc shape (one prunable predicate,
+#   one broad). Writes BENCH_query.json and gates: the
 #   selective pair must speed up at least MIN_SPEEDUP (default 2), its
 #   zone maps must skip more than MIN_SKIP_RATE (default 0.5) of
 #   blocks, and the full-scan pair — where pushdown can prune nothing —
@@ -119,7 +122,7 @@ query_mode() {
 	END {
 		fail = 0
 		printf "{\n"
-		printf "  \"description\": \"Compiled query path vs naive load-then-filter over an %d-segment store (disjoint id ranges, decoded-column cache disabled). Selective: predicate provably confined to one segment, zone maps skip the rest before any decode. FullScan: predicate matches everything, so pushdown prunes nothing and the pair pins pure plan overhead.\",\n", 8
+		printf "  \"description\": \"Compiled query path vs naive load-then-filter over an %d-segment store (disjoint id ranges). Selective and FullScan disable the decoded-column cache. Selective: predicate provably confined to one segment, zone maps skip the rest before any decode. FullScan: predicate matches everything, so pushdown prunes nothing and the pair pins pure plan overhead. Warm: column cache on and warmed before timing, with a prunable id range plus a broad group predicate (the adhoc shape), so the pair times per-request assembly rather than block decode.\",\n", 8
 		printf "  \"benchtime\": \"%s\",\n", benchtime
 		printf "  \"gates\": { \"min_selective_speedup\": %s, \"min_skip_rate\": %s, \"max_fullscan_regression_pct\": %s },\n", minspeed, minskip, maxreg
 		printf "  \"environment\": { \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\" },\n", goos, goarch, cpu

@@ -288,7 +288,9 @@ func DescribePredicates(preds []Predicate) string { return plan.Describe(preds) 
 // against a store: segment zone maps and dictionary membership prune
 // whole segments before any column decode, survivors are filtered
 // vectorized, and only matching profiles are materialized. The result
-// is bit-identical to loading everything and filtering in memory.
+// is bit-identical to loading everything and filtering in memory. Its
+// call tree is shared, read-only, with every other result over the same
+// store layout.
 func FilterStore(st *Store, preds []Predicate) (*Thicket, PlanStats, error) {
 	return plan.ExecuteStore(st, preds)
 }
@@ -318,7 +320,8 @@ func ExplainStore(st *Store, preds []Predicate) (*QueryPlan, error) {
 
 // AnalyzeStore executes the pushdown filter and returns the filtered
 // thicket together with its measured plan tree (EXPLAIN ANALYZE). The
-// result is bit-identical to FilterStore's.
+// result is bit-identical to FilterStore's and shares its call tree the
+// same way.
 func AnalyzeStore(st *Store, preds []Predicate) (*Thicket, *QueryPlan, error) {
 	return plan.AnalyzeStore(context.Background(), st, preds)
 }
