@@ -33,12 +33,12 @@
 //	convert    Caliper json-split → native        -caliper in.json -o out.json (no -dir needed)
 //	compose    horizontal multi-tool composition  -dirs a,b -groups CPU,GPU -index-by col [-o out.json]
 //	store      columnar ensemble store ops        store <create|append|info|ls> -store file.tks [-dir profiles/]
-//	serve      HTTP query service (thicketd)      serve -store file.tks [-addr :8080]
 //	monitor    live self-monitoring view          monitor -target http://host:8080 [-window 5m] [-metrics go_,rate] [-watch]
 //
 // Profiles load from -dir (raw profile JSONs), -load (a serialized
 // thicket object written by save), or -ensemble-store (a binary
-// columnar store written by "thicket store create").
+// columnar store written by "thicket store create"). The HTTP query
+// service over a store is the separate thicketd command.
 package main
 
 import (
@@ -81,14 +81,10 @@ func run(args []string, w io.Writer) (err error) {
 		return fmt.Errorf("missing subcommand")
 	}
 	cmd := args[0]
-	// store, serve and ingest own their flag sets; dispatch before the
+	// store, ingest and monitor own their flag sets; dispatch before the
 	// shared EDA flags are parsed.
 	if cmd == "store" {
 		storeCmd(args[1:])
-		return
-	}
-	if cmd == "serve" {
-		serveCmd(args[1:])
 		return
 	}
 	if cmd == "ingest" {
@@ -241,24 +237,16 @@ func run(args []string, w io.Writer) (err error) {
 		var rm func(n *thicket.Node) (string, bool)
 		if *metric != "" {
 			// Annotate with mean across profiles.
-			sums := map[string][2]float64{}
-			col, err := th.PerfData.Column(thicket.ColKey{*metric})
+			means, err := th.NodeMeans(thicket.ColKey{*metric})
 			if err != nil {
 				fatal(err)
 			}
-			lv := th.PerfData.Index().LevelByName(thicket.NodeLevel)
-			for r := 0; r < th.PerfData.NRows(); r++ {
-				if v, ok := col.At(r).AsFloat(); ok {
-					acc := sums[lv.At(r).Str()]
-					sums[lv.At(r).Str()] = [2]float64{acc[0] + v, acc[1] + 1}
-				}
-			}
 			rm = func(n *thicket.Node) (string, bool) {
-				acc, ok := sums[n.PathString()]
-				if !ok || acc[1] == 0 {
+				m, ok := means[n.PathString()]
+				if !ok {
 					return "", false
 				}
-				return fmt.Sprintf("%.4g", acc[0]/acc[1]), true
+				return fmt.Sprintf("%.4g", m), true
 			}
 		}
 		fmt.Fprint(stdout, th.Tree.DOT("thicket", rm))
@@ -528,7 +516,7 @@ func splitKeys(arg string) []thicket.ColKey {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: thicket <metadata|perf|tree|treetable|stats|filter|explain|groupby|query|summary|model|model2|imbalance|hist|box|groupstats|pivot|dot|describe|export|save|convert|compose|store|serve|ingest|monitor> -dir profiles/ [flags]
+	fmt.Fprintln(os.Stderr, `usage: thicket <metadata|perf|tree|treetable|stats|filter|explain|groupby|query|summary|model|model2|imbalance|hist|box|groupstats|pivot|dot|describe|export|save|convert|compose|store|ingest|monitor> -dir profiles/ [flags]
 run "thicket <subcommand> -h" for flags`)
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +101,29 @@ func TestCLISubcommands(t *testing.T) {
 	out = invoke(t, "dot", "-dir", dir)
 	if !strings.Contains(out, "digraph") {
 		t.Errorf("dot output:\n%s", out)
+	}
+
+	// -metric prefixes each label with the node's mean across profiles.
+	profiles, err := profile.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, p := range profiles {
+		root := p.Tree().Nodes()[0]
+		cell, _ := p.Metric(root.Key(), "Avg time/rank")
+		v, ok := cell.AsFloat()
+		if root.PathString() != "main" || !ok {
+			t.Fatalf("profile lacks Avg time/rank at main")
+		}
+		sum += v
+	}
+	out = invoke(t, "dot", "-dir", dir, "-metric", "Avg time/rank")
+	if want := fmt.Sprintf(`label="%.4g\nmain"`, sum/float64(len(profiles))); !strings.Contains(out, want) {
+		t.Errorf("dot -metric output lacks %s:\n%s", want, out)
+	}
+	if err := run([]string{"dot", "-dir", dir, "-metric", "nosuchmetric"}, &strings.Builder{}); err == nil {
+		t.Error("dot -metric with an unknown metric should fail")
 	}
 
 	out = invoke(t, "describe", "-dir", dir)

@@ -1,17 +1,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	thicket "repro"
 	"repro/internal/dataframe"
-	"repro/internal/server"
 )
 
 // storeCmd implements `thicket store <action>` over the binary columnar
@@ -99,46 +93,6 @@ func storeCmd(args []string) {
 	default:
 		fatal(fmt.Errorf("unknown store action %q (want create, append, info, or ls)", action))
 	}
-}
-
-// serveCmd implements `thicket serve -store file.tks [-addr :8080]` —
-// the in-process form of the thicketd daemon.
-func serveCmd(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	storePath := fs.String("store", "", "path of the ensemble store file (required)")
-	addr := fs.String("addr", ":8080", "listen address")
-	timeout := fs.Duration("timeout", 15*time.Second, "per-request timeout")
-	maxConc := fs.Int("max-concurrent", 64, "maximum concurrently executing requests")
-	cacheBytes := fs.Int64("cache-bytes", 0, "response cache budget in bytes (0 = 16 MiB default, negative disables)")
-	slowQuery := fs.Duration("slow-query", time.Second, "slow-request log threshold (negative disables)")
-	traceOut := fs.String("trace-out", "", "self-profile: write collected telemetry spans as Chrome trace_event JSON here (plus a native .profile.json) on shutdown")
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if *storePath == "" {
-		fatal(fmt.Errorf("serve requires -store <file>"))
-	}
-	if *traceOut != "" {
-		defer startTrace(*traceOut)()
-	}
-	st := openStore(*storePath)
-	defer st.Close()
-	th, err := st.Load()
-	if err != nil {
-		fatal(err)
-	}
-	srv := server.New(th, st, server.Options{
-		MaxConcurrent: *maxConc, Timeout: *timeout, CacheBytes: *cacheBytes,
-		SlowQuery: *slowQuery, Registry: thicket.DefaultMetrics(),
-	})
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintf(stdout, "thicketd: serving %d profiles from %s on %s\n",
-		th.NumProfiles(), *storePath, *addr)
-	if err := srv.Serve(ctx, *addr); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(stdout, "thicketd: shut down after %d requests\n", srv.Requests())
 }
 
 // openStore opens a store, aborting the subcommand on failure.

@@ -80,7 +80,6 @@ func TestStoreSubcommandErrors(t *testing.T) {
 		{"create missing dir", []string{"store", "create", "-store", storePath}, "-dir"},
 		{"open names path", []string{"store", "info", "-store", filepath.Join(dir, "absent.tks")}, "absent.tks"},
 		{"duplicate append", []string{"store", "append", "-store", storePath, "-dir", dir}, "already present"},
-		{"serve missing store", []string{"serve"}, "-store"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

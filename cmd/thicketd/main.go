@@ -6,7 +6,7 @@
 // Usage:
 //
 //	thicketd -store ensemble.tks [-addr :8080] [-timeout 15s] [-max-concurrent 64]
-//	         [-query-timeout 0] [-slow-query 1s] [-debug-addr :6060] [-trace-out trace.json]
+//	         [-slow-query 1s] [-debug-addr :6060] [-trace-out trace.json]
 //	         [-trace-sample 1.0] [-self-profile-store self.tks] [-self-profile-interval 30s]
 //	         [-log-level info] [-inject-latency /api/stats=50ms]
 //	         [-ingest] [-ingest-wal path] [-ingest-queue 256] [-ingest-flush 16]
@@ -48,16 +48,16 @@
 // collapse, endpoint and span latency baselines) with a JSON file.
 // With -monitor-store, samples are periodically flushed as one profile
 // per interval into a dedicated ensemble store that `thicket
-// query/stats/serve` can analyze — the service's own operational
-// history as an ensemble. `thicket monitor -target` renders the ring
-// as a live top-like table.
+// query/stats` and thicketd itself can analyze — the service's own
+// operational history as an ensemble. `thicket monitor -target`
+// renders the ring as a live top-like table.
 //
 // Every analytical endpoint accepts explain=plan (prune verdicts from
 // headers alone, nothing executes) and explain=analyze (execute and
-// attach the measured plan tree to the response). -query-timeout
-// cancels a query's own context after the budget — scans notice at the
-// next block boundary, the request answers 503, and /debug/querylog
-// records the cancellation.
+// attach the measured plan tree to the response). -timeout bounds
+// every request: past it the client gets a 503 and the request context
+// is canceled, so a scan stops at the next block boundary and
+// /debug/querylog records the cancellation.
 //
 // With -ingest, profiles POSTed to /ingest are acked once durable in a
 // write-ahead log, flushed to small level-0 segments, and merged into
@@ -74,12 +74,12 @@
 // monitor's latency-baseline rules judge slow are always retained (with
 // -monitor-interval < 0 only head sampling keeps traces).
 // -self-profile-store appends each retained slow request trace to a
-// dedicated ensemble store that thicket query/serve can analyze — the
-// server's own performance forest. On
-// shutdown (including SIGINT/SIGTERM) -trace-out receives every retained
-// span tree as Chrome trace_event JSON plus a native thicket profile,
-// and the self-profile store is flushed — the trace tail is never
-// dropped. -debug-addr starts a second listener with net/http/pprof.
+// dedicated ensemble store that thicket query and thicketd can analyze
+// — the server's own performance forest. On shutdown (including
+// SIGINT/SIGTERM) -trace-out receives every retained span tree as
+// Chrome trace_event JSON plus a native thicket profile, and the
+// self-profile store is flushed — the trace tail is never dropped.
+// -debug-addr starts a second listener with net/http/pprof.
 package main
 
 import (
@@ -103,15 +103,14 @@ import (
 // config collects every flag so serve is testable without a real
 // command line.
 type config struct {
-	storePath    string
-	addr         string
-	timeout      time.Duration
-	queryTimeout time.Duration
-	maxConc      int
-	cacheBytes   int64
-	slowQuery    time.Duration
-	debugAddr    string
-	traceOut     string
+	storePath  string
+	addr       string
+	timeout    time.Duration
+	maxConc    int
+	cacheBytes int64
+	slowQuery  time.Duration
+	debugAddr  string
+	traceOut   string
 
 	traceSample     float64
 	selfProfilePath string
@@ -138,8 +137,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.storePath, "store", "", "path of the ensemble store file (required)")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.DurationVar(&cfg.timeout, "timeout", 15*time.Second, "per-request timeout")
-	flag.DurationVar(&cfg.queryTimeout, "query-timeout", 0, "cancel a query's own context after this long; scans stop at the next block boundary and answer 503 (0 disables)")
+	flag.DurationVar(&cfg.timeout, "timeout", 15*time.Second, "per-request timeout: answer 503 and cancel the request, so a scan stops at the next block boundary")
 	flag.IntVar(&cfg.maxConc, "max-concurrent", 64, "maximum concurrently executing requests")
 	flag.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "response cache budget in bytes (0 = 16 MiB default, negative disables)")
 	flag.DurationVar(&cfg.slowQuery, "slow-query", time.Second, "slow-request log threshold (negative disables)")
@@ -158,7 +156,7 @@ func main() {
 	flag.StringVar(&cfg.ingestSync, "ingest-sync", "batch", "WAL fsync policy: batch (group commit), always, none")
 	flag.DurationVar(&cfg.monitorInterval, "monitor-interval", 10*time.Second, "self-monitoring sample interval, also the latency-baseline window (negative disables the monitor and its alerts, and with them tail retention of slow traces: only -trace-sample head sampling keeps traces)")
 	flag.IntVar(&cfg.monitorRing, "monitor-ring", 0, "samples retained in the monitor ring (0 selects 720)")
-	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "flush monitor samples to this ensemble store (one profile per interval, queryable via thicket query/stats/serve)")
+	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "flush monitor samples to this ensemble store (one profile per interval, queryable via thicket query/stats or thicketd)")
 	flag.IntVar(&cfg.monitorFlush, "monitor-flush", 0, "monitor samples per history flush (0 selects 60); the tail flushes on shutdown")
 	flag.StringVar(&cfg.alertRulesPath, "alert-rules", "", "JSON alert-rules file (default: the shipped heap/GC/goroutine/ingest/cache/latency-baseline rule set)")
 	flag.IntVar(&cfg.injectLeak, "inject-leak", 0, "retain this many bytes of heap per monitor tick — the demo hook behind the heap-growth alert")
@@ -402,7 +400,6 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	serverOpts := thicket.ServerOptions{
 		MaxConcurrent: cfg.maxConc,
 		Timeout:       cfg.timeout,
-		QueryTimeout:  cfg.queryTimeout,
 		CacheBytes:    cfg.cacheBytes,
 		SlowQuery:     cfg.slowQuery,
 		Logger:        logger,

@@ -61,11 +61,11 @@ func (t *Thicket) LoadImbalance(maxMetric, avgMetric dataframe.ColKey) error {
 // Nodes absent from either side yield NaN. The result is a (node)-indexed
 // frame with one "speedup" column, ordered by t's tree.
 func (t *Thicket) SpeedupBetween(baseline *Thicket, metric dataframe.ColKey) (*dataframe.Frame, error) {
-	own, err := t.nodeMeans(metric)
+	own, err := t.NodeMeans(metric)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseline.nodeMeans(metric)
+	base, err := baseline.NodeMeans(metric)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline: %w", err)
 	}
@@ -89,8 +89,11 @@ func (t *Thicket) SpeedupBetween(baseline *Thicket, metric dataframe.ColKey) (*d
 	return dataframe.NewFrame(ix, dataframe.NewFloatSeries("speedup", vals))
 }
 
-// nodeMeans averages one metric per node across all profiles.
-func (t *Thicket) nodeMeans(metric dataframe.ColKey) (map[string]float64, error) {
+// NodeMeans averages one metric per call-tree node across all
+// profiles, keyed by node path. Null and non-numeric cells are skipped,
+// and nodes without a numeric cell are absent. Values are summed in
+// perf-row order, so every caller sees the same rounding.
+func (t *Thicket) NodeMeans(metric dataframe.ColKey) (map[string]float64, error) {
 	col, err := t.PerfData.Column(metric)
 	if err != nil {
 		return nil, err
@@ -177,7 +180,7 @@ func (t *Thicket) NodeFeatureMatrix(metrics []dataframe.ColKey) ([][]float64, []
 	}
 	means := make([]map[string]float64, len(metrics))
 	for i, mk := range metrics {
-		m, err := t.nodeMeans(mk)
+		m, err := t.NodeMeans(mk)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -559,27 +559,15 @@ func (t *Thicket) MetadataSummary(columns ...string) (*dataframe.Frame, error) {
 // metric (mean across profiles by default) — the display of Figures 8
 // and 2.
 func (t *Thicket) TreeString(metric dataframe.ColKey) string {
-	col, err := t.PerfData.Column(metric)
+	means, err := t.NodeMeans(metric)
 	if err != nil {
 		return t.Tree.Render(nil)
 	}
-	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
-	sums := map[string]float64{}
-	counts := map[string]float64{}
-	for r := 0; r < t.PerfData.NRows(); r++ {
-		v, ok := col.At(r).AsFloat()
-		if !ok {
-			continue
-		}
-		p := nodeLv.At(r).Str()
-		sums[p] += v
-		counts[p]++
-	}
 	return t.Tree.Render(func(n *calltree.Node) (string, bool) {
-		p := nodePath(n)
-		if counts[p] == 0 {
+		m, ok := means[nodePath(n)]
+		if !ok {
 			return "", false
 		}
-		return fmt.Sprintf("%.3f", sums[p]/counts[p]), true
+		return fmt.Sprintf("%.3f", m), true
 	})
 }

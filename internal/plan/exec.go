@@ -24,15 +24,13 @@ type ExecStats struct {
 	Rows             int `json:"rows"`              // total metadata rows in the store
 }
 
-// execMode selects how much an execution does and records.
+// execMode selects how far an execution goes.
 type execMode uint8
 
 const (
-	// execRun is the plain hot path: no plan tree, no timestamps.
-	execRun execMode = iota
 	// execAnalyze executes fully and records the Explain tree with
 	// measured block counts and stage times.
-	execAnalyze
+	execAnalyze execMode = iota
 	// execPlanOnly stops after the prune verdicts: no block decodes, no
 	// materialization; scanned counts are would-decode estimates.
 	execPlanOnly
@@ -98,29 +96,21 @@ const (
 // order, same errors on unknown columns. Its call tree is the store's
 // union tree for the layout it read, shared read-only with every other
 // result over that layout, as the server's resident thicket is shared;
-// its frames and stats table are its own.
+// its frames and stats table are its own. It is AnalyzeStore without a
+// context, returning the plan tree's Stats.
 func ExecuteStore(st *store.Store, preds []Predicate) (*core.Thicket, ExecStats, error) {
-	out, es, _, err := executeStore(context.Background(), st, preds, execRun)
-	return out, es, err
-}
-
-// ExecuteStoreCtx is ExecuteStore with a cancellation context, checked
-// at segment and block boundaries; progress flows to the context's
-// plan.Progress and store.ScanObserver hooks.
-func ExecuteStoreCtx(ctx context.Context, st *store.Store, preds []Predicate) (*core.Thicket, ExecStats, error) {
-	out, es, _, err := executeStore(ctx, st, preds, execRun)
-	return out, es, err
+	out, ex, err := executeStore(context.Background(), st, preds, execAnalyze)
+	return out, ex.Stats, err
 }
 
 // AnalyzeStore executes the pushdown filter and returns the result
 // together with its measured plan tree (EXPLAIN ANALYZE): per-segment
 // verdicts with the deciding predicate, per-column block accounting,
-// and per-stage wall times. The filtered thicket and ExecStats are
-// bit-identical to ExecuteStore's, and the thicket likewise shares the
-// store's union call tree read-only.
+// and per-stage wall times. The context is checked at segment and block
+// boundaries; progress flows to its plan.Progress and
+// store.ScanObserver hooks. Every served where= request runs here.
 func AnalyzeStore(ctx context.Context, st *store.Store, preds []Predicate) (*core.Thicket, *Explain, error) {
-	out, _, ex, err := executeStore(ctx, st, preds, execAnalyze)
-	return out, ex, err
+	return executeStore(ctx, st, preds, execAnalyze)
 }
 
 // PlanStore computes the prune verdicts from headers alone and returns
@@ -128,56 +118,37 @@ func AnalyzeStore(ctx context.Context, st *store.Store, preds []Predicate) (*cor
 // verdicts and deciding predicates are exact, scanned-segment block and
 // row counts are the would-decode estimates.
 func PlanStore(ctx context.Context, st *store.Store, preds []Predicate) (*Explain, error) {
-	_, _, ex, err := executeStore(ctx, st, preds, execPlanOnly)
+	_, ex, err := executeStore(ctx, st, preds, execPlanOnly)
 	return ex, err
 }
 
-func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode execMode) (*core.Thicket, ExecStats, *Explain, error) {
-	collect := mode != execRun
-	var ex *Explain
-	var colIdx explainCols
-	if collect {
-		ex = &Explain{Where: Describe(preds), Mode: "store", Analyzed: mode == execAnalyze}
-		colIdx = explainCols{}
-	}
-	var es ExecStats
-	var stages StageTimes
-	finish := func(err error) (*core.Thicket, ExecStats, *Explain, error) {
-		if ex != nil {
-			ex.Stats, ex.Stages = es, stages
-		}
-		return nil, es, ex, err
-	}
+// executeStore runs one plan and records its tree. The tree is returned
+// even on error, carrying the counts accumulated so far.
+func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode execMode) (*core.Thicket, *Explain, error) {
+	ex := &Explain{Where: Describe(preds), Mode: "store", Analyzed: mode == execAnalyze}
+	colIdx := explainCols{}
+	es, stages := &ex.Stats, &ex.Stages
 	sn := st.Snapshot()
 	defer sn.Release()
 	nseg := sn.NumSegments()
 	es.Segments = nseg
 	if nseg == 0 {
 		_, err := st.Load() // reproduce the canonical empty-store error
-		return finish(err)
+		return nil, ex, err
 	}
 
-	// stamp/lap meter the stages only when a tree is being collected —
-	// the hot path takes zero timestamps.
-	var mark time.Time
-	stamp := func() {
-		if collect {
-			mark = time.Now()
-		}
-	}
+	// lap charges the wall time since the previous lap to one stage.
+	mark := time.Now()
 	lap := func(dst *int64) {
-		if collect {
-			now := time.Now()
-			*dst += now.Sub(mark).Nanoseconds()
-			mark = now
-		}
+		now := time.Now()
+		*dst += now.Sub(mark).Nanoseconds()
+		mark = now
 	}
 
 	stageTo(ctx, StagePrune)
-	stamp()
 	res, err := resolveUnion(sn, preds)
 	if err != nil {
-		return finish(err)
+		return nil, ex, err
 	}
 
 	// A single-segment store keeps its stored stats table, as Load does.
@@ -187,7 +158,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 	metas := make([]*dataframe.Frame, 0, nseg)
 	for i := 0; i < nseg; i++ {
 		if err := ctx.Err(); err != nil {
-			return finish(err)
+			return nil, ex, err
 		}
 		sv := sn.Segment(i)
 		nrows := sv.NRows(store.FrameMeta)
@@ -197,47 +168,40 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		if len(preds) > 0 {
 			match, cause, err = segmentCanMatch(sv, preds, res)
 			if err != nil {
-				return finish(err)
+				return nil, ex, err
 			}
 		}
 		lap(&stages.PruneNS)
+		blocks := sv.BlockCount(store.FrameMeta, store.FramePerf)
+		if err := addSegmentColumns(ex, colIdx, sv, match); err != nil {
+			return nil, ex, err
+		}
 		if !match {
 			es.SegmentsPruned++
-			skipped := sv.BlockCount(store.FrameMeta, store.FramePerf)
-			es.BlocksSkipped += skipped
-			if collect {
-				se.Verdict = cause.verdict
-				if cause.pred >= 0 {
-					se.Predicate = preds[cause.pred].String()
-				}
-				se.BlocksSkipped = skipped
-				if err := addSegmentColumns(ex, colIdx, sv, false); err != nil {
-					return finish(err)
-				}
-				ex.Segments = append(ex.Segments, se)
+			es.BlocksSkipped += blocks
+			se.Verdict = cause.verdict
+			if cause.pred >= 0 {
+				se.Predicate = preds[cause.pred].String()
 			}
-			if mode != execPlanOnly {
-				stageTo(ctx, StageMaterialize)
-				part, err := sv.Empty(ctx, withStats)
-				if err != nil {
-					return finish(err)
-				}
-				perfs, metas, stats = append(perfs, part.Perf), append(metas, part.Meta), part.Stats
-				lap(&stages.MaterializeNS)
-				stageTo(ctx, StagePrune)
+			se.BlocksSkipped = blocks
+			ex.Segments = append(ex.Segments, se)
+			if mode == execPlanOnly {
+				continue
 			}
+			stageTo(ctx, StageMaterialize)
+			part, err := sv.Empty(ctx, withStats)
+			if err != nil {
+				return nil, ex, err
+			}
+			perfs, metas, stats = append(perfs, part.Perf), append(metas, part.Meta), part.Stats
+			lap(&stages.MaterializeNS)
+			stageTo(ctx, StagePrune)
 			continue
 		}
-		scanned := sv.BlockCount(store.FrameMeta, store.FramePerf)
-		es.BlocksScanned += scanned
+		es.BlocksScanned += blocks
 		es.RowsScanned += nrows
-		if collect {
-			se.Verdict = VerdictScanned
-			se.BlocksDecoded = scanned
-			if err := addSegmentColumns(ex, colIdx, sv, true); err != nil {
-				return finish(err)
-			}
-		}
+		se.Verdict = VerdictScanned
+		se.BlocksDecoded = blocks
 		if mode == execPlanOnly {
 			// Prune-only: report the would-scan estimate and move on.
 			es.RowsMaterialized += nrows
@@ -248,15 +212,13 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		stageTo(ctx, StageFilter)
 		part, err := sv.Scan(ctx, withStats)
 		if err != nil {
-			return finish(err)
+			return nil, ex, err
 		}
 		sel := evalSegment(part.Meta, preds, res)
 		lap(&stages.FilterNS)
 		es.RowsMaterialized += len(sel)
 		se.RowsMatched = len(sel)
-		if collect {
-			ex.Segments = append(ex.Segments, se)
-		}
+		ex.Segments = append(ex.Segments, se)
 		stageTo(ctx, StageMaterialize)
 		// When every row survives, the selection would be an identity.
 		perf, meta := part.Perf, part.Meta
@@ -268,26 +230,22 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		stageTo(ctx, StagePrune)
 	}
 	if mode == execPlanOnly {
-		ex.Stats, ex.Stages = es, stages
-		return nil, es, ex, nil
+		return nil, ex, nil
 	}
 	stageTo(ctx, StageMaterialize)
 	tree, err := sn.Tree()
 	if err != nil {
-		return finish(err)
+		return nil, ex, err
 	}
 	out, err := core.ConcatFrames(tree, perfs, metas, sn.ProfileLevel())
 	if err != nil {
-		return finish(err)
+		return nil, ex, err
 	}
 	if stats != nil {
 		out.Stats = stats.Copy()
 	}
 	lap(&stages.MaterializeNS)
-	if ex != nil {
-		ex.Stats, ex.Stages = es, stages
-	}
-	return out, es, ex, nil
+	return out, ex, nil
 }
 
 // selectProfiles keeps one scanned segment's metadata rows in sel and

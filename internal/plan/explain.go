@@ -2,8 +2,8 @@ package plan
 
 import "context"
 
-// explain.go is the query's self-description: every execution can
-// record, per segment, why the pushdown kept or pruned it (and which
+// explain.go is the query's self-description: every execution
+// records, per segment, why the pushdown kept or pruned it (and which
 // predicate decided), which column blocks were decoded versus skipped,
 // how many rows matched, and where the wall time went. The tree is
 // pure data — the server serializes it on explain= requests and into

@@ -141,10 +141,11 @@ func TestPlanStoreVerdicts(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStoreMatchesExecute: EXPLAIN ANALYZE is the hot path plus
-// a tree — the result must stay bit-identical to ExecuteStore/
-// NaiveFilter, the tree's stats must equal the hot path's ExecStats,
-// and every per-segment line must sum to the totals.
+// TestAnalyzeStoreMatchesExecute: EXPLAIN ANALYZE returns the tree that
+// ExecuteStore keeps only the stats of — the result must stay
+// bit-identical to ExecuteStore/NaiveFilter, the tree's stats must equal
+// ExecuteStore's ExecStats, and every per-segment line must sum to the
+// totals.
 func TestAnalyzeStoreMatchesExecute(t *testing.T) {
 	s := buildStore(t,
 		ensemble(t, 80, 0, 4, false),
@@ -215,7 +216,7 @@ func TestStoreScanCancellation(t *testing.T) {
 	ctx = plan.WithProgress(ctx, rec)
 
 	preds, _ := plan.Compile([]string{"group!=doesnotexist"}) // full scan: nothing prunes
-	_, _, err := plan.ExecuteStoreCtx(ctx, s, preds)
+	_, _, err := plan.AnalyzeStore(ctx, s, preds)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-scan cancel returned %v, want context.Canceled", err)
 	}
@@ -247,7 +248,7 @@ func TestStoreScanCancellation(t *testing.T) {
 	// A context canceled before execution returns immediately.
 	dead, deadCancel := context.WithCancel(context.Background())
 	deadCancel()
-	if _, _, err := plan.ExecuteStoreCtx(dead, s, preds); !errors.Is(err, context.Canceled) {
+	if _, _, err := plan.AnalyzeStore(dead, s, preds); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled context returned %v", err)
 	}
 }

@@ -3,9 +3,9 @@
 // exported as native thicket profiles and appended to a dedicated
 // ensemble store. Each retained request trace becomes one profile whose
 // metadata rows carry the request identity (endpoint, trace ID,
-// wall-clock timestamp, HTTP status), so `thicket query` and
-// `thicket serve` can run the same exploratory analysis over the
-// server's own performance forest as over any Caliper-style ensemble.
+// wall-clock timestamp, HTTP status), so `thicket query` and thicketd
+// can run the same exploratory analysis over the server's own
+// performance forest as over any Caliper-style ensemble.
 package selfprofile
 
 import (
@@ -19,11 +19,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Default knobs.
-const (
-	DefaultInterval    = 30 * time.Second
-	DefaultMaxPerFlush = 64
-)
+// DefaultInterval is the flush period of a Profiler built with a zero
+// Interval.
+const DefaultInterval = 30 * time.Second
+
+// maxPerFlush bounds the traces drained per flush so one pathological
+// interval cannot stall the server.
+const maxPerFlush = 64
 
 // Metadata columns stamped on every exported profile, next to the
 // "source" column FromTraceNodes always writes.
@@ -54,9 +56,6 @@ type Options struct {
 	Collector *telemetry.Collector
 	// Interval paces Run. 0 selects DefaultInterval.
 	Interval time.Duration
-	// MaxPerFlush bounds the traces drained per flush so one pathological
-	// interval cannot stall the server. 0 selects DefaultMaxPerFlush.
-	MaxPerFlush int
 	// Meta is stamped on every exported profile (server identity such as
 	// addr or store path). Keys here win over the per-trace columns.
 	Meta map[string]dataframe.Value
@@ -86,9 +85,6 @@ func New(opts Options) (*Profiler, error) {
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
-	}
-	if opts.MaxPerFlush <= 0 {
-		opts.MaxPerFlush = DefaultMaxPerFlush
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
@@ -136,7 +132,7 @@ func (p *Profiler) flushLogged() {
 // one profile per trace to the store, creating it on first use. It
 // returns the number of profiles appended.
 func (p *Profiler) Flush() (int, error) {
-	traces := p.opts.Collector.TakeSlow(p.opts.MaxPerFlush)
+	traces := p.opts.Collector.TakeSlow(maxPerFlush)
 	if len(traces) == 0 {
 		return 0, nil
 	}

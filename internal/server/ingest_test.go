@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,10 +140,25 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
-// fakeSink scripts sink outcomes for status-mapping tests.
-type fakeSink struct{ err error }
+// fakeSink scripts sink outcomes for status-mapping tests and counts
+// the payloads that reached it.
+type fakeSink struct {
+	err   error
+	calls atomic.Int64
+}
 
-func (f *fakeSink) SubmitBytes([]byte) error { return f.err }
+func (f *fakeSink) SubmitBytes([]byte) error {
+	f.calls.Add(1)
+	return f.err
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
 
 func TestIngestStatusMapping(t *testing.T) {
 	sink := &fakeSink{}
@@ -169,6 +185,32 @@ func TestIngestStatusMapping(t *testing.T) {
 		if tc.want == http.StatusTooManyRequests && hdr.Get("Retry-After") == "" {
 			t.Error("429 response missing Retry-After header")
 		}
+	}
+
+	// Bodies the handler rejects before the sink: an empty one, and one
+	// a byte over the 64 MiB bound, streamed so the client holds none of it.
+	sink.err = nil
+	submitted := sink.calls.Load()
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"empty", strings.NewReader(""), http.StatusBadRequest},
+		{"oversized", io.LimitReader(zeros{}, 64<<20+1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/ingest", "application/octet-stream", tc.body)
+		if err != nil {
+			t.Fatalf("%s body: %v", tc.name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s body: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if n := sink.calls.Load() - submitted; n != 0 {
+		t.Errorf("rejected bodies reached the sink %d times", n)
 	}
 }
 

@@ -25,7 +25,7 @@ func planFixture(t *testing.T) (*httptest.Server, *server.Server, *core.Thicket)
 }
 
 // planFixtureOpts is planFixture with caller-chosen server options
-// (query timeout, injected latency, scan delay).
+// (timeout, injected latency).
 func planFixtureOpts(t *testing.T, opts server.Options) (*httptest.Server, *server.Server, *core.Thicket) {
 	t.Helper()
 	mk := func(c sim.MarblCluster) *core.Thicket {
@@ -78,8 +78,8 @@ func fetch(t *testing.T, ts *httptest.Server, path string) (int, string) {
 // TestWhereFiltersEndpoints: every analytical endpoint with
 // where=cluster=ip-0A2D2BE2 must answer byte-identically to the same endpoint
 // on a server whose resident thicket was pre-filtered with the naive
-// reference path. This exercises the store-backed ExecuteStore plan,
-// including pruning the rztopaz segment.
+// reference path. This exercises the store-backed plan the server runs
+// (AnalyzeStore), including pruning the rztopaz segment.
 func TestWhereFiltersEndpoints(t *testing.T) {
 	ts, _, th := planFixture(t)
 	preds, err := plan.Compile([]string{"cluster=ip-0A2D2BE2"})

@@ -29,12 +29,12 @@ import (
 // stuck, and cancellation propagates through the same context the scan
 // checks at every block boundary.
 
-// DefaultMaxTrackedQueries bounds the active-query registry; requests
-// beyond the bound still run, they just are not individually listed.
-const DefaultMaxTrackedQueries = 256
+// maxTrackedQueries bounds the active-query registry; requests beyond
+// the bound still run, they just are not individually listed.
+const maxTrackedQueries = 256
 
-// DefaultQueryLogSize bounds the completed-query ring.
-const DefaultQueryLogSize = 128
+// queryLogSize bounds the completed-query ring.
+const queryLogSize = 128
 
 // Query outcomes.
 const (
@@ -46,7 +46,7 @@ const (
 // Cancellation reasons.
 const (
 	reasonKilled       = "killed"  // DELETE /debug/queries/{id}
-	reasonTimeout      = "timeout" // -query-timeout deadline
+	reasonTimeout      = "timeout" // -timeout deadline
 	reasonDisconnected = "disconnected"
 )
 
@@ -106,15 +106,7 @@ type queryRegistry struct {
 	mu        sync.Mutex
 	nextID    int64
 	active    map[int64]*activeQuery
-	max       int
 	untracked atomic.Int64 // requests that ran unlisted (registry full)
-}
-
-func newQueryRegistry(max int) *queryRegistry {
-	if max <= 0 {
-		max = DefaultMaxTrackedQueries
-	}
-	return &queryRegistry{active: map[int64]*activeQuery{}, max: max}
 }
 
 // register enters q into the registry (assigning its ID) unless the
@@ -125,7 +117,7 @@ func (qr *queryRegistry) register(q *activeQuery) {
 	defer qr.mu.Unlock()
 	qr.nextID++
 	q.id = qr.nextID
-	if len(qr.active) >= qr.max {
+	if len(qr.active) >= maxTrackedQueries {
 		qr.untracked.Add(1)
 		return
 	}
@@ -206,13 +198,6 @@ type queryLog struct {
 	totals QueryLogTotals
 }
 
-func newQueryLog(size int) *queryLog {
-	if size <= 0 {
-		size = DefaultQueryLogSize
-	}
-	return &queryLog{ring: make([]QueryRecord, size)}
-}
-
 func (l *queryLog) add(rec QueryRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,9 +244,9 @@ func (l *queryLog) snapshotTotals() QueryLogTotals {
 }
 
 // beginQuery registers one routed request in the inspector and returns
-// the query context: cancelable (DELETE + -query-timeout both land on
-// the same cancel), observed (plan stages and block progress feed the
-// registry entry).
+// the query context: cancelable (a DELETE kill cancels it, and so does
+// the -timeout deadline on the request context it derives from) and
+// observed (plan stages and block progress feed the registry entry).
 func (s *Server) beginQuery(path string, r *http.Request) (*activeQuery, *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	q := &activeQuery{
@@ -374,15 +359,15 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"active":          list,
 		"tracked":         len(qs),
-		"max_tracked":     s.queries.max,
+		"max_tracked":     maxTrackedQueries,
 		"untracked_total": s.queries.untracked.Load(),
 	})
 }
 
 // handleDebugQueryKill cancels one in-flight query by ID:
-// DELETE /debug/queries/{id}. The query's context is canceled through
-// the same path -query-timeout uses; the store scan notices at the
-// next block boundary and the request completes with a 503 and a
+// DELETE /debug/queries/{id}. The query's context is canceled as the
+// -timeout deadline cancels it; the store scan notices at the next
+// block boundary and the request completes with a 503 and a
 // canceled querylog record.
 func (s *Server) handleDebugQueryKill(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodDelete {

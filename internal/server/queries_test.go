@@ -383,32 +383,56 @@ func TestActiveQueriesAndKill(t *testing.T) {
 	}
 }
 
-// TestQueryTimeout is the acceptance criterion's degradation drill: a
-// -query-timeout below an injected latency yields 503 and a canceled
-// querylog record with reason "timeout".
+// TestQueryTimeout is the degradation drill: a -timeout below an
+// injected latency yields 503, and the request, whose context the
+// deadline canceled, stops waiting and leaves a canceled querylog
+// record with reason "timeout".
 func TestQueryTimeout(t *testing.T) {
 	ts, _, _ := planFixtureOpts(t, server.Options{
-		QueryTimeout:  30 * time.Millisecond,
+		Timeout:       30 * time.Millisecond,
 		InjectLatency: map[string]time.Duration{"/api/profiles": 120 * time.Millisecond},
 	})
 	status, body := fetch(t, ts, "/api/profiles?where=numhosts>=1")
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out query answered %d, want 503\n%s", status, body)
 	}
-	records, totals := querylog(t, ts)
+	// The 503 goes out at the deadline; the record lands when the
+	// query's goroutine returns. The polls run under the same timeout,
+	// so one that timed out itself is retried.
+	var log struct {
+		Records []server.QueryRecord  `json:"records"`
+		Totals  server.QueryLogTotals `json:"totals"`
+	}
 	found := false
-	for _, rec := range records {
-		if rec.Outcome == "canceled" && rec.Reason == "timeout" {
-			found = true
+	for deadline := time.Now().Add(5 * time.Second); !found && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		status, body := fetch(t, ts, "/debug/querylog")
+		if status != http.StatusOK {
+			continue
+		}
+		if err := json.Unmarshal([]byte(body), &log); err != nil {
+			t.Fatalf("bad /debug/querylog payload: %v\n%s", err, body)
+		}
+		for _, rec := range log.Records {
+			if rec.Outcome == "canceled" && rec.Reason == "timeout" {
+				found = true
+			}
 		}
 	}
 	if !found {
-		t.Errorf("querylog missing canceled/timeout record: %+v", records)
+		t.Errorf("querylog missing canceled/timeout record: %+v", log.Records)
 	}
-	if totals.TimedOut == 0 {
-		t.Errorf("querylog totals count no timeouts: %+v", totals)
+	if log.Totals.TimedOut == 0 {
+		t.Errorf("querylog totals count no timeouts: %+v", log.Totals)
 	}
-	_, metrics := fetch(t, ts, "/metrics")
+	metrics := ""
+	for deadline := time.Now().Add(5 * time.Second); metrics == "" && time.Now().Before(deadline); {
+		if status, body := fetch(t, ts, "/metrics"); status == http.StatusOK {
+			metrics = body
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	if metricValue(t, metrics, `thicket_queries_canceled_total{reason="timeout"}`) == 0 {
 		t.Error(`/metrics missing thicket_queries_canceled_total{reason="timeout"} > 0`)
 	}

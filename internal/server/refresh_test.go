@@ -1,12 +1,15 @@
 package server_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -252,5 +255,64 @@ func TestRefreshMatchesFreshLoad(t *testing.T) {
 				t.Errorf("%d refreshes fell back to a full load", n)
 			}
 		})
+	}
+}
+
+// TestFailedRefreshServesStale: when the store moved but its new
+// segment cannot be read, the server keeps answering from the thicket
+// it has, counts the failed reload on /healthz and /metrics without
+// counting a reload, and a where= plan that scans the damaged segment
+// answers 500 with the store's error.
+func TestFailedRefreshServesStale(t *testing.T) {
+	h := newRefreshHarness(t, 1, true)
+	healthz := func() (reloads, reloadErrs int64) {
+		status, body := serveBody(h.long, "/healthz")
+		var out struct {
+			Reloads    int64 `json:"reloads"`
+			ReloadErrs int64 `json:"reload_errs"`
+		}
+		if status != http.StatusOK {
+			t.Fatalf("/healthz: %d\n%s", status, body)
+		}
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Reloads, out.ReloadErrs
+	}
+	_, before := serveBody(h.long, "/api/profiles")
+	reloads, _ := healthz()
+
+	// Append a segment, then cut its file one byte into the data area so
+	// every block read of it fails.
+	h.appendL0()
+	segs := h.st.Segments()
+	last := segs[len(segs)-1]
+	path := filepath.Join(h.st.Info().Path, last.File)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-(last.Bytes-20)+1); err != nil {
+		t.Fatal(err)
+	}
+
+	if status, body := serveBody(h.long, "/api/stats"); status != http.StatusOK {
+		t.Errorf("unfiltered /api/stats after a failed refresh: %d\n%s", status, body)
+	}
+	if status, body := serveBody(h.long, "/api/profiles"); status != http.StatusOK || body != before {
+		t.Errorf("/api/profiles changed after a failed refresh (%d):\n%s\nwant:\n%s", status, body, before)
+	}
+	gotReloads, reloadErrs := healthz()
+	if reloadErrs < 1 || gotReloads != reloads {
+		t.Errorf("/healthz reloads %d (want %d), reload_errs %d (want >= 1)", gotReloads, reloads, reloadErrs)
+	}
+	_, metrics := serveBody(h.long, "/metrics")
+	if metricValue(t, metrics, "thicket_reload_errors_total") < 1 {
+		t.Error("/metrics thicket_reload_errors_total did not count the failed refresh")
+	}
+	status, body := serveBody(h.long, "/api/profiles?where=run>=0")
+	if status != http.StatusInternalServerError ||
+		!strings.Contains(body, fmt.Sprintf("segment g%d ", last.Gen)) || !strings.Contains(body, "EOF") {
+		t.Errorf("where= over the damaged segment: %d, want 500 with the store's read error\n%s", status, body)
 	}
 }

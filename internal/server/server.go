@@ -60,8 +60,8 @@ import (
 // with default options.
 const DefaultSlowQuery = time.Second
 
-// DefaultMaxIngestBytes bounds a single POST /ingest body.
-const DefaultMaxIngestBytes = 64 << 20
+// maxIngestBytes bounds a single POST /ingest body.
+const maxIngestBytes = 64 << 20
 
 // IngestSink accepts one pre-encoded profile for durable ingest.
 // *ingest.Ingester satisfies it; tests substitute fakes.
@@ -75,8 +75,10 @@ type Options struct {
 	// requests queue until a slot frees or their context cancels.
 	// 0 selects 64.
 	MaxConcurrent int
-	// Timeout aborts any request running longer than this with a 503.
-	// 0 selects 15s.
+	// Timeout bounds every request: past it the client gets a 503 and
+	// the request context is canceled, so a store scan stops at the next
+	// block boundary and the querylog records the query as canceled with
+	// reason "timeout". 0 selects 15s.
 	Timeout time.Duration
 	// CacheBytes bounds the rendered-response cache; 0 selects
 	// DefaultCacheBytes, negative disables response caching.
@@ -113,28 +115,6 @@ type Options struct {
 	// submitted to the sink and acked once durable. nil answers /ingest
 	// with 501.
 	Ingest IngestSink
-	// MaxIngestBytes bounds a single /ingest request body; 0 selects
-	// DefaultMaxIngestBytes.
-	MaxIngestBytes int64
-	// QueryTimeout cancels any single request's query context after
-	// this long — the graceful-degradation lever: the store scan
-	// notices at the next block boundary, the request answers 503, and
-	// the querylog records a canceled query with reason "timeout".
-	// 0 disables. Unlike Timeout (the hard outer 503 that abandons the
-	// handler), QueryTimeout cancels through the query's own context,
-	// so the scan stops doing work.
-	QueryTimeout time.Duration
-	// QueryLogSize bounds the completed-query ring behind
-	// /debug/querylog; 0 selects DefaultQueryLogSize.
-	QueryLogSize int
-	// MaxTrackedQueries bounds the active-query registry behind
-	// /debug/queries; 0 selects DefaultMaxTrackedQueries.
-	MaxTrackedQueries int
-	// InjectScanDelay adds an artificial pause to every store block a
-	// routed query touches — the deterministic hook behind the
-	// mid-scan cancellation tests and demos. Adjustable at runtime via
-	// SetInjectedScanDelay.
-	InjectScanDelay time.Duration
 }
 
 // endpointMetrics bundles one endpoint's registry handles. All latency
@@ -223,9 +203,6 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
-	if opts.MaxIngestBytes <= 0 {
-		opts.MaxIngestBytes = DefaultMaxIngestBytes
-	}
 	reg := opts.Registry
 	s := &Server{
 		st:      st,
@@ -241,9 +218,8 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 	for path, d := range opts.InjectLatency {
 		s.inject.Store(path, d)
 	}
-	s.queries = newQueryRegistry(opts.MaxTrackedQueries)
-	s.qlog = newQueryLog(opts.QueryLogSize)
-	s.scanDelay.Store(int64(opts.InjectScanDelay))
+	s.queries = &queryRegistry{active: map[int64]*activeQuery{}}
+	s.qlog = &queryLog{ring: make([]QueryRecord, queryLogSize)}
 	s.activeGauge = reg.Gauge("thicket_queries_active", "Routed queries currently in flight (tracked by the inspector).")
 	s.queriesKilled = reg.Counter("thicket_queries_canceled_total", "Queries canceled before completion, by reason.", "reason", reasonKilled)
 	s.queriesTimedOut = reg.Counter("thicket_queries_canceled_total", "Queries canceled before completion, by reason.", "reason", reasonTimeout)
@@ -451,22 +427,20 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// The trace middleware minted the identity already.
 		self, _ := telemetry.TraceFromContext(r.Context())
-		ctx := r.Context()
-		if s.opts.QueryTimeout > 0 {
-			// Start the per-query budget before the injected-latency
-			// sleep so a delayed request can exhaust it — the demo path
-			// for timeout-driven cancellation.
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
-			defer cancel()
-		}
-		ctx, sp := telemetry.StartSpan(ctx, "http "+path)
+		ctx, sp := telemetry.StartSpan(r.Context(), "http "+path)
 		sp.SetTraceID(self.TraceID)
 		r = r.WithContext(ctx)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		if d := s.injectedLatency(path); d > 0 {
-			time.Sleep(d)
+			// A request past its deadline stops waiting and goes on to
+			// record its cancellation.
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
 		}
 		defer func() {
 			elapsed := time.Since(start)
@@ -773,7 +747,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, fmt.Errorf("ingest not enabled on this server"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxIngestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -979,7 +953,7 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 }
 
 // cancelReason classifies why a query's context died: an explicit
-// DELETE kill, the -query-timeout deadline, or the client going away.
+// DELETE kill, the -timeout deadline, or the client going away.
 func cancelReason(q *activeQuery, err error) string {
 	if q.killed.Load() {
 		return reasonKilled

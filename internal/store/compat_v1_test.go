@@ -34,7 +34,7 @@ func v1AppendUvarint(buf []byte, v uint64) []byte {
 	return append(buf, tmp[:n]...)
 }
 
-func v1EncodeBlock(t *testing.T, s *dataframe.Series) []byte {
+func v1EncodeBlock(t testing.TB, s *dataframe.Series) []byte {
 	t.Helper()
 	var kc byte
 	switch s.Kind() {

@@ -3,10 +3,12 @@ package store_test
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -54,7 +56,7 @@ func tZigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // int columns and run-length-encodes every string column — a stronger
 // compat probe than mimicking the package writer's RLE heuristic, since
 // the reader must accept any covering run list.
-func tEncodeBlock(t *testing.T, s *dataframe.Series, version int) []byte {
+func tEncodeBlock(t testing.TB, s *dataframe.Series, version int) []byte {
 	t.Helper()
 	if version < 2 {
 		return v1EncodeBlock(t, s)
@@ -141,7 +143,7 @@ func tEncodeBlock(t *testing.T, s *dataframe.Series, version int) []byte {
 // tEncodeSegment writes one complete segment (prelude + header + data)
 // at the given version. Version 2 writes no column statistics; version
 // 3 writes zone maps and null counts.
-func tEncodeSegment(t *testing.T, th *core.Thicket, version int) []byte {
+func tEncodeSegment(t testing.TB, th *core.Thicket, version int) []byte {
 	t.Helper()
 	hdr := tHeader{
 		Version:      version,
@@ -211,7 +213,7 @@ func tEncodeSegment(t *testing.T, th *core.Thicket, version int) []byte {
 	return out
 }
 
-func tWriteStore(t *testing.T, path string, versions []int, thickets []*core.Thicket) {
+func tWriteStore(t testing.TB, path string, versions []int, thickets []*core.Thicket) {
 	t.Helper()
 	out := []byte(store.FileMagic)
 	for i, th := range thickets {
@@ -386,4 +388,94 @@ func TestPlanMixedVersionStores(t *testing.T) {
 			}
 		}
 	}
+}
+
+// whereFuzzStore builds FuzzWhere's store: a v1 and a v2 segment from
+// this file's encoder, then a v3 segment appended by the store. Only the
+// v2 segment has a "ranks" column (schema drift), and the first profile
+// of each segment has a NaN "ratio".
+func whereFuzzStore(tb testing.TB) *store.Store {
+	mk := func(seed int64, base int, drift bool) *core.Thicket {
+		profiles := randomEnsemble(tb, seed, 4)
+		for i, p := range profiles {
+			p.SetMeta("id", dataframe.Int64(int64(base+i)))
+			if drift {
+				p.SetMeta("ranks", dataframe.Int64(int64(1<<i)))
+			}
+		}
+		profiles[0].SetMeta("ratio", dataframe.Float64(math.NaN()))
+		th, err := core.FromProfiles(profiles, core.Options{IndexBy: "id"})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return th
+	}
+	path := filepath.Join(tb.TempDir(), "where.tks")
+	tWriteStore(tb, path, []int{1, 2}, []*core.Thicket{mk(811, 0, false), mk(812, 1000, true)})
+	s, err := store.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	if err := s.Append(mk(813, 2000, false)); err != nil {
+		tb.Fatal(err)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	for i, want := range []int{1, 2, 3} {
+		if sn.NumSegments() != 3 || sn.Segment(i).Version() != want {
+			tb.Fatalf("segment %d of %d is not v%d", i, sn.NumSegments(), want)
+		}
+	}
+	return s
+}
+
+// FuzzWhere turns the naive-vs-plan differential into a coverage-guided
+// search of the where= grammar. The input's lines form a predicate
+// conjunction (no lines, no predicates), run against one mixed-version
+// store with drifting schemas: ExecuteStore must reproduce NaiveFilter
+// over the loaded store bit for bit, and fail exactly when Validate
+// rejects the conjunction, with the same message.
+func FuzzWhere(f *testing.F) {
+	s := whereFuzzStore(f)
+	naive, err := s.Load()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		// TestPlanMixedVersionStores' expressions.
+		"id<=3", "id>=2000", "id=1500", "group=g1", "group!=g1",
+		"scale<=4", "ratio>0.5", "tuned=true", "group=nosuchword",
+		// The edges of the v3 segment's zone map (ids 2000-2003).
+		"id<2001", "id>2002", "id=2003",
+		// NaN and empty literals, no predicates, unknown columns,
+		// the drifting column, and conjunctions.
+		"ratio=NaN", "ratio!=NaN", "ratio<NaN", "id>=NaN",
+		"group=", "ranks!=", "",
+		"nosuch=1", "id<=3\nnosuch=1",
+		"ranks>=2", "ranks<4\ngroup=g1", "id>=1000\nid<2000\ntuned=false",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		var exprs []string
+		if text != "" {
+			exprs = strings.Split(text, "\n")
+		}
+		preds, err := plan.Compile(exprs)
+		if err != nil {
+			t.Skip()
+		}
+		got, _, err := plan.ExecuteStore(s, preds)
+		if verr := plan.Validate(naive.Metadata, preds); verr != nil {
+			if err == nil || err.Error() != verr.Error() {
+				t.Fatalf("%q: ExecuteStore error %v, Validate error %v", text, err, verr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		assertThicketsEqual(t, fmt.Sprintf("where %q", text), plan.NaiveFilter(naive, preds), got)
+	})
 }

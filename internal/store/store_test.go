@@ -20,7 +20,7 @@ import (
 // randomEnsemble mirrors the differential harness generator: overlapping
 // tree shapes from a shared vocabulary, random metric subsets (missing
 // cells), and groupable metadata of every scalar kind.
-func randomEnsemble(t *testing.T, seed int64, nProfiles int) []*profile.Profile {
+func randomEnsemble(t testing.TB, seed int64, nProfiles int) []*profile.Profile {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vocab := []string{"solve", "io", "mult", "add", "halo", "reduce"}
