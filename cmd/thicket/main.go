@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,6 +95,10 @@ func run(args []string, w io.Writer) (err error) {
 	if cmd == "monitor" {
 		monitorCmd(args[1:])
 		return
+	}
+	if !slices.Contains(subcommands, cmd) {
+		usage()
+		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	caliperPath := fs.String("caliper", "", "Caliper json-split file to convert (convert subcommand)")
@@ -515,9 +520,16 @@ func splitKeys(arg string) []thicket.ColKey {
 	return out
 }
 
+// subcommands lists every subcommand, in usage order.
+var subcommands = []string{
+	"metadata", "perf", "tree", "treetable", "stats", "filter", "explain",
+	"groupby", "query", "summary", "model", "model2", "imbalance", "hist",
+	"box", "groupstats", "pivot", "dot", "describe", "export", "save",
+	"convert", "compose", "store", "ingest", "monitor",
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: thicket <metadata|perf|tree|treetable|stats|filter|explain|groupby|query|summary|model|model2|imbalance|hist|box|groupstats|pivot|dot|describe|export|save|convert|compose|store|ingest|monitor> -dir profiles/ [flags]
-run "thicket <subcommand> -h" for flags`)
+	fmt.Fprintf(os.Stderr, "usage: thicket <%s> -dir profiles/ [flags]\nrun \"thicket <subcommand> -h\" for flags\n", strings.Join(subcommands, "|"))
 }
 
 // startTrace enables telemetry span collection and returns the export

@@ -209,11 +209,21 @@ func TestCLIErrors(t *testing.T) {
 		{"convert"},                       // missing -caliper/-o
 		{"compose", "-dirs", dir},         // missing groups
 		{"metadata", "-dir", "/nonexist"}, // bad dir
+		{"serve", "-store", "x.tks"},      // unknown subcommand, unknown flag
+		{"serve"},                         // unknown subcommand, no data source
 	}
 	var sb strings.Builder
 	for _, args := range cases {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+	// An unknown subcommand is named before any flag parses or any data
+	// source loads.
+	for _, args := range [][]string{{"bogus", "-dir", dir}, {"serve", "-store", "x.tks"}, {"serve"}} {
+		want := fmt.Sprintf("unknown subcommand %q", args[0])
+		if err := run(args, &sb); err == nil || err.Error() != want {
+			t.Errorf("run(%v) = %v, want %s", args, err, want)
 		}
 	}
 }

@@ -82,33 +82,34 @@ func ConcatProfiles(thickets []*Thicket) (*Thicket, error) {
 	}
 	first := thickets[0]
 	trees := make([]*calltree.Tree, len(thickets))
-	perfs := make([]*dataframe.Frame, len(thickets))
-	metas := make([]*dataframe.Frame, len(thickets))
+	perfs := make([]dataframe.Part, len(thickets))
+	metas := make([]dataframe.Part, len(thickets))
 	for i, th := range thickets {
 		if th.profileLevel != first.profileLevel {
 			return nil, fmt.Errorf("core: thicket %d uses profile level %q, want %q", i, th.profileLevel, first.profileLevel)
 		}
 		trees[i] = th.Tree
-		perfs[i] = th.PerfData
-		metas[i] = th.Metadata
+		perfs[i] = dataframe.AllRows(th.PerfData)
+		metas[i] = dataframe.AllRows(th.Metadata)
 	}
 	return ConcatFrames(calltree.Union(trees...), perfs, metas, first.profileLevel)
 }
 
-// ConcatFrames stacks the performance and metadata frames of several
-// parts, in order, into one thicket over tree, which must hold every
-// part's call tree. Schemas may differ across parts (multi-tool
+// ConcatFrames stacks the given rows of several parts' performance and
+// metadata frames, in order, into one thicket over tree, which must hold
+// every part's call tree; each result frame is gathered in one pass
+// (dataframe.ConcatParts). Schemas may differ across parts (multi-tool
 // ensembles): missing cells become nulls. Profile-index values must be
-// distinct across parts; nothing else is re-validated, so each part's
-// frames must already satisfy Validate against its own tree. The result
-// owns fresh frames and the empty statistics table over tree, and shares
-// tree itself.
-func ConcatFrames(tree *calltree.Tree, perfs, metas []*dataframe.Frame, profileLevel string) (*Thicket, error) {
-	perf, err := dataframe.ConcatRowsOuter(perfs...)
+// distinct across the kept metadata rows; nothing else is re-validated,
+// so the kept rows must already satisfy Validate against their own
+// parts' trees. The result owns fresh frames and the empty statistics
+// table over tree, and shares tree itself.
+func ConcatFrames(tree *calltree.Tree, perfs, metas []dataframe.Part, profileLevel string) (*Thicket, error) {
+	perf, err := dataframe.ConcatParts(perfs...)
 	if err != nil {
 		return nil, fmt.Errorf("core: perf data: %w", err)
 	}
-	meta, err := dataframe.ConcatRowsOuter(metas...)
+	meta, err := dataframe.ConcatParts(metas...)
 	if err != nil {
 		return nil, fmt.Errorf("core: metadata: %w", err)
 	}

@@ -123,18 +123,33 @@ func (t *Thicket) SelectProfiles(sel dataframe.Sel) *Thicket {
 // selectProfiles is SelectProfiles over precomputed profile ordinals, so
 // callers cutting one thicket many ways map its perf rows once.
 func (t *Thicket) selectProfiles(sel dataframe.Sel, ords []int32) *Thicket {
-	picked := make([]bool, t.Metadata.NRows())
+	meta := t.Metadata.SelectRows(dataframe.SelToRows(sel))
+	perf := t.PerfData.SelectRows(PerfRows(ords, sel, t.Metadata.NRows()))
+	return t.copyWith(t.Tree.Copy(), perf, meta, t.Stats.Copy())
+}
+
+// PerfRows lists, in row order, the performance rows whose profiles sel
+// keeps: ords maps each performance row onto its metadata row (as
+// ProfileOrdinals does, -1 for none), and nmeta counts the metadata
+// rows. These are the rows SelectProfiles keeps.
+func PerfRows(ords []int32, sel dataframe.Sel, nmeta int) []int {
+	picked := make([]bool, nmeta)
 	for _, r := range sel {
 		picked[r] = true
 	}
-	rows := make([]int, 0, len(ords))
+	n := 0
+	for _, o := range ords {
+		if o >= 0 && picked[o] {
+			n++
+		}
+	}
+	rows := make([]int, 0, n)
 	for r, o := range ords {
 		if o >= 0 && picked[o] {
 			rows = append(rows, r)
 		}
 	}
-	meta := t.Metadata.SelectRows(dataframe.SelToRows(sel))
-	return t.copyWith(t.Tree.Copy(), t.PerfData.SelectRows(rows), meta, t.Stats.Copy())
+	return rows
 }
 
 // FilterProfiles keeps only the profiles whose index value appears in

@@ -656,25 +656,63 @@ func (f *Frame) Pivot(rowName, colName, valueName string, agg func([]float64) fl
 
 // ConcatRowsOuter vertically concatenates frames taking the union of
 // their column keys: cells absent from an input are null. Index level
-// names must match. Column order is first-appearance across inputs.
-// Appends run column-at-a-time in bulk.
+// names must match. Column order is first-appearance across inputs. It
+// is ConcatParts taking every row of every frame.
 func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
-	if len(frames) == 0 {
+	parts := make([]Part, len(frames))
+	for i, f := range frames {
+		parts[i] = AllRows(f)
+	}
+	return ConcatParts(parts...)
+}
+
+// Part is one frame's share of a ConcatParts result: the listed rows in
+// the listed order (duplicates allowed, as SelectRows takes them), or
+// every row when All is set. An empty list takes no rows.
+type Part struct {
+	Frame *Frame
+	Rows  []int
+	All   bool
+}
+
+// AllRows is the part that takes every row of f.
+func AllRows(f *Frame) Part { return Part{Frame: f, All: true} }
+
+// len reports how many rows the part takes.
+func (p Part) len() int {
+	if p.All {
+		return p.Frame.NRows()
+	}
+	return len(p.Rows)
+}
+
+// ConcatParts concatenates the parts' rows in order, taking the union of
+// their column keys: the result equals ConcatRowsOuter over each part's
+// SelectRows, bit for bit, errors included, but no intermediate frame
+// is built. Every result column is allocated once at the total row
+// count and filled straight from the sources, and a string column
+// translates each source dictionary once. Cells absent from a part are
+// null. Index level names must match. A column key keeps one kind
+// across parts, and a part's whole schema counts even when it takes no
+// rows.
+func ConcatParts(parts ...Part) (*Frame, error) {
+	if len(parts) == 0 {
 		return nil, fmt.Errorf("dataframe: ConcatRowsOuter requires at least one frame")
 	}
-	sp := telemetry.StartOp("dataframe.ConcatRowsOuter")
+	sp := telemetry.StartOp("dataframe.ConcatParts")
 	if sp != nil {
-		sp.SetAttr("frames", itoa(len(frames)))
+		sp.SetAttr("frames", itoa(len(parts)))
 		defer sp.End()
 	}
-	first := frames[0]
-	for i, f := range frames[1:] {
-		if f.index.NLevels() != first.index.NLevels() {
-			return nil, fmt.Errorf("dataframe: frame %d has %d index levels, want %d", i+1, f.index.NLevels(), first.index.NLevels())
+	first := parts[0].Frame.index
+	for i, p := range parts[1:] {
+		ix := p.Frame.index
+		if ix.NLevels() != first.NLevels() {
+			return nil, fmt.Errorf("dataframe: frame %d has %d index levels, want %d", i+1, ix.NLevels(), first.NLevels())
 		}
-		for l, name := range f.index.Names() {
-			if name != first.index.Names()[l] {
-				return nil, fmt.Errorf("dataframe: frame %d index level %d is %q, want %q", i+1, l, name, first.index.Names()[l])
+		for l, name := range ix.names {
+			if name != first.names[l] {
+				return nil, fmt.Errorf("dataframe: frame %d index level %d is %q, want %q", i+1, l, name, first.names[l])
 			}
 		}
 	}
@@ -683,7 +721,8 @@ func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
 	var keys []ColKey
 	var encs []string
 	kinds := map[string]Kind{}
-	for _, f := range frames {
+	for _, p := range parts {
+		f := p.Frame
 		for c := 0; c < f.NCols(); c++ {
 			k := f.cols.Key(c)
 			enc := k.encode()
@@ -698,35 +737,136 @@ func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
 			encs = append(encs, enc)
 		}
 	}
-	// Build output frame column-at-a-time.
-	levels := make([]*Series, first.index.NLevels())
+	// Index levels take the first frame's kinds. A level of another kind
+	// may contribute only null cells, as AppendSeries allows; checked
+	// part by part, level by level, the order appending rows meets them.
+	for _, p := range parts {
+		for l, lv := range p.Frame.index.levels {
+			if want := first.levels[l].kind; lv.kind != want && !lv.nullIn(p) {
+				return nil, fmt.Errorf("dataframe: series %q holds %s, cannot append %s", first.names[l], want, lv.kind)
+			}
+		}
+	}
+	total := 0
+	for _, p := range parts {
+		total += p.len()
+	}
+	srcs := make([]*Series, len(parts))
+	levels := make([]*Series, first.NLevels())
 	for l := range levels {
-		levels[l] = NewSeries(first.index.Names()[l], first.index.Level(l).Kind())
+		kind := first.levels[l].kind
+		for i, p := range parts {
+			if srcs[i] = p.Frame.index.levels[l]; srcs[i].kind != kind {
+				srcs[i] = nil // all null, checked above
+			}
+		}
+		levels[l] = concatColumn(first.names[l], kind, total, parts, srcs)
 	}
 	cols := make([]*Series, len(keys))
-	for i, k := range keys {
-		cols[i] = NewSeries(k.Leaf(), kinds[encs[i]])
-	}
-	for _, f := range frames {
-		for l := range levels {
-			if err := levels[l].AppendSeries(f.index.Level(l)); err != nil {
-				return nil, err
+	for c, k := range keys {
+		for i, p := range parts {
+			srcs[i] = nil
+			if pos, ok := p.Frame.cols.lookup[encs[c]]; ok {
+				srcs[i] = p.Frame.data[pos]
 			}
 		}
-		for i := range keys {
-			pos, ok := f.cols.lookup[encs[i]]
-			if !ok {
-				cols[i].AppendNulls(f.NRows())
-				continue
-			}
-			if err := cols[i].AppendSeries(f.data[pos]); err != nil {
-				return nil, err
-			}
-		}
+		cols[c] = concatColumn(k.Leaf(), kinds[encs[c]], total, parts, srcs)
 	}
 	ix, err := NewIndex(levels...)
 	if err != nil {
 		return nil, err
 	}
 	return NewFrameWithColIndex(ix, keys, cols)
+}
+
+// concatColumn builds one total-row result column of kind from each
+// part's rows of srcs[i], a series of that kind, or from nulls where
+// srcs[i] is nil.
+func concatColumn(name string, kind Kind, total int, parts []Part, srcs []*Series) *Series {
+	out := &Series{name: name, kind: kind, null: make([]bool, total)}
+	switch kind {
+	case Float:
+		out.f = make([]float64, total)
+	case Int:
+		out.i = make([]int64, total)
+	case String:
+		out.dict = NewDict()
+		out.sc = make([]uint32, total)
+	case Bool:
+		out.b = make([]bool, total)
+	}
+	at := 0
+	for i, p := range parts {
+		if src := srcs[i]; src != nil {
+			out.put(at, src, p)
+		} else {
+			for r := at; r < at+p.len(); r++ {
+				out.null[r] = true
+			}
+		}
+		at += p.len()
+	}
+	return out
+}
+
+// put writes the rows p takes of src, a series of s's kind, into s from
+// row at. Values under null flags copy as they are, except string codes,
+// which read 0 there, as AppendSeries leaves them.
+func (s *Series) put(at int, src *Series, p Part) {
+	n := p.len()
+	gatherInto(s.null[at:at+n], src.null, p)
+	switch s.kind {
+	case Float:
+		gatherInto(s.f[at:at+n], src.f, p)
+	case Int:
+		gatherInto(s.i[at:at+n], src.i, p)
+	case Bool:
+		gatherInto(s.b[at:at+n], src.b, p)
+	case String:
+		words := src.dict.Words()
+		tr := make([]uint32, len(words))
+		for c, w := range words {
+			tr[c] = s.dict.Intern(w)
+		}
+		codes, nulls := s.sc[at:at+n], s.null[at:at+n]
+		gatherInto(codes, src.sc, p)
+		for j, c := range codes {
+			if nulls[j] {
+				codes[j] = 0
+			} else {
+				codes[j] = tr[c]
+			}
+		}
+	}
+}
+
+// gatherInto copies the elements p takes of src into dst, in order.
+func gatherInto[T any](dst, src []T, p Part) {
+	if p.All {
+		copy(dst, src)
+		return
+	}
+	for j, r := range p.Rows {
+		dst[j] = src[r]
+	}
+}
+
+// nullIn reports whether every row p takes of s is null, nulls counted
+// as NullCount counts them.
+func (s *Series) nullIn(p Part) bool {
+	null := func(r int) bool { return s.null[r] || s.kind == Float && math.IsNaN(s.f[r]) }
+	if p.All {
+		for r := range s.null {
+			if !null(r) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, r := range p.Rows {
+		if !null(r) {
+			return false
+		}
+	}
+	return true
 }

@@ -73,10 +73,11 @@ func filterPlain(sel dataframe.Sel, s *dataframe.Series, p Predicate) dataframe.
 // ambiguous leaf, or nothing — plus whether an index level shares the
 // name. Computed once per query from segment headers alone.
 type colResolution struct {
-	mode  resolveMode
-	key   dataframe.ColKey // set when mode == resolveKey
-	kind  dataframe.Kind   // union kind of key (null-fill kind)
-	level string           // index level of the same name, "" if none
+	mode    resolveMode
+	key     dataframe.ColKey // set when mode == resolveKey
+	keyName string           // key.String()
+	kind    dataframe.Kind   // union kind of key (null-fill kind)
+	level   string           // index level of the same name, "" if none
 }
 
 type resolveMode uint8
@@ -91,7 +92,8 @@ const (
 // segments: predicates resolve against the union schema assembled from
 // headers, zone maps and dictionary pages prune whole segments before
 // any block decodes, survivors evaluate vectorized, and only surviving
-// rows materialize, in one concatenation per frame. The result is
+// rows materialize, gathered from the cached columns straight into the
+// result, once per frame. The result is
 // bit-identical to NaiveFilter(store.Load()) — same frames, same row
 // order, same errors on unknown columns. Its call tree is the store's
 // union tree for the layout it read, shared read-only with every other
@@ -154,8 +156,10 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 	// A single-segment store keeps its stored stats table, as Load does.
 	withStats := nseg == 1
 	var stats *dataframe.Frame
-	perfs := make([]*dataframe.Frame, 0, nseg)
-	metas := make([]*dataframe.Frame, 0, nseg)
+	// Each segment's rows in the result: the selected rows of a scanned
+	// one, none of a pruned one, which still adds its schema.
+	perfs := make([]dataframe.Part, 0, nseg)
+	metas := make([]dataframe.Part, 0, nseg)
 	for i := 0; i < nseg; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, ex, err
@@ -164,18 +168,21 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		nrows := sv.NRows(store.FrameMeta)
 		es.Rows += nrows
 		se := SegmentExplain{Segment: i, Gen: sv.Gen(), Version: sv.Version(), Rows: nrows}
+		metaCols, err := sv.Columns(store.FrameMeta)
+		if err != nil {
+			return nil, ex, err
+		}
 		match, cause := true, pruneCause{pred: -1}
 		if len(preds) > 0 {
-			match, cause, err = segmentCanMatch(sv, preds, res)
-			if err != nil {
-				return nil, ex, err
-			}
+			match, cause = segmentCanMatch(sv, metaCols, preds, res)
 		}
 		lap(&stages.PruneNS)
 		blocks := sv.BlockCount(store.FrameMeta, store.FramePerf)
-		if err := addSegmentColumns(ex, colIdx, sv, match); err != nil {
+		perfCols, err := sv.Columns(store.FramePerf)
+		if err != nil {
 			return nil, ex, err
 		}
+		addSegmentColumns(ex, colIdx, match, metaCols, perfCols)
 		if !match {
 			es.SegmentsPruned++
 			es.BlocksSkipped += blocks
@@ -193,7 +200,9 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			if err != nil {
 				return nil, ex, err
 			}
-			perfs, metas, stats = append(perfs, part.Perf), append(metas, part.Meta), part.Stats
+			perfs = append(perfs, dataframe.Part{Frame: part.Perf})
+			metas = append(metas, dataframe.Part{Frame: part.Meta})
+			stats = part.Stats
 			lap(&stages.MaterializeNS)
 			stageTo(ctx, StagePrune)
 			continue
@@ -220,12 +229,12 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		se.RowsMatched = len(sel)
 		ex.Segments = append(ex.Segments, se)
 		stageTo(ctx, StageMaterialize)
-		// When every row survives, the selection would be an identity.
-		perf, meta := part.Perf, part.Meta
-		if len(sel) != nrows {
-			perf, meta = selectProfiles(part, sel)
-		}
-		perfs, metas, stats = append(perfs, perf), append(metas, meta), part.Stats
+		// The naive filter keeps the selected metadata rows and the perf
+		// rows of their profiles, each in row order; the segment's
+		// ordinals find the perf rows.
+		perfs = append(perfs, dataframe.Part{Frame: part.Perf, Rows: core.PerfRows(part.Ordinals, sel, nrows)})
+		metas = append(metas, dataframe.Part{Frame: part.Meta, Rows: dataframe.SelToRows(sel)})
+		stats = part.Stats
 		lap(&stages.MaterializeNS)
 		stageTo(ctx, StagePrune)
 	}
@@ -248,37 +257,15 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 	return out, ex, nil
 }
 
-// selectProfiles keeps one scanned segment's metadata rows in sel and
-// the perf rows of their profiles, each in row order, as the naive
-// filter keeps them; the segment's ordinals find the perf rows.
-func selectProfiles(part store.SegmentPart, sel dataframe.Sel) (perf, meta *dataframe.Frame) {
-	picked := make([]bool, part.Meta.NRows())
-	for _, r := range sel {
-		picked[r] = true
-	}
-	rows := make([]int, 0, len(part.Ordinals))
-	for r, o := range part.Ordinals {
-		if o >= 0 && picked[o] {
-			rows = append(rows, r)
-		}
-	}
-	return part.Perf.SelectRows(rows), part.Meta.SelectRows(dataframe.SelToRows(sel))
-}
-
 // addSegmentColumns folds one segment's meta+perf blocks into the
 // per-column aggregate, as decoded (scanned segment) or skipped
 // (pruned).
-func addSegmentColumns(ex *Explain, idx explainCols, sv store.SegmentView, decoded bool) error {
-	for _, frame := range []string{store.FrameMeta, store.FramePerf} {
-		cols, err := sv.Columns(frame)
-		if err != nil {
-			return err
-		}
-		for _, cs := range cols {
-			ex.addColumn(idx, frame+":"+cs.Key.String(), decoded)
+func addSegmentColumns(ex *Explain, idx explainCols, decoded bool, frames ...*store.FrameColumns) {
+	for _, fc := range frames {
+		for _, cs := range fc.Blocks {
+			ex.addColumn(idx, cs.Name, decoded)
 		}
 	}
-	return nil
 }
 
 // resolveUnion reconstructs, from headers alone, how each predicate
@@ -299,16 +286,15 @@ func resolveUnion(sn *store.Snapshot, preds []Predicate) ([]colResolution, error
 		if err != nil {
 			return nil, err
 		}
-		for _, cs := range cols {
+		for _, cs := range cols.Blocks {
 			if cs.Level {
 				if i == 0 {
 					levels = append(levels, cs.Key.Leaf())
 				}
 				continue
 			}
-			k := cs.Key.String()
-			if !seen[k] {
-				seen[k] = true
+			if !seen[cs.Name] {
+				seen[cs.Name] = true
 				specs = append(specs, spec{key: cs.Key, kind: cs.Kind})
 			}
 		}
@@ -347,6 +333,7 @@ func resolveUnion(sn *store.Snapshot, preds []Predicate) ([]colResolution, error
 		if r.mode != resolveKey && r.level == "" {
 			return nil, unknownColumnError(p.Column)
 		}
+		r.keyName = r.key.String()
 		out[pi] = r
 	}
 	return out, nil
@@ -409,26 +396,14 @@ type pruneCause struct {
 // predicate and which class of evidence decided. It must never return
 // false for a segment with a matching row; returning true merely costs
 // a scan.
-func segmentCanMatch(sv store.SegmentView, preds []Predicate, res []colResolution) (bool, pruneCause, error) {
-	cols, err := sv.Columns(store.FrameMeta)
-	if err != nil {
-		return false, pruneCause{pred: -1}, err
-	}
+func segmentCanMatch(sv store.SegmentView, cols *store.FrameColumns, preds []Predicate, res []colResolution) (bool, pruneCause) {
 	nrows := sv.NRows(store.FrameMeta)
-	byKey := map[string]store.ColumnStats{}
-	byLevel := map[string]store.ColumnStats{}
-	for _, cs := range cols {
-		if cs.Level {
-			byLevel[cs.Key.Leaf()] = cs
-		} else {
-			byKey[cs.Key.String()] = cs
-		}
-	}
 	for pi := range preds {
 		p, r := preds[pi], res[pi]
-		lstats, hasLevel := byLevel[r.level]
-		if r.level == "" {
-			hasLevel = false
+		var lstats store.ColumnStats
+		hasLevel := false
+		if r.level != "" {
+			lstats, hasLevel = cols.Level(r.level)
 		}
 		ok, verdict := true, ""
 		switch {
@@ -440,7 +415,7 @@ func segmentCanMatch(sv store.SegmentView, preds []Predicate, res []colResolutio
 				ok, verdict = false, VerdictPrunedNullCount
 			}
 		default:
-			cs, present := byKey[r.key.String()]
+			cs, present := cols.Column(r.keyName)
 			switch {
 			case !present && hasLevel:
 				ok, verdict = canMatchPlain(sv, lstats, nrows, p)
@@ -468,10 +443,10 @@ func segmentCanMatch(sv store.SegmentView, preds []Predicate, res []colResolutio
 			}
 		}
 		if !ok {
-			return false, pruneCause{verdict: verdict, pred: pi}, nil
+			return false, pruneCause{verdict: verdict, pred: pi}
 		}
 	}
-	return true, pruneCause{pred: -1}, nil
+	return true, pruneCause{pred: -1}
 }
 
 // canMatchPlain reports whether any cell of the described column — null

@@ -33,7 +33,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -498,9 +497,9 @@ func (s *Server) route(path string, routeDep cacheDep, h func(*http.Request) (in
 				cacheState = "uncached"
 				telemetry.FromContext(r.Context()).SetAttr("cache", "uncached")
 			}
-			status2, v := h(r)
-			status = status2
-			writeJSON(w, status, v)
+			var body []byte
+			status, body = render(h(r))
+			writeBody(w, status, body)
 			return
 		}
 		ep := s.eps[path]
@@ -533,13 +532,7 @@ func (s *Server) route(path string, routeDep cacheDep, h func(*http.Request) (in
 		if dep == depTree {
 			stamp = treeGen
 		}
-		status2, v := h(r)
-		status = status2
-		body, err := renderJSON(v)
-		if err != nil {
-			status = http.StatusInternalServerError
-			body, _ = renderJSON(map[string]string{"error": err.Error()})
-		}
+		status, body := render(h(r))
 		fc.status, fc.body = status, body
 		if status == http.StatusOK {
 			s.cache.put(key, body, dep, stamp)
@@ -604,78 +597,6 @@ func (s *Server) limit(h http.Handler) http.Handler {
 		}
 		h.ServeHTTP(w, r)
 	})
-}
-
-// renderJSON marshals a response payload exactly as writeJSON writes it
-// (two-space indent, trailing newline), so cached bytes are
-// byte-identical to streamed responses.
-func renderJSON(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// errPayload is the (status, payload) form of writeError.
-func errPayload(status int, err error) (int, any) {
-	return status, map[string]string{"error": err.Error()}
-}
-
-// valueJSON converts a cell for JSON responses (typed nulls → null).
-func valueJSON(v dataframe.Value) any {
-	if v.IsNull() {
-		return nil
-	}
-	switch v.Kind() {
-	case dataframe.Float:
-		return v.Float()
-	case dataframe.Int:
-		return v.Int()
-	case dataframe.String:
-		return v.Str()
-	case dataframe.Bool:
-		return v.Bool()
-	}
-	return nil
-}
-
-// frameRows renders a frame as JSON records: index levels under their
-// level names, columns under their "/"-joined keys. encoding/json
-// serializes map keys sorted, so responses are deterministic — the
-// golden endpoint tests rely on that.
-func frameRows(f *dataframe.Frame) []map[string]any {
-	rows := make([]map[string]any, f.NRows())
-	names := f.Index().Names()
-	for r := 0; r < f.NRows(); r++ {
-		rec := make(map[string]any, len(names)+f.NCols())
-		for l, v := range f.Index().KeyAt(r) {
-			rec[names[l]] = valueJSON(v)
-		}
-		for c := 0; c < f.NCols(); c++ {
-			rec[f.ColIndex().Key(c).String()] = valueJSON(f.ColumnAt(c).At(r))
-		}
-		rows[r] = rec
-	}
-	return rows
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -975,7 +896,7 @@ func (s *Server) profilesResponse(r *http.Request) (int, any) {
 	return qr.done(map[string]any{
 		"count": qr.th.NumProfiles(),
 		"total": qr.stats.Rows,
-		"rows":  frameRows(qr.th.Metadata),
+		"rows":  rows{qr.th.Metadata},
 	})
 }
 
@@ -1022,7 +943,7 @@ func (s *Server) statsResponse(r *http.Request) (int, any) {
 	}
 	return qr.done(map[string]any{
 		"count": th.Stats.NRows(),
-		"rows":  frameRows(th.Stats),
+		"rows":  rows{th.Stats},
 	})
 }
 
@@ -1048,7 +969,7 @@ func (s *Server) groupByResponse(r *http.Request) (int, any) {
 	}
 	return qr.done(map[string]any{
 		"count": out.NRows(),
-		"rows":  frameRows(out),
+		"rows":  rows{out},
 	})
 }
 
@@ -1070,7 +991,7 @@ func (s *Server) summaryResponse(r *http.Request) (int, any) {
 	}
 	return qr.done(map[string]any{
 		"count": sum.NRows(),
-		"rows":  frameRows(sum),
+		"rows":  rows{sum},
 	})
 }
 

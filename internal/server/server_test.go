@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,6 +18,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataframe"
+	"repro/internal/profile"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -273,5 +276,52 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not shut down within 5s")
+	}
+}
+
+// TestInfValuesAnswer500: a cell no JSON can carry (±Inf, storable in a
+// float column) fails its response with a 500 naming the value, whether
+// the response is cached or not, never with a 200 and an empty body.
+func TestInfValuesAnswer500(t *testing.T) {
+	var ps []*profile.Profile
+	for i := 0; i < 3; i++ {
+		p := profile.New()
+		p.SetMeta("id", dataframe.Int64(int64(i)))
+		p.SetMeta("x", dataframe.Float64(math.Inf(1)))
+		if err := p.AddSample([]string{"main"}, map[string]dataframe.Value{"time": dataframe.Float64(math.Inf(1))}); err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	th, err := core.FromProfiles(ps, core.Options{IndexBy: "id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(memServer(t, th, server.Options{}).Handler())
+	defer ts.Close()
+	const want = "{\n  \"error\": \"json: unsupported value: +Inf\"\n}\n"
+	for _, path := range []string{"/api/profiles", "/api/profiles?where=id>=1", "/api/stats?metrics=time&aggs=mean"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || string(body) != want {
+			t.Errorf("GET %s: %d %q, want 500 %q", path, resp.StatusCode, body, want)
+		}
+	}
+	// The query log records the status the client saw.
+	records, _ := querylog(t, ts)
+	if len(records) != 3 {
+		t.Fatalf("querylog holds %d records, want 3", len(records))
+	}
+	for _, rec := range records {
+		if rec.Status != http.StatusInternalServerError {
+			t.Errorf("querylog %s %q: status %d, want 500", rec.Endpoint, rec.Where, rec.Status)
+		}
 	}
 }

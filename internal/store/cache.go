@@ -18,11 +18,14 @@ const DefaultCacheBytes = 64 << 20
 // (segment generation, frame, block). The generation stamp — not the
 // segment's position — identifies the segment, so compaction retiring
 // some segments invalidates exactly their entries (dropSegment) while
-// every surviving segment keeps its warm columns. Cached series are
-// shared between the cache and callers-in-flight, so retrieval hands
-// out deep copies; decode cost dominates copy cost by an order of
-// magnitude and copies keep a caller's mutations from poisoning the
-// cache.
+// every surviving segment keeps its warm columns. A cached series is
+// shared, not copied: the cache and every reader of that block hold the
+// same series, so it is read-only. Results gathered or concatenated
+// from cached series (a multi-segment Load, a Refresh tail, a plan
+// result) are fresh by construction; where one segment's frames would
+// leave the store as they are (a single-segment Load, LoadProjection or
+// full Refresh, a single-segment Metadata, LoadSegmentThicket), the
+// store copies them first.
 type columnCache struct {
 	mu    sync.Mutex
 	max   int64
@@ -82,7 +85,7 @@ func seriesBytes(s *dataframe.Series) int64 {
 	return total
 }
 
-// get returns a deep copy of the cached series, or nil on miss.
+// get returns the cached series, shared and read-only, or nil on miss.
 func (c *columnCache) get(k cacheKey) *dataframe.Series {
 	if c.max <= 0 {
 		return nil
@@ -96,12 +99,12 @@ func (c *columnCache) get(k cacheKey) *dataframe.Series {
 	}
 	c.hits.Inc()
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).s.Copy()
+	return el.Value.(*cacheEntry).s
 }
 
-// put stores a copy of s under k, evicting least-recently-used entries
-// until the byte budget holds. A series larger than the whole budget is
-// simply not cached.
+// put stores s, which no caller may modify from then on, under k,
+// evicting least-recently-used entries until the byte budget holds. A
+// series larger than the whole budget is simply not cached.
 func (c *columnCache) put(k cacheKey, s *dataframe.Series) {
 	if c.max <= 0 {
 		return
@@ -126,7 +129,7 @@ func (c *columnCache) put(k cacheKey, s *dataframe.Series) {
 		delete(c.items, ent.key)
 		c.used -= ent.bytes
 	}
-	ent := &cacheEntry{key: k, s: s.Copy(), bytes: sz}
+	ent := &cacheEntry{key: k, s: s, bytes: sz}
 	c.items[k] = c.order.PushFront(ent)
 	c.used += sz
 }

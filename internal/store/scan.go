@@ -32,7 +32,10 @@ const (
 // ColumnStats is one block's header-level description: key, kind, zone
 // map, and null count. Level marks index-level blocks.
 type ColumnStats struct {
-	Key   dataframe.ColKey
+	Key dataframe.ColKey
+	// Name qualifies the block by its frame, "frame:key" with the key
+	// rendered by ColKey.String: the name plans report a column under.
+	Name  string
 	Kind  dataframe.Kind
 	Level bool
 	// Min/Max are the zone map over non-null values; nil means "no
@@ -44,6 +47,34 @@ type ColumnStats struct {
 	Nulls int
 
 	cm columnMeta
+}
+
+// FrameColumns describes one frame of a segment from its header alone:
+// its blocks in block order, index levels first, then data columns, and
+// where each level name and column key lands among them. A segment
+// builds it once per frame and every caller shares it: read-only.
+type FrameColumns struct {
+	Blocks []ColumnStats
+	levels map[string]int // level name → block; a later level wins
+	keys   map[string]int // ColKey.String() → block; a later column wins
+}
+
+// Level returns the index level block named name.
+func (fc *FrameColumns) Level(name string) (ColumnStats, bool) {
+	i, ok := fc.levels[name]
+	if !ok {
+		return ColumnStats{}, false
+	}
+	return fc.Blocks[i], true
+}
+
+// Column returns the data column block whose key renders as key.
+func (fc *FrameColumns) Column(key string) (ColumnStats, bool) {
+	i, ok := fc.keys[key]
+	if !ok {
+		return ColumnStats{}, false
+	}
+	return fc.Blocks[i], true
 }
 
 // Snapshot is a pinned view of the store's live segments. Callers must
@@ -98,21 +129,49 @@ func (v SegmentView) NRows(frame string) int {
 	return 0
 }
 
-// Columns describes the named frame's blocks — index levels first, then
-// data columns, mirroring block order — from the header alone.
-func (v SegmentView) Columns(frame string) ([]ColumnStats, error) {
+// Columns describes the named frame's blocks from the header alone. The
+// header is immutable, so the segment describes each frame once, on
+// first use, and shares the description with every caller.
+func (v SegmentView) Columns(frame string) (*FrameColumns, error) {
+	memo := v.seg.cols.Load()
+	if memo == nil {
+		m := make(map[string]*FrameColumns, len(v.seg.header.Frames))
+		for i := range v.seg.header.Frames {
+			fm := &v.seg.header.Frames[i]
+			if fc, err := v.describe(fm); err == nil {
+				m[fm.Name] = fc
+			}
+		}
+		v.seg.cols.CompareAndSwap(nil, &m)
+		memo = v.seg.cols.Load()
+	}
+	if fc := (*memo)[frame]; fc != nil {
+		return fc, nil
+	}
 	fm := v.seg.header.frame(frame)
 	if fm == nil {
 		return nil, fmt.Errorf("store: %s: segment g%d has no frame %q", v.st.path, v.seg.gen, frame)
 	}
-	out := make([]ColumnStats, 0, len(fm.Levels)+len(fm.Cols))
+	_, err := v.describe(fm) // a frame with a block of unknown kind fails every call
+	return nil, err
+}
+
+// describe builds one frame's FrameColumns from its header entry.
+func (v SegmentView) describe(fm *frameMeta) (*FrameColumns, error) {
+	fc := &FrameColumns{
+		Blocks: make([]ColumnStats, 0, len(fm.Levels)+len(fm.Cols)),
+		levels: make(map[string]int, len(fm.Levels)),
+		keys:   make(map[string]int, len(fm.Cols)),
+	}
 	add := func(cm columnMeta, level bool) error {
 		kind, err := parseKindName(cm.Kind)
 		if err != nil {
-			return fmt.Errorf("store: %s: segment g%d frame %s block %v: %w", v.st.path, v.seg.gen, frame, cm.Key, err)
+			return fmt.Errorf("store: %s: segment g%d frame %s block %v: %w", v.st.path, v.seg.gen, fm.Name, cm.Key, err)
 		}
+		key := dataframe.ColKey(cm.Key)
 		cs := ColumnStats{
-			Key:   dataframe.ColKey(cm.Key).Copy(),
+			Key:   key,
+			Name:  fm.Name + ":" + key.String(),
 			Kind:  kind,
 			Level: level,
 			Min:   cm.Min,
@@ -123,7 +182,12 @@ func (v SegmentView) Columns(frame string) ([]ColumnStats, error) {
 		if v.seg.header.Version >= 3 && cm.Nulls != nil {
 			cs.Nulls = *cm.Nulls
 		}
-		out = append(out, cs)
+		if level {
+			fc.levels[key.Leaf()] = len(fc.Blocks)
+		} else {
+			fc.keys[key.String()] = len(fc.Blocks)
+		}
+		fc.Blocks = append(fc.Blocks, cs)
 		return nil
 	}
 	for _, cm := range fm.Levels {
@@ -136,7 +200,7 @@ func (v SegmentView) Columns(frame string) ([]ColumnStats, error) {
 			return nil, err
 		}
 	}
-	return out, nil
+	return fc, nil
 }
 
 // DictHasWord probes a string block's dictionary page for word without
@@ -190,8 +254,10 @@ func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (boo
 
 // SegmentPart is one segment's share of a where= result: its perf and
 // metadata frames and, when the store has this one segment, its stored
-// stats table. The frames of a scanned segment hold cached column data
-// and those of a pruned one are shared: callers must not modify either.
+// stats table. The frames of a scanned segment hold the column cache's
+// series, shared with every other reader of those blocks, and those of
+// a pruned one are the segment's own: callers must not modify either,
+// and gather or copy what they hand on.
 type SegmentPart struct {
 	Perf, Meta *dataframe.Frame
 	Stats      *dataframe.Frame // nil unless requested
@@ -354,13 +420,13 @@ func (v SegmentView) EmptyFrame(frame string) (*dataframe.Frame, error) {
 	var levels []*dataframe.Series
 	var keys []dataframe.ColKey
 	var data []*dataframe.Series
-	for _, cs := range cols {
+	for _, cs := range cols.Blocks {
 		s := dataframe.NewSeries(cs.Key.Leaf(), cs.Kind)
 		if cs.Level {
 			levels = append(levels, s)
 			continue
 		}
-		keys = append(keys, cs.Key)
+		keys = append(keys, cs.Key.Copy())
 		data = append(data, s)
 	}
 	ix, err := dataframe.NewIndex(levels...)

@@ -59,6 +59,11 @@ type segment struct {
 	// like profiles, lives as long as the segment.
 	head atomic.Pointer[headPart]
 	ords atomic.Pointer[[]int32]
+
+	// cols memoizes SegmentView.Columns: each frame's header description
+	// by frame name, built once, frames with a block of unknown kind
+	// left out.
+	cols atomic.Pointer[map[string]*FrameColumns]
 }
 
 // acquire pins the segment for a reader.
@@ -730,7 +735,8 @@ func (s *Store) loadSegments(ctx context.Context, sp *telemetry.Span, segs []*se
 		thickets[i] = th
 	}
 	if len(thickets) == 1 {
-		return thickets[0], nil
+		// Its frames hold the column cache's shared series.
+		return thickets[0].Copy(), nil
 	}
 	th, err := core.ConcatProfiles(thickets)
 	if err != nil {
@@ -875,7 +881,11 @@ func (s *Store) LoadSegmentThicket(gen int64) (*core.Thicket, error) {
 	defer release()
 	for _, seg := range segs {
 		if seg.gen == gen {
-			return s.loadSegment(context.Background(), nil, seg, nil, false)
+			th, err := s.loadSegment(context.Background(), nil, seg, nil, false)
+			if err != nil {
+				return nil, err
+			}
+			return th.Copy(), nil // its frames hold the cache's shared series
 		}
 	}
 	return nil, fmt.Errorf("store: %s: no live segment with generation %d", s.path, gen)
@@ -902,7 +912,7 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 		frames[i] = f
 	}
 	if len(frames) == 1 {
-		return frames[0], nil
+		return frames[0].Copy(), nil // it holds the cache's shared series
 	}
 	out, err := dataframe.ConcatRowsOuter(frames...)
 	if err != nil {

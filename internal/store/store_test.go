@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataframe"
 	"repro/internal/ingest"
+	"repro/internal/plan"
 	"repro/internal/profile"
 	"repro/internal/store"
 )
@@ -391,6 +392,141 @@ func TestCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertThicketsEqual(t, "post-mutation reload", second, third)
+}
+
+// TestSharedColumnsStayIsolated: the column cache shares its decoded
+// series with every reader, so each call that could hand one segment's
+// frames out whole must hand out copies. A caller mutating an answer —
+// a level Set, then AggregateStats recomputing a stored statistic in
+// place over a changed metric — must not change the next answer of the
+// same call.
+func TestSharedColumnsStayIsolated(t *testing.T) {
+	metric := []dataframe.ColKey{{"time"}}
+	part := func(seed, idBase int64) *core.Thicket {
+		ps := randomEnsemble(t, seed, 4)
+		for i, p := range ps {
+			p.SetMeta("id", dataframe.Int64(idBase+int64(i)))
+		}
+		th, err := core.FromProfiles(ps, core.Options{IndexBy: "id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The stored stats table holds the statistic recomputed below.
+		if err := th.AggregateStats(metric, []string{"mean"}); err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	open := func(segments int) *store.Store {
+		path := filepath.Join(t.TempDir(), "iso.tks")
+		if err := store.Create(path, part(71, 0)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		for i := 1; i < segments; i++ {
+			if err := s.Append(part(71+int64(i), 100*int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	// setLevels rewrites row 0 of the first index level of each frame:
+	// to the last row's value, or to a null where the frame has one row.
+	setLevels := func(frames ...*dataframe.Frame) {
+		for _, f := range frames {
+			lv := f.Index().Level(0)
+			v := dataframe.Null(lv.Kind())
+			if n := lv.Len(); n > 1 {
+				v = lv.At(n - 1)
+			}
+			if err := lv.Set(0, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("Metadata", func(t *testing.T) {
+		s := open(1)
+		first, err := s.Metadata()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.Copy()
+		setLevels(first)
+		if err := first.ColumnAt(0).Set(1, dataframe.Null(first.ColumnAt(0).Kind())); err != nil {
+			t.Fatal(err)
+		}
+		next, err := s.Metadata()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !next.Equal(want) {
+			t.Fatal("mutating one Metadata answer changed the next")
+		}
+	})
+
+	for _, tc := range []struct {
+		name     string
+		segments int
+		get      func(*store.Store) (*core.Thicket, error)
+	}{
+		{"LoadSegmentThicket", 1, func(s *store.Store) (*core.Thicket, error) {
+			return s.LoadSegmentThicket(s.Segments()[0].Gen)
+		}},
+		{"full Refresh", 1, func(s *store.Store) (*core.Thicket, error) {
+			th, _, _, mode, err := s.Refresh(nil)
+			if err == nil && mode != store.RefreshFull {
+				err = fmt.Errorf("Refresh(nil) ran mode %s", mode)
+			}
+			return th, err
+		}},
+		{"full Refresh, three segments", 3, func(s *store.Store) (*core.Thicket, error) {
+			th, _, _, _, err := s.Refresh(nil)
+			return th, err
+		}},
+		{"ExecuteStore", 1, func(s *store.Store) (*core.Thicket, error) {
+			th, _, err := plan.ExecuteStore(s, nil)
+			return th, err
+		}},
+		{"ExecuteStore, three segments", 3, func(s *store.Store) (*core.Thicket, error) {
+			th, _, err := plan.ExecuteStore(s, nil)
+			return th, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(tc.segments)
+			first, err := tc.get(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := first.Copy()
+			setLevels(first.PerfData, first.Metadata)
+			times, err := first.PerfData.Column(metric[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < times.Len(); r++ {
+				if err := times.Set(r, dataframe.Float64(float64(r))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := first.AggregateStats(metric, []string{"mean"}); err != nil {
+				t.Fatal(err)
+			}
+			if first.Stats.Equal(want.Stats) {
+				t.Fatal("the mutations left the stats table unchanged; they test nothing")
+			}
+			next, err := tc.get(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertThicketsEqual(t, tc.name, want, next)
+		})
+	}
 }
 
 func TestOpenErrorsNamePath(t *testing.T) {
