@@ -391,12 +391,6 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 			"wal", ing.WALPath(), "sync", cfg.ingestSync, "compact", st.CanCompact())
 	}
 
-	immediate := map[string]time.Duration{}
-	for path, spec := range inject {
-		if spec.after <= 0 {
-			immediate[path] = spec.delay
-		}
-	}
 	serverOpts := thicket.ServerOptions{
 		MaxConcurrent: cfg.maxConc,
 		Timeout:       cfg.timeout,
@@ -404,7 +398,6 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 		SlowQuery:     cfg.slowQuery,
 		Logger:        logger,
 		Trace:         col,
-		InjectLatency: immediate,
 		// The process-wide registry: /metrics merges the server's HTTP
 		// metrics with kernel, store, and span-duration metrics.
 		Registry: thicket.DefaultMetrics(),
@@ -416,19 +409,20 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 		serverOpts.Monitor = mon
 	}
 	srv := thicket.NewServer(th, st, serverOpts)
-	// Delayed injections arm after the endpoint's baseline has warmed on
-	// honest latencies, so the latency-baseline demo flags a real
-	// regression.
+	// Immediate injections apply before serving. Delayed ones arm after
+	// the endpoint's baseline has warmed on honest latencies, so the
+	// latency-baseline demo flags a real regression.
 	for path, spec := range inject {
-		if spec.after > 0 {
-			path, spec := path, spec
-			tm := time.AfterFunc(spec.after, func() {
-				srv.SetInjectedLatency(path, spec.delay)
-				dlog.Warn("injected latency armed",
-					"endpoint", path, "delay", spec.delay.String())
-			})
-			defer tm.Stop()
+		if spec.after <= 0 {
+			srv.SetInjectedLatency(path, spec.delay)
+			continue
 		}
+		tm := time.AfterFunc(spec.after, func() {
+			srv.SetInjectedLatency(path, spec.delay)
+			dlog.Warn("injected latency armed",
+				"endpoint", path, "delay", spec.delay.String())
+		})
+		defer tm.Stop()
 	}
 	if cfg.debugAddr != "" {
 		dbg := debugServer(cfg.debugAddr)

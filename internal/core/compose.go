@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/calltree"
@@ -72,10 +73,14 @@ func Compose(groups []string, thickets []*Thicket) (*Thicket, error) {
 	}, nil
 }
 
+// ErrSharedProfiles is the error for a concatenation whose inputs repeat
+// a profile-index value.
+var ErrSharedProfiles = errors.New("core: concatenated thickets share profile-index values")
+
 // ConcatProfiles vertically concatenates thickets over the union of
 // their profiles (same metric schema required): the trees are unioned
 // and the metadata/performance tables stacked. Profile-index values must
-// be distinct across inputs.
+// be distinct across inputs (ErrSharedProfiles).
 func ConcatProfiles(thickets []*Thicket) (*Thicket, error) {
 	if len(thickets) == 0 {
 		return nil, fmt.Errorf("core: no thickets")
@@ -92,18 +97,27 @@ func ConcatProfiles(thickets []*Thicket) (*Thicket, error) {
 		perfs[i] = dataframe.AllRows(th.PerfData)
 		metas[i] = dataframe.AllRows(th.Metadata)
 	}
-	return ConcatFrames(calltree.Union(trees...), perfs, metas, first.profileLevel)
+	th, err := ConcatFrames(calltree.Union(trees...), perfs, metas, first.profileLevel)
+	if err != nil {
+		return nil, err
+	}
+	if th.Metadata.Index().HasDuplicates() {
+		return nil, ErrSharedProfiles
+	}
+	return th, nil
 }
 
 // ConcatFrames stacks the given rows of several parts' performance and
 // metadata frames, in order, into one thicket over tree, which must hold
 // every part's call tree; each result frame is gathered in one pass
 // (dataframe.ConcatParts). Schemas may differ across parts (multi-tool
-// ensembles): missing cells become nulls. Profile-index values must be
-// distinct across the kept metadata rows; nothing else is re-validated,
-// so the kept rows must already satisfy Validate against their own
-// parts' trees. The result owns fresh frames and the empty statistics
-// table over tree, and shares tree itself.
+// ensembles): missing cells become nulls. Nothing is re-validated: the
+// kept rows must already satisfy Validate against their own parts'
+// trees, and their profile-index values must be distinct across parts,
+// which callers prove or check themselves (ConcatProfiles checks its
+// inputs; the store proves its segments disjoint once). The result owns
+// fresh frames and the empty statistics table over tree, and shares tree
+// itself.
 func ConcatFrames(tree *calltree.Tree, perfs, metas []dataframe.Part, profileLevel string) (*Thicket, error) {
 	perf, err := dataframe.ConcatParts(perfs...)
 	if err != nil {
@@ -112,9 +126,6 @@ func ConcatFrames(tree *calltree.Tree, perfs, metas []dataframe.Part, profileLev
 	meta, err := dataframe.ConcatParts(metas...)
 	if err != nil {
 		return nil, fmt.Errorf("core: metadata: %w", err)
-	}
-	if meta.Index().HasDuplicates() {
-		return nil, fmt.Errorf("core: concatenated thickets share profile-index values")
 	}
 	return &Thicket{
 		Tree:         tree,

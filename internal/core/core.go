@@ -228,20 +228,27 @@ func FromParts(tree *calltree.Tree, perf, meta, stats *dataframe.Frame, profileL
 	if profileLevel == "" {
 		return nil, fmt.Errorf("core: missing profile level")
 	}
+	th := Assemble(tree, perf, meta, stats, profileLevel)
+	if err := th.Validate(); err != nil {
+		return nil, err
+	}
+	return th, nil
+}
+
+// Assemble is FromParts without the validation, for callers that have
+// validated the components (or the originals they copied) already, or
+// that validate the result themselves (ValidOrdinals).
+func Assemble(tree *calltree.Tree, perf, meta, stats *dataframe.Frame, profileLevel string) *Thicket {
 	if stats == nil {
 		stats = emptyStats(tree)
 	}
-	th := &Thicket{
+	return &Thicket{
 		Tree:         tree,
 		PerfData:     perf,
 		Metadata:     meta,
 		Stats:        stats,
 		profileLevel: profileLevel,
 	}
-	if err := th.Validate(); err != nil {
-		return nil, err
-	}
-	return th, nil
 }
 
 // reorderColumns returns a copy of f with columns in the given leaf-name
@@ -328,18 +335,26 @@ func (t *Thicket) StatsCopy() *Thicket {
 // unique. A failure names the first offending row; a PerfData row with
 // both an unknown node and an unknown profile reports the node.
 func (t *Thicket) Validate() error {
+	_, err := t.ValidOrdinals()
+	return err
+}
+
+// ValidOrdinals is Validate returning, when the thicket passes, its
+// ProfileOrdinals, which the profile check computes anyway.
+func (t *Thicket) ValidOrdinals() ([]int32, error) {
 	if t.Metadata.Index().HasDuplicates() {
-		return fmt.Errorf("core: duplicate profile index in metadata")
+		return nil, fmt.Errorf("core: duplicate profile index in metadata")
 	}
 	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
 	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
 	if nodeLv == nil || profLv == nil {
-		return fmt.Errorf("core: perf data index must have levels (%s, %s)", NodeLevel, t.profileLevel)
+		return nil, fmt.Errorf("core: perf data index must have levels (%s, %s)", NodeLevel, t.profileLevel)
 	}
 	resolved := make(map[string]bool, t.Tree.Len())
 	badNode, path := t.firstUnknownNode(nodeLv, resolved)
 	badProf := -1
-	for r, o := range t.Metadata.Index().Locate(profLv) {
+	ords := t.Metadata.Index().Locate(profLv)
+	for r, o := range ords {
 		if o < 0 {
 			badProf = r
 			break
@@ -347,18 +362,18 @@ func (t *Thicket) Validate() error {
 	}
 	switch {
 	case badNode >= 0 && (badProf < 0 || badNode <= badProf):
-		return fmt.Errorf("core: perf row %d references unknown node %q", badNode, path)
+		return nil, fmt.Errorf("core: perf row %d references unknown node %q", badNode, path)
 	case badProf >= 0:
-		return fmt.Errorf("core: perf row %d references unknown profile %s", badProf, profLv.At(badProf))
+		return nil, fmt.Errorf("core: perf row %d references unknown profile %s", badProf, profLv.At(badProf))
 	}
 	statsLv := t.Stats.Index().LevelByName(NodeLevel)
 	if statsLv == nil {
-		return fmt.Errorf("core: stats index must have level %q", NodeLevel)
+		return nil, fmt.Errorf("core: stats index must have level %q", NodeLevel)
 	}
 	if r, path := t.firstUnknownNode(statsLv, resolved); r >= 0 {
-		return fmt.Errorf("core: stats row %d references unknown node %q", r, path)
+		return nil, fmt.Errorf("core: stats row %d references unknown node %q", r, path)
 	}
-	return nil
+	return ords, nil
 }
 
 // firstUnknownNode returns the first row of a node level whose path is

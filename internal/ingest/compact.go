@@ -8,35 +8,18 @@ import (
 	"repro/internal/store"
 )
 
-// mergeSegments loads each named segment and concatenates them
-// node-major sorted — the batch builder's row layout — so compacted
+// CompactSegments merges the named run of adjacent segments into one
+// segment at the given level. The store reads the run in one gather,
+// which sortNodeMajor lays out as the batch builder does, so compacted
 // segments are indistinguishable from batch-built ones (dictionary
 // pages re-folded in the same first-appearance order, min/max stats
-// recomputed).
-func mergeSegments(st *store.Store, gens []int64) (*core.Thicket, error) {
-	thickets := make([]*core.Thicket, len(gens))
-	for i, g := range gens {
-		th, err := st.LoadSegmentThicket(g)
-		if err != nil {
-			return nil, err
-		}
-		thickets[i] = th
-	}
-	merged := thickets[0]
-	if len(thickets) > 1 {
-		var err error
-		if merged, err = core.ConcatProfiles(thickets); err != nil {
-			return nil, err
-		}
-	}
-	return sortNodeMajor(merged)
-}
-
-// CompactSegments merges the named run of adjacent segments into one
-// segment at the given level. The store enforces that gens form a
-// contiguous run in layout order.
+// recomputed). The store enforces that gens form a contiguous run in
+// layout order.
 func CompactSegments(st *store.Store, gens []int64, level int) error {
-	merged, err := mergeSegments(st, gens)
+	merged, err := st.LoadSegments(gens)
+	if err == nil {
+		merged, err = sortNodeMajor(merged)
+	}
 	if err != nil {
 		return err
 	}
@@ -63,8 +46,8 @@ func CompactAll(st *store.Store) error {
 
 // sortNodeMajor reorders a thicket's performance rows into the batch
 // builder's layout: call-tree nodes in pre-order, and within each node
-// the profiles in arrival order. core.ConcatProfiles stacks chunks
-// chunk-major, which preserves per-node arrival order, so a *stable*
+// the profiles in arrival order. The store's gather stacks segments
+// segment-major, which preserves per-node arrival order, so a *stable*
 // sort by node rank is exactly the permutation from streamed layout to
 // batch layout — making a fully compacted store byte-identical to one
 // built from the same profiles in a single FromProfiles call.

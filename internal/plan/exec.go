@@ -250,6 +250,9 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 	if err != nil {
 		return nil, ex, err
 	}
+	if err := sn.CheckProfiles(out.Metadata); err != nil {
+		return nil, ex, err
+	}
 	if stats != nil {
 		out.Stats = stats.Copy()
 	}

@@ -1,9 +1,11 @@
 package plan_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -188,6 +191,104 @@ func TestUnknownProfileSegmentFailsEveryScan(t *testing.T) {
 		if st.SegmentsPruned != 1 || got.NumProfiles() != 3 {
 			t.Fatalf("round %d: prune stats %+v, %d profiles", round, st, got.NumProfiles())
 		}
+	}
+}
+
+// TestSharedProfileSegmentsFailLikeLoad: a segment file added to a
+// manifest by hand can repeat a profile a live segment holds, which no
+// append lets in. A question whose answer would hold both copies fails
+// with the error Load reports; questions that leave a copy out answer.
+// On a store whose segments share no profile, the store proves so once,
+// and answers still match the naive path.
+func TestSharedProfileSegmentsFailLikeLoad(t *testing.T) {
+	marbl := func(trials ...int) *core.Thicket {
+		ps := make([]*profile.Profile, len(trials))
+		for i, trial := range trials {
+			p, err := sim.GenerateMarbl(sim.MarblConfig{Cluster: sim.ClusterRZTopaz, Nodes: 1, Trial: trial, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps[i] = p
+		}
+		th, err := core.FromProfiles(ps, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	dirA, dirB := filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")
+	if err := store.CreateDir(dirA, marbl(0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CreateDir(dirB, marbl(2, 3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	// B's one segment joins A's manifest as generation 99.
+	segB, err := filepath.Glob(filepath.Join(dirB, "seg-*.tks"))
+	if err != nil || len(segB) != 1 {
+		t.Fatalf("segment files of B: %v, %v", segB, err)
+	}
+	raw, err := os.ReadFile(segB[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dirA, "seg-000099.tks"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dirA, store.ManifestName)
+	if raw, err = os.ReadFile(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["segments"] = append(m["segments"].([]any), map[string]any{"file": "seg-000099.tks", "level": 1, "gen": 99})
+	m["next_gen"] = 100
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := store.Open(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, loadErr := s.Load()
+	if want := "store: " + dirA + ": core: concatenated thickets share profile-index values"; loadErr == nil || loadErr.Error() != want {
+		t.Fatalf("load error = %v, want %s", loadErr, want)
+	}
+	for round := 0; round < 2; round++ {
+		scan, _ := plan.Compile([]string{"trial>=0"})
+		if _, _, err := plan.ExecuteStore(s, scan); err == nil || err.Error() != loadErr.Error() {
+			t.Fatalf("round %d: scan error = %v, want %v", round, err, loadErr)
+		}
+		for _, tc := range []struct {
+			expr     string
+			profiles int
+		}{{"trial<2", 2}, {"trial!=2", 4}} {
+			preds, _ := plan.Compile([]string{tc.expr})
+			got, _, err := plan.ExecuteStore(s, preds)
+			if err != nil {
+				t.Fatalf("round %d: %s: %v", round, tc.expr, err)
+			}
+			if got.NumProfiles() != tc.profiles {
+				t.Fatalf("round %d: %s kept %d profiles, want %d", round, tc.expr, got.NumProfiles(), tc.profiles)
+			}
+		}
+	}
+
+	valid := buildStore(t, ensemble(t, 620, 0, 3, true), ensemble(t, 621, 100, 4, true), ensemble(t, 622, 200, 2, true))
+	naive, err := valid.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(623))
+	for trial := 0; trial < 20; trial++ {
+		checkAgainstNaive(t, fmt.Sprintf("valid store trial %d", trial), valid, naive, randomPreds(rng))
 	}
 }
 

@@ -388,10 +388,8 @@ func TestActiveQueriesAndKill(t *testing.T) {
 // deadline canceled, stops waiting and leaves a canceled querylog
 // record with reason "timeout".
 func TestQueryTimeout(t *testing.T) {
-	ts, _, _ := planFixtureOpts(t, server.Options{
-		Timeout:       30 * time.Millisecond,
-		InjectLatency: map[string]time.Duration{"/api/profiles": 120 * time.Millisecond},
-	})
+	ts, srv, _ := planFixtureOpts(t, server.Options{Timeout: 30 * time.Millisecond})
+	srv.SetInjectedLatency("/api/profiles", 120*time.Millisecond)
 	status, body := fetch(t, ts, "/api/profiles?where=numhosts>=1")
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out query answered %d, want 503\n%s", status, body)

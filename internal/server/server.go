@@ -105,11 +105,6 @@ type Options struct {
 	// from the self-monitoring ring) and /debug/alerts (rule states,
 	// latency baselines, and the transition log).
 	Monitor *monitor.Sampler
-	// InjectLatency adds an artificial delay to the named endpoints
-	// (path -> delay) — the regression-injection hook behind the
-	// latency-baseline alert demo and its tests. Adjustable at runtime
-	// via SetInjectedLatency.
-	InjectLatency map[string]time.Duration
 	// Ingest, when set, enables POST /ingest: request bodies are
 	// submitted to the sink and acked once durable. nil answers /ingest
 	// with 501.
@@ -213,9 +208,6 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 		plans:   make(map[string]*planMetrics),
 		started: time.Now(),
 		log:     opts.Logger.With(telemetry.LogKeyComponent, "server"),
-	}
-	for path, d := range opts.InjectLatency {
-		s.inject.Store(path, d)
 	}
 	s.queries = &queryRegistry{active: map[int64]*activeQuery{}}
 	s.qlog = &queryLog{ring: make([]QueryRecord, queryLogSize)}

@@ -20,11 +20,11 @@ const DefaultCacheBytes = 64 << 20
 // some segments invalidates exactly their entries (dropSegment) while
 // every surviving segment keeps its warm columns. A cached series is
 // shared, not copied: the cache and every reader of that block hold the
-// same series, so it is read-only. Results gathered or concatenated
-// from cached series (a multi-segment Load, a Refresh tail, a plan
-// result) are fresh by construction; where one segment's frames would
-// leave the store as they are (a single-segment Load, LoadProjection or
-// full Refresh, a single-segment Metadata, LoadSegmentThicket), the
+// same series, so it is read-only. Results gathered from cached series
+// (a multi-segment Load, LoadProjection, full Refresh or LoadSegments,
+// a delta Refresh, a plan result) are fresh by construction; where one
+// segment's frames would leave the store as they are (a single-segment
+// Load, LoadProjection, full Refresh, LoadSegments or Metadata), the
 // store copies them first.
 type columnCache struct {
 	mu    sync.Mutex

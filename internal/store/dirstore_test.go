@@ -109,7 +109,7 @@ func TestDirStoreReplaceSegments(t *testing.T) {
 
 	// Replace the middle two segments (a contiguous run).
 	merged, err := core.ConcatProfiles([]*core.Thicket{
-		mustSegment(t, s, gens[1]), mustSegment(t, s, gens[2]),
+		mustSegments(t, s, gens[1]), mustSegments(t, s, gens[2]),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +147,10 @@ func TestDirStoreReplaceSegments(t *testing.T) {
 	}
 }
 
-func mustSegment(t testing.TB, s *Store, gen int64) *core.Thicket {
+// mustSegments reads the live segments stamped gens, in that order.
+func mustSegments(t testing.TB, s *Store, gens ...int64) *core.Thicket {
 	t.Helper()
-	th, err := s.LoadSegmentThicket(gen)
+	th, err := s.LoadSegments(gens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestColumnCacheSurvivesCompaction(t *testing.T) {
 	// Compact the two L0 segments; the base segment's entries survive.
 	gens := s.Generations()
 	merged, err := core.ConcatProfiles([]*core.Thicket{
-		mustSegment(t, s, gens[1]), mustSegment(t, s, gens[2]),
+		mustSegments(t, s, gens[1]), mustSegments(t, s, gens[2]),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +341,7 @@ func TestRefresh(t *testing.T) {
 		t.Helper()
 		gens := s.Generations()
 		run := gens[len(gens)-2:]
-		merged, err := core.ConcatProfiles([]*core.Thicket{mustSegment(t, s, run[0]), mustSegment(t, s, run[1])})
+		merged, err := core.ConcatProfiles([]*core.Thicket{mustSegments(t, s, run[0]), mustSegments(t, s, run[1])})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,4 +406,83 @@ func TestRefresh(t *testing.T) {
 	refresh(dirThicket(t, []*profile.Profile{profiles[1], profiles[0]}), RefreshFull)
 	refresh(dirThicket(t, dirProfiles(t, 9, 22)), RefreshFull)
 	refresh(nil, RefreshFull)
+}
+
+// TestDisjointProof: the store proves at most once per content
+// generation that no two segments share a profile. A proof that holds
+// carries across appends and compactions, which cannot add a shared
+// profile; one that fails is drawn again only once the content moves.
+func TestDisjointProof(t *testing.T) {
+	profiles := dirProfiles(t, 8, 41)
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := CreateDir(dir, dirThicket(t, profiles[:2])); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendL0 := func(lo, hi int) {
+		t.Helper()
+		if err := s.AppendSegment(dirThicket(t, profiles[lo:hi]), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func() error {
+		_, err := s.Load()
+		return err
+	}
+	appendL0(2, 4)
+	if s.proof.Load() != nil {
+		t.Fatal("a proof was drawn before any gather")
+	}
+	if err := load(); err != nil {
+		t.Fatal(err)
+	}
+	held := s.proof.Load()
+	if held == nil || !held.ok {
+		t.Fatalf("proof after a load of disjoint segments: %+v", held)
+	}
+	appendL0(4, 6)
+	gens := s.Generations()
+	if err := s.ReplaceSegments(gens[1:], mustSegments(t, s, gens[1:]...), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(); err != nil {
+		t.Fatal(err)
+	}
+	if s.proof.Load() != held {
+		t.Fatal("a proof that held was drawn again")
+	}
+
+	// A segment that bypasses the append check and repeats profile 0.
+	rec, err := encodeSegment(dirThicket(t, profiles[:1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.proof.Store(nil)
+	if err := s.appendSegmentDir(rec, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(); err == nil {
+		t.Fatal("load of a repeated profile succeeded")
+	}
+	failed := s.proof.Load()
+	if failed == nil || failed.ok || failed.contentGen != s.ContentGeneration() {
+		t.Fatalf("proof over a repeated profile: %+v at content generation %d", failed, s.ContentGeneration())
+	}
+	if err := load(); err == nil {
+		t.Fatal("second load of a repeated profile succeeded")
+	}
+	if s.proof.Load() != failed {
+		t.Fatal("a failed proof was drawn again at the same content generation")
+	}
+	appendL0(6, 8)
+	if err := load(); err == nil {
+		t.Fatal("load of a repeated profile succeeded after an append")
+	}
+	if again := s.proof.Load(); again == failed || again.ok {
+		t.Fatalf("after an append the failed proof is %+v, want a new failed one", again)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/calltree"
 	"repro/internal/core"
 	"repro/internal/dataframe"
+	"repro/internal/telemetry"
 )
 
 // scan.go is the zone-map read API: a pinned, header-level view of the
@@ -81,21 +82,30 @@ func (fc *FrameColumns) Column(key string) (ColumnStats, bool) {
 // Release it; segments stay readable (even across compaction) until
 // then.
 type Snapshot struct {
-	st      *Store
-	segs    []*segment
-	gen     int64 // layout generation of exactly segs
-	release func()
+	st              *Store
+	segs            []*segment
+	gen, contentGen int64 // layout and content generations of exactly segs
 }
 
-// Snapshot pins the live segment set for header-level planning and
-// block reads.
+// Snapshot pins the live segment set against compaction-time
+// finalization, for header-level planning and block reads. It reads
+// the generations under the lock that pins, so they name exactly the
+// pinned set.
 func (s *Store) Snapshot() *Snapshot {
-	segs, gen, _, release := s.pinAt()
-	return &Snapshot{st: s, segs: segs, gen: gen, release: release}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sg := range s.segs {
+		sg.acquire()
+	}
+	return &Snapshot{st: s, segs: append([]*segment(nil), s.segs...), gen: s.gen, contentGen: s.contentGen}
 }
 
 // Release unpins the snapshot's segments.
-func (sn *Snapshot) Release() { sn.release() }
+func (sn *Snapshot) Release() {
+	for _, sg := range sn.segs {
+		sg.release()
+	}
+}
 
 // NumSegments reports the snapshot's segment count.
 func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
@@ -252,17 +262,20 @@ func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (boo
 	return false, nil
 }
 
-// SegmentPart is one segment's share of a where= result: its perf and
-// metadata frames and, when the store has this one segment, its stored
-// stats table. The frames of a scanned segment hold the column cache's
-// series, shared with every other reader of those blocks, and those of
-// a pruned one are the segment's own: callers must not modify either,
-// and gather or copy what they hand on.
+// SegmentPart is one segment's share of a result — a where= answer, or
+// one of the store's own reads (Load, Refresh's tail, LoadSegments): its
+// perf and metadata frames and, when the store has this one segment, its
+// stored stats table. The frames of a scanned segment hold the column
+// cache's series, shared with every other reader of those blocks, and
+// those of a pruned one are the segment's own: callers must not modify
+// either, and gather or copy what they hand on.
 type SegmentPart struct {
 	Perf, Meta *dataframe.Frame
 	Stats      *dataframe.Frame // nil unless requested
 	// Ordinals maps each Perf row onto its profile's Meta row (Scan only).
 	Ordinals []int32
+
+	tree *calltree.Tree // the segment's checked call tree, shared read-only
 }
 
 // headPart is what a segment contributes from its header alone: its
@@ -317,40 +330,46 @@ func (v SegmentView) check(hp *headPart, kept bool, stats *dataframe.Frame) erro
 // and, once that passes, keeps the check's verdict and the profile
 // ordinals; a segment that fails fails every scan with the same error.
 func (v SegmentView) Scan(ctx context.Context, withStats bool) (SegmentPart, error) {
+	return v.scan(ctx, nil, withStats, nil)
+}
+
+// scan is Scan for the store's own reads as well: its frame reads open
+// spans under sp, and keep restricts the perf columns it decodes (nil
+// keeps all), as LoadProjection does.
+func (v SegmentView) scan(ctx context.Context, sp *telemetry.Span, withStats bool, keep func(dataframe.ColKey) bool) (SegmentPart, error) {
 	hp, kept, err := v.head()
 	if err != nil {
 		return SegmentPart{}, err
 	}
-	perf, err := v.st.loadFrame(ctx, nil, v.seg, framePerf, nil)
+	perf, err := v.st.loadFrame(ctx, sp, v.seg, framePerf, keep)
 	if err != nil {
 		return SegmentPart{}, err
 	}
-	meta, err := v.st.loadFrame(ctx, nil, v.seg, frameMeta_, nil)
+	meta, err := v.st.loadFrame(ctx, sp, v.seg, frameMeta_, nil)
 	if err != nil {
 		return SegmentPart{}, err
 	}
 	var stats *dataframe.Frame
 	if withStats {
-		if stats, err = v.st.loadFrame(ctx, nil, v.seg, frameStats, nil); err != nil {
+		if stats, err = v.st.loadFrame(ctx, sp, v.seg, frameStats, nil); err != nil {
 			return SegmentPart{}, err
 		}
 	}
 	ords := v.seg.ords.Load()
 	if ords == nil {
-		th, err := core.FromParts(hp.tree, perf, meta, stats, v.seg.header.ProfileLevel)
+		o, err := core.Assemble(hp.tree, perf, meta, stats, v.seg.header.ProfileLevel).ValidOrdinals()
 		if err != nil {
 			return SegmentPart{}, err
 		}
-		o := th.ProfileOrdinals()
 		v.seg.ords.CompareAndSwap(nil, &o)
 		ords = v.seg.ords.Load()
-		// The decoded frames carry the header's schema, so the header
-		// part passes its own check too.
+		// The decoded frames carry the header's index levels, all the
+		// check reads, so the header part passes its own check too.
 		v.seg.head.CompareAndSwap(nil, hp)
 	} else if err := v.check(hp, kept, stats); err != nil {
 		return SegmentPart{}, err
 	}
-	return SegmentPart{Perf: perf, Meta: meta, Stats: stats, Ordinals: *ords}, nil
+	return SegmentPart{Perf: perf, Meta: meta, Stats: stats, Ordinals: *ords, tree: hp.tree}, nil
 }
 
 // Empty returns a pruned segment's part from the header alone: zero-row

@@ -48,12 +48,13 @@ type segment struct {
 	remove  bool // delete file on finalize (compacted away)
 
 	// profiles indexes the metadata frame's profile level: the store's
-	// profile identity for the duplicate-append and refresh checks.
+	// profile identity for the duplicate-append and refresh checks and
+	// the disjoint proof.
 	// Built on first use (profileIndex); the segment is immutable, so it
 	// never goes stale.
 	profiles atomic.Pointer[dataframe.Index]
 
-	// head and ords are the segment's memoized parts for where= queries
+	// head and ords are the segment's memoized parts for every read of its rows
 	// (SegmentView.Empty and Scan): the header part, and each perf row's
 	// metadata row. Each is kept only once its check has passed, and,
 	// like profiles, lives as long as the segment.
@@ -142,6 +143,9 @@ type Store struct {
 	// union is the call tree over the live segments, built once per
 	// layout generation (Snapshot.Tree).
 	union atomic.Pointer[unionTree]
+
+	// proof is the verdict of disjoint, once drawn.
+	proof atomic.Pointer[disjointProof]
 
 	genGauge *telemetry.Gauge // mirrors gen into the registry
 }
@@ -458,25 +462,8 @@ func (sg *segment) fileName() string {
 // pin snapshots the live segment set and pins every member against
 // compaction-time finalization. Callers must invoke release when done.
 func (s *Store) pin() (segs []*segment, release func()) {
-	segs, _, _, release = s.pinAt()
-	return segs, release
-}
-
-// pinAt is pin that also reads the layout and content generations under
-// the same lock, so the stamps name exactly the pinned segment set.
-func (s *Store) pinAt() (segs []*segment, gen, contentGen int64, release func()) {
-	s.mu.Lock()
-	segs = append([]*segment(nil), s.segs...)
-	for _, sg := range segs {
-		sg.acquire()
-	}
-	gen, contentGen = s.gen, s.contentGen
-	s.mu.Unlock()
-	return segs, gen, contentGen, func() {
-		for _, sg := range segs {
-			sg.release()
-		}
-	}
+	sn := s.Snapshot()
+	return sn.segs, sn.Release
 }
 
 // encodeSegment serializes one thicket as a complete segment record.
@@ -633,47 +620,14 @@ func (s *Store) loadFrame(ctx context.Context, parent *telemetry.Span, seg *segm
 	return dataframe.NewFrameWithColIndex(ix, colKeys, decoded[len(fm.Levels):])
 }
 
-// loadSegment materializes one segment as a thicket. keepPerf projects
-// the performance-data columns; withStats controls whether the stored
-// stats frame is decoded (a projection gets the empty stats table).
-func (s *Store) loadSegment(ctx context.Context, parent *telemetry.Span, seg *segment, keepPerf func(dataframe.ColKey) bool, withStats bool) (*core.Thicket, error) {
-	sp := parent.StartChild("store.loadSegment")
-	if sp != nil {
-		sp.SetAttr("segment", fmt.Sprint(seg.gen))
-		defer sp.End()
-	}
-	tree := calltree.New()
-	for i, p := range seg.header.TreePaths {
-		if _, err := tree.AddPath(p); err != nil {
-			return nil, fmt.Errorf("store: %s: segment g%d tree path %d: %w", s.path, seg.gen, i, err)
-		}
-	}
-	perf, err := s.loadFrame(ctx, sp, seg, framePerf, keepPerf)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := s.loadFrame(ctx, sp, seg, frameMeta_, nil)
-	if err != nil {
-		return nil, err
-	}
-	var stats *dataframe.Frame
-	if withStats {
-		stats, err = s.loadFrame(ctx, sp, seg, frameStats, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.FromParts(tree, perf, meta, stats, seg.header.ProfileLevel)
-}
-
 // Load materializes the whole store as one thicket. A single-segment
 // store reproduces the stored thicket exactly — frames, tree, stats,
-// and profile level, bit for bit. A multi-segment store concatenates
-// the segments over the union call tree (core.ConcatProfiles
-// semantics); aggregated statistics reset to empty since stored stats
-// no longer cover the appended profiles.
+// and profile level, bit for bit. A multi-segment store stacks the
+// segments' profiles over the union call tree, as concatenating their
+// thickets would; aggregated statistics reset to empty since stored
+// stats no longer cover the appended profiles.
 func (s *Store) Load() (*core.Thicket, error) {
-	return s.load(context.Background(), nil)
+	return s.load(nil)
 }
 
 // LoadProjection materializes the store with the performance-data
@@ -704,43 +658,83 @@ func (s *Store) LoadProjection(keys []dataframe.ColKey) (*core.Thicket, error) {
 			return nil, fmt.Errorf("store: %s: no perf column %v in any segment", s.path, k)
 		}
 	}
-	return s.load(context.Background(), func(k dataframe.ColKey) bool { return want[k.String()] })
+	return s.load(func(k dataframe.ColKey) bool { return want[k.String()] })
 }
 
-func (s *Store) load(ctx context.Context, keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
+func (s *Store) load(keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
 	sp := telemetry.StartOp("store.Load")
 	defer sp.End()
-	segs, release := s.pin()
-	defer release()
+	sn := s.Snapshot()
+	defer sn.Release()
 	if sp != nil {
 		sp.SetAttr("path", s.path)
-		sp.SetAttr("segments", fmt.Sprint(len(segs)))
+		sp.SetAttr("segments", fmt.Sprint(len(sn.segs)))
 	}
-	return s.loadSegments(ctx, sp, segs, keepPerf)
+	return sn.gather(context.Background(), sp, sn.segs, keepPerf)
 }
 
-// loadSegments materializes pinned segments as one thicket: Load's
-// semantics over an explicit segment set.
-func (s *Store) loadSegments(ctx context.Context, sp *telemetry.Span, segs []*segment, keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
+// gather reads segs, a run of the snapshot's segments, through their
+// scan parts: Load over that run, keepPerf projecting the perf columns
+// (nil keeps all). One segment comes back as stored, stats included
+// unless projected, in copies of its checked parts; several are gathered
+// into one core.ConcatFrames over the union of their trees.
+func (sn *Snapshot) gather(ctx context.Context, sp *telemetry.Span, segs []*segment, keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("store: %s: empty store", s.path)
+		return nil, fmt.Errorf("store: %s: empty store", sn.st.path)
 	}
-	withStats := len(segs) == 1 && keepPerf == nil
-	thickets := make([]*core.Thicket, len(segs))
-	for i, seg := range segs {
-		th, err := s.loadSegment(ctx, sp, seg, keepPerf, withStats)
+	if len(segs) == 1 {
+		part, err := SegmentView{st: sn.st, seg: segs[0]}.scan(ctx, sp, keepPerf == nil, keepPerf)
 		if err != nil {
 			return nil, err
 		}
-		thickets[i] = th
+		return core.Assemble(part.tree, part.Perf, part.Meta, part.Stats, segs[0].header.ProfileLevel).Copy(), nil
 	}
-	if len(thickets) == 1 {
-		// Its frames hold the column cache's shared series.
-		return thickets[0].Copy(), nil
+	var g gathering
+	for _, seg := range segs {
+		part, err := SegmentView{st: sn.st, seg: seg}.scan(ctx, sp, false, keepPerf)
+		if err != nil {
+			return nil, err
+		}
+		g.add(part, 0)
 	}
-	th, err := core.ConcatProfiles(thickets)
+	return sn.concat(&g)
+}
+
+// gathering is one core.ConcatFrames in the making: the call trees it
+// unions and the perf and metadata rows it stacks, in order.
+type gathering struct {
+	trees        []*calltree.Tree
+	perfs, metas []dataframe.Part
+}
+
+// add takes a part's profiles from metadata row from on — every row when
+// from is 0 — with their perf rows, which the part's ordinals find as
+// the plan finds a selection's.
+func (g *gathering) add(part SegmentPart, from int) {
+	g.trees = append(g.trees, part.tree)
+	if from == 0 {
+		g.perfs = append(g.perfs, dataframe.AllRows(part.Perf))
+		g.metas = append(g.metas, dataframe.AllRows(part.Meta))
+		return
+	}
+	n := part.Meta.NRows()
+	unseen := make(dataframe.Sel, 0, n-from)
+	for r := from; r < n; r++ {
+		unseen = append(unseen, uint32(r))
+	}
+	g.perfs = append(g.perfs, dataframe.Part{Frame: part.Perf, Rows: core.PerfRows(part.Ordinals, unseen, n)})
+	g.metas = append(g.metas, dataframe.Part{Frame: part.Meta, Rows: dataframe.SelToRows(unseen)})
+}
+
+// concat runs g's core.ConcatFrames over the union of its trees, a tree
+// the result owns, and checks the result's profiles (CheckProfiles).
+func (sn *Snapshot) concat(g *gathering) (*core.Thicket, error) {
+	th, err := core.ConcatFrames(calltree.Union(g.trees...), g.perfs, g.metas, sn.ProfileLevel())
 	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", s.path, err)
+		return nil, fmt.Errorf("store: %s: %w", sn.st.path, err)
+	}
+	if err := sn.CheckProfiles(th.Metadata); err != nil {
+		return nil, err
 	}
 	return th, nil
 }
@@ -759,47 +753,47 @@ const (
 // profile count equals prev's (a compaction, or no change), Refresh
 // returns prev itself without reading a block. Otherwise it checks
 // that the store's profile at ordinal prev.NumProfiles()-1 is prev's
-// last metadata key, then decodes only the profiles after it: whole new
-// segments, plus the unseen tail rows of a segment the compactor merged
-// across that point. When the prefix check fails — prev came from
-// elsewhere — it loads the whole store (mode RefreshFull). gen and
-// contentGen are the generations of exactly the segment set the result
-// reflects, read under the lock that pinned it. Refresh runs under the
-// store.Load span, with its mode as an attribute.
+// last metadata key, then gathers prev's rows and only the profiles
+// after it: whole new segments, plus the unseen tail rows of a segment
+// the compactor merged across that point. When the prefix check fails —
+// prev came from elsewhere — it loads the whole store (mode
+// RefreshFull). gen and contentGen are the generations of exactly the
+// segment set the result reflects, read under the lock that pinned it.
+// Refresh runs under the store.Load span, with its mode as an attribute.
 func (s *Store) Refresh(prev *core.Thicket) (th *core.Thicket, gen, contentGen int64, mode string, err error) {
 	sp := telemetry.StartOp("store.Load")
 	defer sp.End()
-	segs, gen, contentGen, release := s.pinAt()
-	defer release()
+	sn := s.Snapshot()
+	defer sn.Release()
 	if sp != nil {
 		sp.SetAttr("path", s.path)
-		sp.SetAttr("segments", fmt.Sprint(len(segs)))
+		sp.SetAttr("segments", fmt.Sprint(len(sn.segs)))
 	}
 	ctx := context.Background()
-	tail, ok, err := s.tailAfter(ctx, sp, segs, prev)
+	g, ok, err := sn.tailAfter(ctx, sp, prev)
 	if err != nil {
-		return nil, gen, contentGen, RefreshDelta, err
+		return nil, sn.gen, sn.contentGen, RefreshDelta, err
 	}
 	mode = RefreshDelta
 	switch {
 	case !ok:
 		mode = RefreshFull
-		th, err = s.loadSegments(ctx, sp, segs, nil)
-	case len(tail) == 0:
+		th, err = sn.gather(ctx, sp, sn.segs, nil)
+	case g == nil:
 		th = prev
 	default:
-		if th, err = core.ConcatProfiles(append([]*core.Thicket{prev}, tail...)); err != nil {
-			err = fmt.Errorf("store: %s: %w", s.path, err)
-		}
+		th, err = sn.concat(g)
 	}
 	sp.SetAttr("mode", mode)
-	return th, gen, contentGen, mode, err
+	return th, sn.gen, sn.contentGen, mode, err
 }
 
-// tailAfter decodes the profiles segs hold beyond prev's, in arrival
-// order. ok is false when prev is not a prefix of segs.
-func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segment, prev *core.Thicket) (tail []*core.Thicket, ok bool, err error) {
-	if prev == nil || prev.NumProfiles() == 0 || prev.ProfileLevelName() != s.ProfileLevel() {
+// tailAfter gathers prev's rows and then the profiles the snapshot holds
+// beyond prev's, in arrival order. ok is false when prev is not a prefix
+// of the snapshot; g is nil when nothing is new.
+func (sn *Snapshot) tailAfter(ctx context.Context, sp *telemetry.Span, prev *core.Thicket) (g *gathering, ok bool, err error) {
+	segs := sn.segs
+	if prev == nil || prev.NumProfiles() == 0 || prev.ProfileLevelName() != sn.ProfileLevel() {
 		return nil, false, nil
 	}
 	n, total := prev.NumProfiles(), 0
@@ -819,7 +813,7 @@ func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segme
 		start += segs[k].header.NProfiles
 		k++
 	}
-	ix, err := s.profileIndex(ctx, sp, segs[k])
+	ix, err := sn.st.profileIndex(ctx, sp, segs[k])
 	if err != nil {
 		return nil, false, err
 	}
@@ -827,27 +821,24 @@ func (s *Store) tailAfter(ctx context.Context, sp *telemetry.Span, segs []*segme
 	if !slices.Contains(ix.Lookup([]dataframe.Value{last}), n-1-start) {
 		return nil, false, nil
 	}
-	if seen := n - start; seen < segs[k].header.NProfiles {
-		th, err := s.loadSegment(ctx, sp, segs[k], nil, false)
+	g = &gathering{}
+	g.add(SegmentPart{Perf: prev.PerfData, Meta: prev.Metadata, tree: prev.Tree}, 0)
+	// Segment k's first unseen profile. A segment the compactor merged
+	// across prev's end may hold paths only its seen rows use; prev
+	// already has them, so the union tree comes out the same.
+	from := n - start
+	if from == segs[k].header.NProfiles {
+		k, from = k+1, 0
+	}
+	for _, seg := range segs[k:] {
+		part, err := SegmentView{st: sn.st, seg: seg}.scan(ctx, sp, false, nil)
 		if err != nil {
 			return nil, false, err
 		}
-		// The segment's tree may hold paths only the seen rows use; prev
-		// already has them, so the union tree comes out the same.
-		unseen := make(dataframe.Sel, 0, th.NumProfiles()-seen)
-		for r := seen; r < th.NumProfiles(); r++ {
-			unseen = append(unseen, uint32(r))
-		}
-		tail = append(tail, th.SelectProfiles(unseen))
+		g.add(part, from)
+		from = 0
 	}
-	for _, seg := range segs[k+1:] {
-		th, err := s.loadSegment(ctx, sp, seg, nil, false)
-		if err != nil {
-			return nil, false, err
-		}
-		tail = append(tail, th)
-	}
-	return tail, true, nil
+	return g, true, nil
 }
 
 // profileIndex returns the index over one segment's profile level of
@@ -873,22 +864,78 @@ func (s *Store) profileIndex(ctx context.Context, sp *telemetry.Span, seg *segme
 	return nil, fmt.Errorf("store: %s: segment g%d has no metadata level %q", s.path, seg.gen, seg.header.ProfileLevel)
 }
 
-// LoadSegmentThicket materializes the single segment stamped gen — the
-// compactor's read path. Stats come back empty (compaction re-derives
-// nothing it cannot cover).
-func (s *Store) LoadSegmentThicket(gen int64) (*core.Thicket, error) {
-	segs, release := s.pin()
-	defer release()
-	for _, seg := range segs {
-		if seg.gen == gen {
-			th, err := s.loadSegment(context.Background(), nil, seg, nil, false)
-			if err != nil {
-				return nil, err
-			}
-			return th.Copy(), nil // its frames hold the cache's shared series
-		}
+// CheckProfiles guards meta, a metadata frame gathered from the
+// snapshot's segments, against a profile two of them share, and fails
+// as Load fails. Once the store has proven its segments disjoint it
+// checks nothing; until then it checks meta's own index.
+func (sn *Snapshot) CheckProfiles(meta *dataframe.Frame) error {
+	if sn.st.disjoint(sn.segs, sn.contentGen) || !meta.Index().HasDuplicates() {
+		return nil
 	}
-	return nil, fmt.Errorf("store: %s: no live segment with generation %d", s.path, gen)
+	return fmt.Errorf("store: %s: %w", sn.st.path, core.ErrSharedProfiles)
+}
+
+// disjointProof is the store's verdict on whether two of its segments
+// share a profile, drawn at content generation contentGen.
+type disjointProof struct {
+	contentGen int64
+	ok         bool
+}
+
+// disjoint reports whether no profile appears in two segments of live,
+// the store's live set at content generation contentGen. The store draws
+// this proof at most once per content generation, from the segments'
+// profile indexes, and one that holds holds for good: validateAppend
+// refuses a batch holding a live profile, and a compaction moves none.
+// A collision, or a profile block that will not read, leaves it
+// unproven. Its block reads are charged to no request: they reach no
+// ScanObserver.
+func (s *Store) disjoint(live []*segment, contentGen int64) bool {
+	old := s.proof.Load()
+	if old != nil && (old.ok || old.contentGen == contentGen) {
+		return old.ok
+	}
+	p := &disjointProof{contentGen: contentGen, ok: s.shareNoProfile(live)}
+	s.proof.CompareAndSwap(old, p) // a racing proof's verdict serves as well
+	return p.ok
+}
+
+// shareNoProfile locates each segment's profiles in the profile index
+// of every segment before it.
+func (s *Store) shareNoProfile(live []*segment) bool {
+	if len(live) < 2 {
+		return true
+	}
+	ixs := make([]*dataframe.Index, len(live))
+	for i, seg := range live {
+		ix, err := s.profileIndex(context.Background(), nil, seg)
+		if err != nil {
+			return false
+		}
+		for _, before := range ixs[:i] {
+			if slices.ContainsFunc(before.Locate(ix.Level(0)), func(o int32) bool { return o >= 0 }) {
+				return false
+			}
+		}
+		ixs[i] = ix
+	}
+	return true
+}
+
+// LoadSegments reads the live segments stamped gens, in that order, as
+// Load reads the whole store: the compactor's read of the run it merges.
+func (s *Store) LoadSegments(gens []int64) (*core.Thicket, error) {
+	sn := s.Snapshot()
+	defer sn.Release()
+	run := make([]*segment, len(gens))
+	for i, gen := range gens {
+		j := slices.IndexFunc(sn.segs, func(sg *segment) bool { return sg.gen == gen })
+		if j < 0 {
+			return nil, fmt.Errorf("store: %s: no live segment with generation %d", s.path, gen)
+		}
+		run[i] = sn.segs[j]
+	}
+	return sn.gather(context.Background(), nil, run, nil)
 }
 
 // Metadata loads only the metadata frames (concatenated across

@@ -315,6 +315,12 @@ func TestLoadProjection(t *testing.T) {
 	if got.PerfData.NCols() != 1 {
 		t.Fatalf("projection has %d columns, want 1", got.PerfData.NCols())
 	}
+	// It decodes the index levels, the projected perf block and the
+	// metadata blocks, and nothing else.
+	wantMisses := th.PerfData.Index().NLevels() + 1 + th.Metadata.Index().NLevels() + th.Metadata.NCols()
+	if misses := s.Info().CacheMisses; misses != int64(wantMisses) {
+		t.Fatalf("projected load decoded %d blocks, want %d", misses, wantMisses)
+	}
 	wantCol, err := th.PerfData.Column(key)
 	if err != nil {
 		t.Fatal(err)
@@ -395,11 +401,13 @@ func TestCacheHits(t *testing.T) {
 }
 
 // TestSharedColumnsStayIsolated: the column cache shares its decoded
-// series with every reader, so each call that could hand one segment's
-// frames out whole must hand out copies. A caller mutating an answer —
-// a level Set, then AggregateStats recomputing a stored statistic in
-// place over a changed metric — must not change the next answer of the
-// same call.
+// series with every reader, and each segment its call tree, so each
+// call that could hand one segment's frames or tree out whole must hand
+// out copies. A caller mutating an answer — a level Set, then
+// AggregateStats recomputing a stored statistic in place over a changed
+// metric, and, except for plan results, which share the layout's union
+// tree read-only, a node added to the tree and its children sorted —
+// must not change the next answer of the same call.
 func TestSharedColumnsStayIsolated(t *testing.T) {
 	metric := []dataframe.ColKey{{"time"}}
 	part := func(seed, idBase int64) *core.Thicket {
@@ -474,8 +482,14 @@ func TestSharedColumnsStayIsolated(t *testing.T) {
 		segments int
 		get      func(*store.Store) (*core.Thicket, error)
 	}{
-		{"LoadSegmentThicket", 1, func(s *store.Store) (*core.Thicket, error) {
-			return s.LoadSegmentThicket(s.Segments()[0].Gen)
+		{"LoadSegments", 1, func(s *store.Store) (*core.Thicket, error) {
+			return s.LoadSegments([]int64{s.Segments()[0].Gen})
+		}},
+		{"Load, three segments", 3, func(s *store.Store) (*core.Thicket, error) {
+			return s.Load()
+		}},
+		{"LoadProjection", 1, func(s *store.Store) (*core.Thicket, error) {
+			return s.LoadProjection(metric)
 		}},
 		{"full Refresh", 1, func(s *store.Store) (*core.Thicket, error) {
 			th, _, _, mode, err := s.Refresh(nil)
@@ -486,6 +500,18 @@ func TestSharedColumnsStayIsolated(t *testing.T) {
 		}},
 		{"full Refresh, three segments", 3, func(s *store.Store) (*core.Thicket, error) {
 			th, _, _, _, err := s.Refresh(nil)
+			return th, err
+		}},
+		{"delta Refresh", 3, func(s *store.Store) (*core.Thicket, error) {
+			// prev is what Load returned before the third segment landed.
+			prev, err := s.LoadSegments(s.Generations()[:2])
+			if err != nil {
+				return nil, err
+			}
+			th, _, _, mode, err := s.Refresh(prev)
+			if err == nil && mode != store.RefreshDelta {
+				err = fmt.Errorf("Refresh(prev) ran mode %s", mode)
+			}
 			return th, err
 		}},
 		{"ExecuteStore", 1, func(s *store.Store) (*core.Thicket, error) {
@@ -520,11 +546,18 @@ func TestSharedColumnsStayIsolated(t *testing.T) {
 			if first.Stats.Equal(want.Stats) {
 				t.Fatal("the mutations left the stats table unchanged; they test nothing")
 			}
+			if !strings.HasPrefix(tc.name, "ExecuteStore") {
+				first.Tree.MustAddPath("main", "isolation-probe")
+				first.Tree.SortChildren()
+			}
 			next, err := tc.get(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertThicketsEqual(t, tc.name, want, next)
+			if got, want := fmt.Sprint(next.Tree.Paths()), fmt.Sprint(want.Tree.Paths()); got != want {
+				t.Fatalf("%s: tree order changed:\n got %s\nwant %s", tc.name, got, want)
+			}
 		})
 	}
 }
