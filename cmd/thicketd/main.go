@@ -12,7 +12,7 @@
 //	         [-ingest] [-ingest-wal path] [-ingest-queue 256] [-ingest-flush 16]
 //	         [-ingest-compact-run 4] [-ingest-sync batch]
 //	         [-monitor-interval 10s] [-monitor-ring 720] [-monitor-store monitor.tks]
-//	         [-monitor-flush 60] [-alert-rules rules.json]
+//	         [-alert-rules rules.json]
 //
 // Endpoints:
 //
@@ -46,11 +46,11 @@
 // -alert-rules replaces the shipped rule set (heap growth, GC pause
 // p99, goroutine leak, ingest-queue saturation, cache hit-rate
 // collapse, endpoint and span latency baselines) with a JSON file.
-// With -monitor-store, samples are periodically flushed as one profile
-// per interval into a dedicated ensemble store that `thicket
-// query/stats` and thicketd itself can analyze — the service's own
-// operational history as an ensemble. `thicket monitor -target`
-// renders the ring as a live top-like table.
+// With -monitor-store, every sample streams as one profile into a
+// dedicated directory store that `thicket query/stats` and thicketd
+// itself can analyze — the service's own operational history as an
+// ensemble. `thicket monitor -target` renders the ring as a live
+// top-like table.
 //
 // Every analytical endpoint accepts explain=plan (prune verdicts from
 // headers alone, nothing executes) and explain=analyze (execute and
@@ -73,9 +73,11 @@
 // keeps that fraction of traces (head sampling) while traces the
 // monitor's latency-baseline rules judge slow are always retained (with
 // -monitor-interval < 0 only head sampling keeps traces).
-// -self-profile-store appends each retained slow request trace to a
-// dedicated ensemble store that thicket query and thicketd can analyze
-// — the server's own performance forest. On shutdown (including
+// -self-profile-store streams each retained slow request trace into a
+// dedicated directory store that thicket query and thicketd can analyze
+// — the server's own performance forest. Both self-data stores take the
+// -ingest path: a profile is durable in the store's WAL once written,
+// and a single-file store is refused. On shutdown (including
 // SIGINT/SIGTERM) -trace-out receives every retained span tree as
 // Chrome trace_event JSON plus a native thicket profile, and the
 // self-profile store is flushed — the trace tail is never dropped.
@@ -128,7 +130,6 @@ type config struct {
 	monitorInterval time.Duration
 	monitorRing     int
 	monitorStore    string
-	monitorFlush    int
 	alertRulesPath  string
 	injectLeak      int
 }
@@ -144,7 +145,7 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional second listener with /debug/pprof/ and process-wide /metrics")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "enable span collection; on shutdown write Chrome trace_event JSON here plus a native .profile.json")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1.0, "head-sampling probability in [0,1]; traces slower than their latency baseline are always kept")
-	flag.StringVar(&cfg.selfProfilePath, "self-profile-store", "", "enable span collection and append retained slow traces to this ensemble store")
+	flag.StringVar(&cfg.selfProfilePath, "self-profile-store", "", "enable span collection and stream retained slow traces into this directory store")
 	flag.DurationVar(&cfg.selfProfileIntv, "self-profile-interval", 30*time.Second, "slow-trace export interval of the self-profile store")
 	flag.StringVar(&cfg.injectLatency, "inject-latency", "", "artificial endpoint delays for regression demos, e.g. /api/stats=50ms; an @onset (e.g. /api/stats=50ms@8s) arms the delay after the baseline has warmed")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "structured-log level: debug, info, warn, error")
@@ -156,8 +157,7 @@ func main() {
 	flag.StringVar(&cfg.ingestSync, "ingest-sync", "batch", "WAL fsync policy: batch (group commit), always, none")
 	flag.DurationVar(&cfg.monitorInterval, "monitor-interval", 10*time.Second, "self-monitoring sample interval, also the latency-baseline window (negative disables the monitor and its alerts, and with them tail retention of slow traces: only -trace-sample head sampling keeps traces)")
 	flag.IntVar(&cfg.monitorRing, "monitor-ring", 0, "samples retained in the monitor ring (0 selects 720)")
-	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "flush monitor samples to this ensemble store (one profile per interval, queryable via thicket query/stats or thicketd)")
-	flag.IntVar(&cfg.monitorFlush, "monitor-flush", 0, "monitor samples per history flush (0 selects 60); the tail flushes on shutdown")
+	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "stream monitor samples into this directory store (one profile per sample, queryable via thicket query/stats or thicketd)")
 	flag.StringVar(&cfg.alertRulesPath, "alert-rules", "", "JSON alert-rules file (default: the shipped heap/GC/goroutine/ingest/cache/latency-baseline rule set)")
 	flag.IntVar(&cfg.injectLeak, "inject-leak", 0, "retain this many bytes of heap per monitor tick — the demo hook behind the heap-growth alert")
 	flag.Parse()
@@ -244,13 +244,19 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	thicket.SetStoreLogger(logger)
 	defer thicket.SetStoreLogger(nil)
 
+	// Self-data (monitor samples, slow traces) carries the server's identity.
+	selfMeta := map[string]thicket.Value{
+		"served_store": thicket.Str(cfg.storePath),
+		"addr":         thicket.Str(cfg.addr),
+	}
+
 	// Continuous self-monitoring: every interval the sampler snapshots
 	// the registry + Go runtime into the ring, evaluates the alert
-	// rules, and (with -monitor-store) batches samples into a dedicated
-	// ensemble store. Shutdown takes a final sample and flushes the
-	// tail, so the incident that killed the process is in the history.
-	// It is built first because its latency baselines are the trace
-	// collector's tail-sampling judge.
+	// rules, and (with -monitor-store) streams the sample into a
+	// dedicated directory store. Shutdown takes a final sample, so the
+	// incident that killed the process is in the history. It is built
+	// first because its latency baselines are the trace collector's
+	// tail-sampling judge.
 	var mon *thicket.Monitor
 	if cfg.monitorInterval >= 0 {
 		rules := thicket.DefaultAlertRules()
@@ -267,12 +273,8 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 			Rules:    rules,
 			Logger:   logger,
 			History: thicket.MonitorHistoryOptions{
-				StorePath:  cfg.monitorStore,
-				FlushEvery: cfg.monitorFlush,
-				Meta: map[string]thicket.Value{
-					"served_store": thicket.Str(cfg.storePath),
-					"addr":         thicket.Str(cfg.addr),
-				},
+				StorePath: cfg.monitorStore,
+				Meta:      selfMeta,
 			},
 		})
 		if err != nil {
@@ -331,7 +333,7 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	}
 
 	// The dogfood loop: retained slow traces become profiles in a
-	// dedicated ensemble store, flushed periodically and once more on
+	// dedicated directory store, exported periodically and once more on
 	// shutdown.
 	if cfg.selfProfilePath != "" {
 		sp, serr := thicket.NewSelfProfiler(thicket.SelfProfileOptions{
@@ -339,10 +341,7 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 			Collector: col,
 			Interval:  cfg.selfProfileIntv,
 			Logger:    logger,
-			Meta: map[string]thicket.Value{
-				"served_store": thicket.Str(cfg.storePath),
-				"addr":         thicket.Str(cfg.addr),
-			},
+			Meta:      selfMeta,
 		})
 		if serr != nil {
 			return serr

@@ -12,6 +12,7 @@ import (
 
 	thicket "repro"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func testConfig(storePath string) config {
@@ -136,6 +137,61 @@ func TestServeSelfProfileLifecycle(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.selfProfilePath); !os.IsNotExist(err) {
 		t.Errorf("self-profile store created with nothing to export (err=%v)", err)
+	}
+}
+
+// TestSelfDataRefusesSingleFile: both self-data writers refuse a
+// single-file store, which ingest could only append to and never
+// compact, and so does serve for either flag naming one. The store is
+// left as it was: it still opens and loads.
+func TestSelfDataRefusesSingleFile(t *testing.T) {
+	path := writeStore(t)
+	_, err := thicket.NewSelfProfiler(thicket.SelfProfileOptions{
+		StorePath: path,
+		Collector: &thicket.TraceCollector{},
+		Registry:  telemetry.NewRegistry(),
+	})
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("NewSelfProfiler on a single-file store: err = %v, want one naming %s", err, path)
+	}
+	_, err = thicket.NewMonitor(thicket.MonitorOptions{
+		Registry: telemetry.NewRegistry(),
+		Rules:    []thicket.AlertRule{},
+		History:  thicket.MonitorHistoryOptions{StorePath: path},
+	})
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("NewMonitor on a single-file store: err = %v, want one naming %s", err, path)
+	}
+
+	prevEnabled := thicket.EnableTelemetry(false)
+	defer thicket.EnableTelemetry(prevEnabled)
+	for flag, set := range map[string]func(*config){
+		"-monitor-store":      func(c *config) { c.monitorStore = path },
+		"-self-profile-store": func(c *config) { c.selfProfilePath = path },
+	} {
+		cfg := testConfig(writeStore(t))
+		set(&cfg)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := serve(ctx, cfg, io.Discard); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("serve with %s naming a single-file store: err = %v, want one naming %s", flag, err, path)
+		}
+	}
+	if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
+		t.Errorf("a refused store got a WAL (err=%v)", err)
+	}
+
+	st, err := thicket.OpenStore(path)
+	if err != nil {
+		t.Fatalf("refused store no longer opens: %v", err)
+	}
+	defer st.Close()
+	th, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := th.NumProfiles(); n != 4 {
+		t.Fatalf("refused store holds %d profiles, want 4", n)
 	}
 }
 

@@ -42,9 +42,8 @@ func TestEndToEndMonitorAlertHistory(t *testing.T) {
 		Registry: reg,
 		Rules:    []thicket.AlertRule{leakRule()},
 		History: thicket.MonitorHistoryOptions{
-			StorePath:  monPath,
-			FlushEvery: 4,
-			Meta:       map[string]thicket.Value{"addr": thicket.Str("test:0")},
+			StorePath: monPath,
+			Meta:      map[string]thicket.Value{"addr": thicket.Str("test:0")},
 		},
 	})
 	if err != nil {

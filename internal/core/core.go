@@ -237,7 +237,7 @@ func FromParts(tree *calltree.Tree, perf, meta, stats *dataframe.Frame, profileL
 
 // Assemble is FromParts without the validation, for callers that have
 // validated the components (or the originals they copied) already, or
-// that validate the result themselves (ValidOrdinals).
+// that check them themselves (CheckParts).
 func Assemble(tree *calltree.Tree, perf, meta, stats *dataframe.Frame, profileLevel string) *Thicket {
 	if stats == nil {
 		stats = emptyStats(tree)
@@ -342,18 +342,26 @@ func (t *Thicket) Validate() error {
 // ValidOrdinals is Validate returning, when the thicket passes, its
 // ProfileOrdinals, which the profile check computes anyway.
 func (t *Thicket) ValidOrdinals() ([]int32, error) {
-	if t.Metadata.Index().HasDuplicates() {
+	return CheckParts(t.Tree, t.PerfData, t.Metadata, t.Stats, t.profileLevel)
+}
+
+// CheckParts is ValidOrdinals over the parts of a thicket not yet
+// assembled. A nil stats table is not checked: the empty per-node table
+// Assemble would give it covers the tree by construction, so a reader
+// that read no stats table builds none to check.
+func CheckParts(tree *calltree.Tree, perf, meta, stats *dataframe.Frame, profileLevel string) ([]int32, error) {
+	if meta.Index().HasDuplicates() {
 		return nil, fmt.Errorf("core: duplicate profile index in metadata")
 	}
-	nodeLv := t.PerfData.Index().LevelByName(NodeLevel)
-	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
+	nodeLv := perf.Index().LevelByName(NodeLevel)
+	profLv := perf.Index().LevelByName(profileLevel)
 	if nodeLv == nil || profLv == nil {
-		return nil, fmt.Errorf("core: perf data index must have levels (%s, %s)", NodeLevel, t.profileLevel)
+		return nil, fmt.Errorf("core: perf data index must have levels (%s, %s)", NodeLevel, profileLevel)
 	}
-	resolved := make(map[string]bool, t.Tree.Len())
-	badNode, path := t.firstUnknownNode(nodeLv, resolved)
+	resolved := make(map[string]bool, tree.Len())
+	badNode, path := firstUnknownNode(tree, nodeLv, resolved)
 	badProf := -1
-	ords := t.Metadata.Index().Locate(profLv)
+	ords := meta.Index().Locate(profLv)
 	for r, o := range ords {
 		if o < 0 {
 			badProf = r
@@ -366,11 +374,14 @@ func (t *Thicket) ValidOrdinals() ([]int32, error) {
 	case badProf >= 0:
 		return nil, fmt.Errorf("core: perf row %d references unknown profile %s", badProf, profLv.At(badProf))
 	}
-	statsLv := t.Stats.Index().LevelByName(NodeLevel)
+	if stats == nil {
+		return ords, nil
+	}
+	statsLv := stats.Index().LevelByName(NodeLevel)
 	if statsLv == nil {
 		return nil, fmt.Errorf("core: stats index must have level %q", NodeLevel)
 	}
-	if r, path := t.firstUnknownNode(statsLv, resolved); r >= 0 {
+	if r, path := firstUnknownNode(tree, statsLv, resolved); r >= 0 {
 		return nil, fmt.Errorf("core: stats row %d references unknown node %q", r, path)
 	}
 	return ords, nil
@@ -381,7 +392,7 @@ func (t *Thicket) ValidOrdinals() ([]int32, error) {
 // dictionary code is checked once, not each row, and each path resolves
 // once across calls sharing resolved. Null and non-string cells read as
 // the empty path, as Value.Str renders them.
-func (t *Thicket) firstUnknownNode(lv *dataframe.Series, resolved map[string]bool) (int, string) {
+func firstUnknownNode(tree *calltree.Tree, lv *dataframe.Series, resolved map[string]bool) (int, string) {
 	dict, codes := lv.StringData()
 	words := 0
 	if dict != nil {
@@ -404,7 +415,7 @@ func (t *Thicket) firstUnknownNode(lv *dataframe.Series, resolved map[string]boo
 			path := pathOf(c)
 			ok, seen := resolved[path]
 			if !seen {
-				ok = t.NodeByPathString(path) != nil
+				ok = tree.NodeByPath(strings.Split(path, "/")) != nil
 				resolved[path] = ok
 			}
 			state[c] = unknown

@@ -245,21 +245,3 @@ func BenchmarkPivotNew(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkConcatRowsNew has no Ref twin in-file (the old ConcatRows was
-// per-cell appends, structurally identical to refConcatRowsOuter on
-// aligned frames); it tracks the bulk AppendSeries path.
-func BenchmarkConcatRowsNew(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	frames := make([]*Frame, 6)
-	for i := range frames {
-		frames[i] = diffFrame(rng, benchRows/6, false)
-	}
-	benchSequential(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ConcatRows(frames...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -65,22 +65,6 @@ func TestIndexLookupLifecycle(t *testing.T) {
 	if rows := cp.Lookup([]Value{Str("a"), Int64(1)}); len(rows) != 1 || rows[0] != 2 {
 		t.Fatalf("copy Lookup = %v, want [2]", rows)
 	}
-
-	// AppendIndex invalidates too.
-	cp.HasDuplicates()
-	other := MustIndex(
-		NewStringSeries("node", []string{"z"}),
-		NewIntSeries("trial", []int64{9}),
-	)
-	if err := cp.AppendIndex(other); err != nil {
-		t.Fatal(err)
-	}
-	if cp.lookup.Load() != nil {
-		t.Error("AppendIndex did not invalidate the lookup")
-	}
-	if rows := cp.Lookup([]Value{Str("z"), Int64(9)}); len(rows) != 1 || rows[0] != 4 {
-		t.Fatalf("post-AppendIndex Lookup = %v, want [4]", rows)
-	}
 }
 
 // TestFrameCopySharesWarmLookup: Frame.Copy and whole-frame SelectRows

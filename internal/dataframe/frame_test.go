@@ -174,28 +174,6 @@ func TestGroupByIndexLevel(t *testing.T) {
 	}
 }
 
-func TestConcatRows(t *testing.T) {
-	f := perfFrame(t)
-	a := f.Filter(func(r Row) bool { return r.IndexValue("profile").Int() == 1 })
-	b := f.Filter(func(r Row) bool { return r.IndexValue("profile").Int() == 2 })
-	cat, err := ConcatRows(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.NRows() != f.NRows() {
-		t.Errorf("concat rows = %d, want %d", cat.NRows(), f.NRows())
-	}
-	// Sorting both by index key should reproduce identical tables.
-	if !cat.SortByIndex().Equal(f.SortByIndex()) {
-		t.Error("concat of a partition should equal the source modulo order")
-	}
-	// Mismatched schemas must fail.
-	other := MustFrame(RangeIndex("i", 1), NewFloatSeries("z", []float64{1}))
-	if _, err := ConcatRows(a, other); err == nil {
-		t.Error("mismatched concat must error")
-	}
-}
-
 func TestInnerJoinOnIndexComposition(t *testing.T) {
 	// CPU frame: 3 keys. GPU frame: 2 overlapping keys + 1 extra.
 	cpuIx := MustIndex(

@@ -251,21 +251,6 @@ func (ix *Index) AppendKey(key []Value) error {
 	return nil
 }
 
-// AppendIndex bulk-appends every row of o; level names and count must
-// match.
-func (ix *Index) AppendIndex(o *Index) error {
-	if o.NLevels() != ix.NLevels() {
-		return fmt.Errorf("dataframe: appended index has %d levels, want %d", o.NLevels(), ix.NLevels())
-	}
-	for i, lv := range ix.levels {
-		if err := lv.AppendSeries(o.levels[i]); err != nil {
-			return err
-		}
-	}
-	ix.lookup.Store(nil)
-	return nil
-}
-
 // SortedRows returns row positions ordered by composite key (stable).
 func (ix *Index) SortedRows() []int {
 	rows := make([]int, ix.NRows())

@@ -209,53 +209,6 @@ func (f *Frame) GroupByIndexLevel(level string) ([]Group, error) {
 	return f.materializeGroups(buckets, keys, order), nil
 }
 
-// ConcatRows vertically concatenates frames with identical column keys and
-// index level names, returning a new frame. Columns append in bulk —
-// string columns reconcile dictionaries once per distinct word, not once
-// per row.
-func ConcatRows(frames ...*Frame) (*Frame, error) {
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("dataframe: ConcatRows requires at least one frame")
-	}
-	first := frames[0]
-	if len(frames) == 1 {
-		// Degenerate concat: a bare copy, too cheap to be worth a span.
-		return first.Copy(), nil
-	}
-	// Validate shapes before opening the span so error paths stay
-	// span-free and the timed region is the actual append work.
-	for _, f := range frames[1:] {
-		if f.NCols() != first.NCols() {
-			return nil, fmt.Errorf("dataframe: ConcatRows column count mismatch: %d vs %d", f.NCols(), first.NCols())
-		}
-		for c := 0; c < f.NCols(); c++ {
-			if !f.cols.Key(c).Equal(first.cols.Key(c)) {
-				return nil, fmt.Errorf("dataframe: ConcatRows column key mismatch at %d: %v vs %v", c, f.cols.Key(c), first.cols.Key(c))
-			}
-		}
-		if f.index.NLevels() != first.index.NLevels() {
-			return nil, fmt.Errorf("dataframe: ConcatRows index level mismatch")
-		}
-	}
-	sp := telemetry.StartOp("dataframe.ConcatRows")
-	if sp != nil {
-		sp.SetAttr("frames", itoa(len(frames)))
-		defer sp.End()
-	}
-	out := first.Copy()
-	for _, f := range frames[1:] {
-		if err := out.index.AppendIndex(f.index); err != nil {
-			return nil, err
-		}
-		for c := 0; c < f.NCols(); c++ {
-			if err := out.data[c].AppendSeries(f.data[c]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // baseSpaceIDs maps every row of ix into the retained key space ks (built
 // over an equal-shaped index of another frame): per level, the row's code
 // translates into the base frame's code space through a per-distinct-value

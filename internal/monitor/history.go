@@ -3,7 +3,6 @@ package monitor
 import (
 	"log/slog"
 	"strings"
-	"sync"
 
 	"repro/internal/dataframe"
 	"repro/internal/profile"
@@ -11,7 +10,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metadata columns on every flushed monitor profile. Timestamps are
+// Metadata columns on every stored monitor profile. Timestamps are
 // monotonically increasing across samples, so the store's delta coding
 // and zone maps make time-window queries (`where=timestamp>=...`)
 // prune untouched segments.
@@ -26,111 +25,63 @@ const (
 // monitorNode is the single tree node every sample's metrics hang off.
 const monitorNode = "monitor"
 
-// HistoryOptions configures the monitor-store flusher.
+// HistoryOptions configures the monitor store.
 type HistoryOptions struct {
-	// StorePath is the ensemble store to create or append to.
+	// StorePath is the directory store every sample streams into,
+	// created on the first sample. A single-file store is refused.
 	StorePath string
-	// FlushEvery is how many samples accumulate before a flush; the
-	// remainder is flushed on Close. 0 selects 60.
-	FlushEvery int
-	// Meta is stamped on every flushed profile (server identity).
+	// Meta is stamped on every stored profile (server identity).
 	Meta map[string]dataframe.Value
 }
 
-const defaultFlushEvery = 60
-
-// historyWriter batches ring samples into profiles — one profile per
-// sample, metric names as perf columns on a single "monitor" node,
-// alert state as metadata — and appends them through the shared
-// dogfood StoreWriter.
+// historyWriter turns each sample into a profile — metric names as perf
+// columns on a single "monitor" node, alert state as metadata — and
+// appends it through the shared dogfood StoreWriter, whose ingester
+// makes it durable in the store's WAL before record returns.
 type historyWriter struct {
-	path   string
-	opts   HistoryOptions
-	writer *selfprofile.StoreWriter
-	logger *slog.Logger
-
-	flushes  *telemetry.Counter
+	meta     map[string]dataframe.Value
+	writer   *selfprofile.StoreWriter
+	logger   *slog.Logger
 	failures *telemetry.Counter
-
-	mu      sync.Mutex
-	pending []*profile.Profile
-	tick    int64
 }
 
-func newHistoryWriter(opts HistoryOptions, reg *telemetry.Registry, logger *slog.Logger) *historyWriter {
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = defaultFlushEvery
+func newHistoryWriter(opts HistoryOptions, reg *telemetry.Registry, logger *slog.Logger) (*historyWriter, error) {
+	w, err := selfprofile.NewStoreWriter(opts.StorePath, reg, logger)
+	if err != nil {
+		return nil, err
 	}
 	return &historyWriter{
-		path:   opts.StorePath,
-		opts:   opts,
-		writer: selfprofile.NewStoreWriter(opts.StorePath, logger),
+		meta:   opts.Meta,
+		writer: w,
 		logger: logger,
-		flushes: reg.Counter("thicket_monitor_flushes_total",
-			"Monitor history batches flushed to the monitor store."),
 		failures: reg.Counter("thicket_monitor_flush_failures_total",
-			"Monitor history flushes that failed."),
-	}
+			"Monitor samples that failed to reach the monitor store."),
+	}, nil
 }
 
-// record converts one sample into a profile and flushes when the batch
-// is full. Store I/O happens outside the sampler lock.
-func (h *historyWriter) record(sample Sample, firing []string) {
+// record stores the sample taken at sampler tick tick. Store I/O happens
+// outside the sampler lock.
+func (h *historyWriter) record(sample Sample, tick int64, firing []string) {
 	prof := profile.New()
-	h.mu.Lock()
-	h.tick++
-	tick := h.tick
-	h.mu.Unlock()
 	prof.SetMeta(MetaTimestamp, dataframe.Int64(sample.UnixNS))
 	prof.SetMeta(MetaTick, dataframe.Int64(tick))
 	prof.SetMeta(MetaAlerts, dataframe.Str(strings.Join(firing, ",")))
 	prof.SetMeta(MetaAlertsFiring, dataframe.Int64(int64(len(firing))))
 	prof.SetMeta(MetaSource, dataframe.Str("monitor"))
-	for k, v := range h.opts.Meta {
+	for k, v := range h.meta {
 		prof.SetMeta(k, v)
 	}
 	metrics := make(map[string]dataframe.Value, len(sample.Values))
 	for name, v := range sample.Values {
 		metrics[name] = dataframe.Float64(v)
 	}
-	if err := prof.AddSample([]string{monitorNode}, metrics); err != nil {
+	err := prof.AddSample([]string{monitorNode}, metrics)
+	if err == nil {
+		err = h.writer.Append(prof)
+	}
+	if err != nil {
 		h.failures.Inc()
-		h.logger.Error("monitor sample rejected", "error", err.Error())
-		return
+		h.logger.Error("monitor sample not stored",
+			telemetry.LogKeyComponent, "monitor", "tick", tick, "error", err.Error())
 	}
-
-	h.mu.Lock()
-	h.pending = append(h.pending, prof)
-	var batch []*profile.Profile
-	if len(h.pending) >= h.opts.FlushEvery {
-		batch = h.pending
-		h.pending = nil
-	}
-	h.mu.Unlock()
-	h.flush(batch)
-}
-
-func (h *historyWriter) flush(batch []*profile.Profile) {
-	if len(batch) == 0 {
-		return
-	}
-	if err := h.writer.Append(batch); err != nil {
-		h.failures.Inc()
-		h.logger.Error("monitor history flush failed",
-			"error", err.Error(), "samples", len(batch))
-		return
-	}
-	h.flushes.Inc()
-	h.logger.Info("monitor history flush",
-		"samples", len(batch), "path", h.path)
-}
-
-// close flushes the unwritten tail and releases the store handle.
-func (h *historyWriter) close() error {
-	h.mu.Lock()
-	batch := h.pending
-	h.pending = nil
-	h.mu.Unlock()
-	h.flush(batch)
-	return h.writer.Close()
 }

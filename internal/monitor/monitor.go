@@ -7,10 +7,10 @@
 // (threshold, rate-of-change, absence, and per-series latency
 // baselines) whose firing/resolved states surface at /debug/alerts, on
 // /metrics, and as slog events; and
-// (4) a history flusher that periodically appends ring samples to a
-// dedicated ensemble store — one profile per interval, metrics as
-// columns — so the service's own operation is queryable through the
-// ordinary `thicket query/stats/serve` path.
+// (4) a history writer that streams each sample through the ingest
+// path into a dedicated directory store — one profile per sample,
+// metrics as columns — so the service's own operation is queryable
+// through the ordinary `thicket query/stats` and thicketd path.
 //
 // The sampler is clock-injectable: thicketd runs it on a wall-clock
 // ticker (Run), while the loadgen self-host target ticks it at virtual
@@ -59,14 +59,14 @@ type Options struct {
 	// Rules are the alert rules evaluated on each tick. Nil selects
 	// DefaultRules(); an explicit empty slice disables alerting.
 	Rules []Rule
-	// History configures the monitor-store flusher; a zero value (empty
+	// History configures the monitor store; a zero value (empty
 	// StorePath) disables it.
 	History HistoryOptions
-	// Logger receives alert transitions and flush events. Nil discards.
+	// Logger receives alert transitions and store events. Nil discards.
 	Logger *slog.Logger
 }
 
-// Sampler owns the ring, the rules engine, and the history flusher.
+// Sampler owns the ring, the rules engine, and the history writer.
 type Sampler struct {
 	opts    Options
 	rt      *runtimeSampler
@@ -106,7 +106,8 @@ const transitionLogSize = 256
 
 // New validates opts and returns a Sampler. Monitor metrics (sample
 // counter, firing gauge, one alerts_total series per rule) register
-// eagerly so they appear on /metrics before the first tick.
+// eagerly so they appear on /metrics before the first tick. The monitor
+// store opens as selfprofile.NewStoreWriter describes.
 func New(opts Options) (*Sampler, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
@@ -123,6 +124,8 @@ func New(opts Options) (*Sampler, error) {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
+	// The ingester and the history writer name their own components.
+	storeLogger := opts.Logger
 	opts.Logger = opts.Logger.With(telemetry.LogKeyComponent, "monitor")
 
 	s := &Sampler{
@@ -158,7 +161,11 @@ func New(opts Options) (*Sampler, error) {
 			"Alert firing transitions by rule.", "rule", r.Name)
 	}
 	if opts.History.StorePath != "" {
-		s.history = newHistoryWriter(opts.History, opts.Registry, opts.Logger)
+		h, err := newHistoryWriter(opts.History, opts.Registry, storeLogger)
+		if err != nil {
+			return nil, err
+		}
+		s.history = h
 	}
 	return s, nil
 }
@@ -167,8 +174,8 @@ func New(opts Options) (*Sampler, error) {
 func (s *Sampler) Interval() time.Duration { return s.opts.Interval }
 
 // Run ticks on a wall-clock ticker until ctx is cancelled, then takes
-// one final sample and flushes the history tail so shutdown never
-// loses the incident that caused it.
+// one final sample, so the history holds the incident that caused the
+// shutdown.
 func (s *Sampler) Run(ctx context.Context) {
 	t := time.NewTicker(s.opts.Interval)
 	defer t.Stop()
@@ -241,7 +248,7 @@ func (s *Sampler) Tick(now time.Time) {
 		}
 		s.log = append(s.log, tr)
 	}
-	h := s.history
+	h, tick := s.history, s.ticks
 	s.mu.Unlock()
 
 	for _, tr := range transitions {
@@ -253,7 +260,7 @@ func (s *Sampler) Tick(now time.Time) {
 			"rule", tr.Rule, "target", tr.Target, "value", tr.Value, "tick", tr.Tick)
 	}
 	if h != nil {
-		h.record(sample, firingNames)
+		h.record(sample, tick, firingNames)
 	}
 }
 
@@ -333,8 +340,8 @@ func (s *Sampler) snapshotRegistry(values map[string]float64, now time.Time) {
 	s.prev = prevState{valid: true, unixNS: now.UnixNano(), counters: counters}
 }
 
-// Close takes no further samples, flushes any unwritten history
-// samples, and releases the store handle.
+// Close closes the monitor store, flushing every sample its ingester
+// acked into a segment.
 func (s *Sampler) Close() error {
 	s.mu.Lock()
 	h := s.history
@@ -342,7 +349,7 @@ func (s *Sampler) Close() error {
 	if h == nil {
 		return nil
 	}
-	return h.close()
+	return h.writer.Close()
 }
 
 // HistoryPath returns the monitor-store path, or "" when history is
@@ -351,7 +358,7 @@ func (s *Sampler) HistoryPath() string {
 	if s.history == nil {
 		return ""
 	}
-	return s.history.path
+	return s.opts.History.StorePath
 }
 
 // SeriesPoint is one (timestamp, value) observation.

@@ -223,9 +223,9 @@ func TestInjectedLeakGrowsHeap(t *testing.T) {
 	s.SetInjectedLeak(0)
 }
 
-// TestHistoryFlush round-trips the sampler's history store: samples
-// flush in batches plus a final tail on Close, and the store reloads
-// with the monitor's metadata and perf columns.
+// TestHistoryFlush round-trips the sampler's history store: each sample
+// is acked by the store's ingester, Close flushes them into segments,
+// and the store reloads with the monitor's metadata and perf columns.
 func TestHistoryFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "monitor.tks")
 	reg := newTestRegistry()
@@ -237,9 +237,8 @@ func TestHistoryFlush(t *testing.T) {
 			Op: ">", Value: 100, ForTicks: 1,
 		}},
 		History: HistoryOptions{
-			StorePath:  path,
-			FlushEvery: 3,
-			Meta:       map[string]dataframe.Value{"host": dataframe.Str("test")},
+			StorePath: path,
+			Meta:      map[string]dataframe.Value{"host": dataframe.Str("test")},
 		},
 	})
 	if err != nil {
@@ -257,8 +256,8 @@ func TestHistoryFlush(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("thicket_monitor_flushes_total", "").Value(); got != 2 {
-		t.Fatalf("flushes = %d, want 2 (batch of 3 + tail of 1)", got)
+	if got := reg.Counter("thicket_ingest_acked_total", "", "store", path).Value(); got != 4 {
+		t.Fatalf("acked = %d, want 4 (one per sample)", got)
 	}
 
 	st, err := store.Open(path)

@@ -1,7 +1,7 @@
 // Package selfprofile closes thicketd's dogfood loop: slow traces
 // retained by the telemetry Collector's tail sampler are periodically
-// exported as native thicket profiles and appended to a dedicated
-// ensemble store. Each retained request trace becomes one profile whose
+// exported as native thicket profiles and streamed into a dedicated
+// directory store. Each retained request trace becomes one profile whose
 // metadata rows carry the request identity (endpoint, trace ID,
 // wall-clock timestamp, HTTP status), so `thicket query` and thicketd
 // can run the same exploratory analysis over the server's own
@@ -50,7 +50,8 @@ const (
 
 // Options configures a Profiler.
 type Options struct {
-	// StorePath is the ensemble store file to create or append to.
+	// StorePath is the directory store to stream into, created on the
+	// first export. A single-file store is refused.
 	StorePath string
 	// Collector supplies the retained slow traces (TakeSlow feed).
 	Collector *telemetry.Collector
@@ -61,7 +62,8 @@ type Options struct {
 	Meta map[string]dataframe.Value
 	// Logger receives structured flush events. Nil discards them.
 	Logger *slog.Logger
-	// Registry hosts the exporter's counters. Nil selects telemetry.Default.
+	// Registry hosts the exporter's counters and the store's ingest
+	// metrics. Nil selects telemetry.Default.
 	Registry *telemetry.Registry
 }
 
@@ -73,9 +75,9 @@ type Profiler struct {
 	failed   *telemetry.Counter
 }
 
-// New validates opts and returns a Profiler. The store file is not
-// touched until the first flush that has traces to export, so enabling
-// self-profiling on an idle healthy server writes nothing.
+// New validates opts and returns a Profiler. It opens the store as
+// NewStoreWriter does, so enabling self-profiling on an idle healthy
+// server writes nothing.
 func New(opts Options) (*Profiler, error) {
 	if opts.StorePath == "" {
 		return nil, fmt.Errorf("selfprofile: store path required")
@@ -89,6 +91,11 @@ func New(opts Options) (*Profiler, error) {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
+	// The ingester names its own component in its log lines.
+	writer, err := NewStoreWriter(opts.StorePath, opts.Registry, opts.Logger)
+	if err != nil {
+		return nil, err
+	}
 	opts.Logger = opts.Logger.With(telemetry.LogKeyComponent, "selfprofile")
 	reg := opts.Registry
 	if reg == nil {
@@ -96,7 +103,7 @@ func New(opts Options) (*Profiler, error) {
 	}
 	return &Profiler{
 		opts:     opts,
-		writer:   NewStoreWriter(opts.StorePath, opts.Logger),
+		writer:   writer,
 		exported: reg.Counter("thicket_selfprofile_exported_total", "Slow traces exported to the self-profile store."),
 		failed:   reg.Counter("thicket_selfprofile_failed_total", "Slow-trace exports that failed."),
 	}, nil
@@ -130,7 +137,8 @@ func (p *Profiler) flushLogged() {
 
 // Flush drains unexported slow traces from the collector and appends
 // one profile per trace to the store, creating it on first use. It
-// returns the number of profiles appended.
+// returns the number of profiles acked (durable in the store's WAL),
+// and stops at the first append that fails.
 func (p *Profiler) Flush() (int, error) {
 	traces := p.opts.Collector.TakeSlow(maxPerFlush)
 	if len(traces) == 0 {
@@ -159,11 +167,13 @@ func (p *Profiler) Flush() (int, error) {
 		return 0, nil // everything was self-traffic or failed and logged
 	}
 
-	if err := p.writer.Append(profiles); err != nil {
-		p.failed.Add(int64(len(profiles)))
-		return 0, err
+	for i, prof := range profiles {
+		if err := p.writer.Append(prof); err != nil {
+			p.failed.Add(int64(len(profiles) - i))
+			return i, err
+		}
+		p.exported.Inc()
 	}
-	p.exported.Add(int64(len(profiles)))
 	return len(profiles), nil
 }
 

@@ -6,77 +6,102 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/profile"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
-// StoreWriter is the lazy create-or-append half of the dogfood loop,
-// shared by the slow-trace Profiler and the monitor history flusher:
-// the store file is not touched until the first batch, so enabling a
-// writer on an idle healthy server writes nothing.
+// StoreWriter is the store half of the dogfood loop, shared by the
+// slow-trace Profiler and the monitor history: it streams self-data
+// through an ingest.Ingester into a directory store, the path external
+// profiles take. A profile is durable in the store's WAL once Append
+// returns, and the ingester's compactor keeps the segment count
+// logarithmic in the number of flushes. A path that does not exist is
+// not touched until the first Append, so enabling a writer on an idle
+// healthy server writes nothing.
 type StoreWriter struct {
 	path   string
+	reg    *telemetry.Registry
 	logger *slog.Logger
 
-	mu sync.Mutex
-	st *store.Store
+	mu  sync.Mutex
+	st  *store.Store
+	ing *ingest.Ingester
 }
 
-// NewStoreWriter returns a writer for the given store path. logger may
-// be nil.
-func NewStoreWriter(path string, logger *slog.Logger) *StoreWriter {
+// NewStoreWriter returns a writer for the directory store at path. A
+// store already there is opened now, so its ingester replays a crash's
+// leftover WAL records before the first Append. A single-file store is
+// refused: ingest could only append to it, a segment per flush, and
+// never compact. reg hosts the ingester's metrics (nil selects
+// telemetry.Default); logger may be nil.
+func NewStoreWriter(path string, reg *telemetry.Registry, logger *slog.Logger) (*StoreWriter, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	return &StoreWriter{path: path, logger: logger}
+	// Self-data stores sit beside the served store: name the store in
+	// every line, the ingester's included.
+	w := &StoreWriter{path: path, reg: reg, logger: logger.With("store", path)}
+	fi, err := os.Stat(path)
+	switch {
+	case os.IsNotExist(err):
+		return w, nil
+	case err != nil:
+		return nil, fmt.Errorf("selfprofile: %w", err)
+	case !fi.IsDir():
+		return nil, fmt.Errorf("selfprofile: %s is a single-file store; self-data needs a directory store", path)
+	}
+	if err := w.open(); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// Path returns the store path.
-func (w *StoreWriter) Path() string { return w.path }
-
-// Append writes a batch of profiles, creating the store file on first
-// use (the batch becomes the store's first segment).
-func (w *StoreWriter) Append(profiles []*profile.Profile) error {
-	if len(profiles) == 0 {
-		return nil
+// open opens the directory store and starts its ingester.
+func (w *StoreWriter) open() error {
+	st, err := store.Open(w.path)
+	if err != nil {
+		return err
 	}
+	ing, err := ingest.New(st, ingest.Options{Registry: w.reg, Logger: w.logger})
+	if err != nil {
+		st.Close()
+		return err
+	}
+	w.st, w.ing = st, ing
+	return nil
+}
+
+// Append submits p to the store's ingester, creating the store on first
+// use, and returns once p is durable in the WAL.
+func (w *StoreWriter) Append(p *profile.Profile) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.st == nil {
-		if _, err := os.Stat(w.path); os.IsNotExist(err) {
-			th, err := core.FromProfiles(profiles, core.Options{})
-			if err != nil {
-				return fmt.Errorf("selfprofile: compose: %w", err)
-			}
-			if err := store.Create(w.path, th); err != nil {
-				return err
-			}
-			st, err := store.Open(w.path)
-			if err != nil {
-				return err
-			}
-			w.st = st
-			w.logger.Info("dogfood store created", "path", w.path)
-			return nil
-		}
-		st, err := store.Open(w.path)
-		if err != nil {
+	if w.ing == nil {
+		if err := store.InitDir(w.path, ""); err != nil {
 			return err
 		}
-		w.st = st
+		if err := w.open(); err != nil {
+			return err
+		}
+		w.logger.Info("dogfood store created")
 	}
-	return w.st.AppendProfiles(profiles)
+	return w.ing.Submit(p)
 }
 
-// Close releases the store handle. Safe when no Append ever opened it.
+// Close closes the ingester, which flushes every acked profile into a
+// segment, and then the store. Safe when no Append ever opened it.
 func (w *StoreWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.st == nil {
+	if w.ing == nil {
 		return nil
 	}
-	err := w.st.Close()
-	w.st = nil
+	err := w.ing.Close()
+	if cerr := w.st.Close(); err == nil {
+		err = cerr
+	}
+	w.st, w.ing = nil, nil
 	return err
 }

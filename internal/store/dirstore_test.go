@@ -3,9 +3,12 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataframe"
 	"repro/internal/profile"
 	"repro/internal/sim"
 )
@@ -158,27 +161,194 @@ func mustSegments(t testing.TB, s *Store, gens ...int64) *core.Thicket {
 }
 
 func TestDirStoreOrphanSweep(t *testing.T) {
-	profiles := dirProfiles(t, 2, 4)
+	profiles := dirProfiles(t, 6, 4)
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := CreateDir(dir, dirThicket(t, profiles)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash between segment write and manifest commit: an
-	// orphan segment file the manifest never adopted.
-	orphan := filepath.Join(dir, "seg-000099.tks")
-	if err := os.WriteFile(orphan, []byte("garbage"), 0o644); err != nil {
+	if err := CreateDir(dir, dirThicket(t, profiles[:2])); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphan segment file must be swept on open")
+	if err := s.AppendSegment(dirThicket(t, profiles[2:4]), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Compaction retires generations 1 and 2 into 3; next_gen is now 4.
+	if err := s.ReplaceSegments([]int64{1, 2}, dirThicket(t, profiles[:4]), 2); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// Simulate two crashes: one interrupted the deletion of a retired
+	// segment (below next_gen), the other came between a segment write
+	// and its manifest commit (at next_gen).
+	stale := filepath.Join(dir, segFileName(1))
+	dead := filepath.Join(dir, segFileName(4))
+	for _, path := range []string{stale, dead} {
+		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Error("a retired segment file below next_gen must be swept on open")
+	}
+	// Open cannot tell a dead file at next_gen from a writer's segment
+	// in flight, so it keeps it; the next append overwrites it.
+	if _, err := os.Stat(dead); err != nil {
+		t.Errorf("the file at next_gen must survive open: %v", err)
 	}
 	if n := s.NumSegments(); n != 1 {
 		t.Fatalf("segments = %d, want 1", n)
+	}
+	if err := s.AppendSegment(dirThicket(t, profiles[4:]), 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after overwriting the dead file: %v", err)
+	}
+	defer s.Close()
+	if got := s.Generations(); len(got) != 2 || got[1] != 4 {
+		t.Fatalf("generations = %v, want [3 4]", got)
+	}
+	th, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := th.NumProfiles(); n != 6 {
+		t.Fatalf("profiles = %d, want 6", n)
+	}
+}
+
+// TestDirStoreOpenDuringAppend: a Store opening the directory while
+// another Store appends to it must not sweep the writer's new segment,
+// which is on disk before the writer's manifest names it. Every open
+// must succeed, and the store must reopen with every appended profile.
+func TestDirStoreOpenDuringAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := InitDir(dir, ""); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	const segments, perSegment = 300, 3
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	readerErrs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st, err := Open(dir)
+				if err != nil {
+					readerErrs <- err
+					return
+				}
+				st.Close()
+			}
+		}()
+	}
+	for i := 0; i < segments; i++ {
+		batch := make([]*profile.Profile, perSegment)
+		for j := range batch {
+			batch[j] = tinyProfile(t, i*perSegment+j)
+		}
+		if err := w.Append(dirThicket(t, batch)); err != nil {
+			close(done)
+			wg.Wait()
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(readerErrs)
+	for err := range readerErrs {
+		t.Errorf("concurrent open: %v", err)
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st.Close()
+	if n := st.NumSegments(); n != segments {
+		t.Fatalf("segments = %d, want %d", n, segments)
+	}
+	th, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := th.NumProfiles(); n != segments*perSegment {
+		t.Fatalf("profiles = %d, want %d", n, segments*perSegment)
+	}
+}
+
+// tinyProfile is a one-node, one-metric profile told apart by seq.
+func tinyProfile(t testing.TB, seq int) *profile.Profile {
+	t.Helper()
+	p := profile.New()
+	p.SetMeta("seq", dataframe.Int64(int64(seq)))
+	if err := p.AddSample([]string{"main"}, map[string]dataframe.Value{"time": dataframe.Float64(float64(seq))}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestManifestRejectsForeignFile: a manifest entry must name its own
+// generation's segment file. One naming another store's segment used to
+// open and load it, and compaction then deleted it.
+func TestManifestRejectsForeignFile(t *testing.T) {
+	root := t.TempDir()
+	a, b := filepath.Join(root, "a"), filepath.Join(root, "b")
+	if err := CreateDir(a, dirThicket(t, dirProfiles(t, 3, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateDir(b, dirThicket(t, dirProfiles(t, 3, 2))); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const foreign = "../b/seg-000001.tks"
+	m.Segments = append(m.Segments, manifestSeg{File: foreign, Level: 1, Gen: 2})
+	m.NextGen = 3
+	if err := writeManifest(a, m); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(a); err == nil {
+		st.Close()
+		t.Fatal("a manifest naming a file outside its own segments opened")
+	} else if !strings.Contains(err.Error(), foreign) {
+		t.Fatalf("error does not name the entry: %v", err)
+	}
+	sb, err := Open(b)
+	if err != nil {
+		t.Fatalf("the other store no longer opens: %v", err)
+	}
+	defer sb.Close()
+	th, err := sb.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := th.NumProfiles(); n != 3 {
+		t.Fatalf("other store holds %d profiles, want 3", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -99,5 +100,45 @@ func FuzzOpenStore(f *testing.F) {
 		_, _ = s.Load()
 		_, _ = s.Metadata()
 		_ = s.Info()
+	})
+}
+
+// FuzzReadManifest feeds arbitrary bytes to readManifest as a directory
+// store's MANIFEST.json. It must never panic; a manifest it accepts must
+// name only files inside the directory and round-trip unchanged through
+// writeManifest.
+func FuzzReadManifest(f *testing.F) {
+	f.Add([]byte(`{"version":1,"profile_level":"profile","next_gen":4,"content_gen":3,` +
+		`"segments":[{"file":"seg-000001.tks","level":1,"gen":1},{"file":"seg-000003.tks","level":0,"gen":3}]}`))
+	f.Add([]byte(`{"version":1,"profile_level":"profile","next_gen":1,"content_gen":0,"segments":[]}`))
+	f.Add([]byte(`{"version":1,"next_gen":3,"segments":[{"file":"../b/seg-000001.tks","level":1,"gen":2}]}`))
+	f.Add([]byte(`{"version":1,"next_gen":2,"segments":[{"file":"seg-000001.tks","gen":1},{"file":"seg-000001.tks","gen":1}]}`))
+	f.Add([]byte(`{"version":2,"segments":null}`))
+	// Each worker runs its inputs one at a time, so two directories
+	// serve every input.
+	dir, again := f.TempDir(), f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readManifest(dir)
+		if err != nil {
+			return
+		}
+		for _, ms := range m.Segments {
+			if !filepath.IsLocal(ms.File) || filepath.Base(ms.File) != ms.File {
+				t.Fatalf("accepted manifest names %q, outside the directory", ms.File)
+			}
+		}
+		if err := writeManifest(again, m); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := readManifest(again)
+		if err != nil {
+			t.Fatalf("rewritten manifest no longer reads: %v", err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("manifest changed in a round trip:\n%+v\n%+v", m, m2)
+		}
 	})
 }

@@ -19,8 +19,9 @@ const ManifestName = "MANIFEST.json"
 // generation stamps. Every mutation (append, compaction) writes a new
 // manifest atomically (tmp + fsync + rename + dir fsync), so a crash
 // leaves either the old or the new segment set — never a half state.
-// Orphaned segment files not named by the manifest are ignored on open
-// and deleted lazily.
+// Each entry names its own generation's file, segFileName(gen), inside
+// the directory. Orphaned segment files not named by the manifest are
+// ignored on open, and those below next_gen are deleted (sweepOrphans).
 type manifest struct {
 	Version      int           `json:"version"`
 	ProfileLevel string        `json:"profile_level"`
@@ -92,6 +93,9 @@ func readManifest(dir string) (manifest, error) {
 	}
 	seen := map[int64]bool{}
 	for _, ms := range m.Segments {
+		if want := segFileName(ms.Gen); ms.File != want {
+			return m, fmt.Errorf("%s: segment generation %d names file %q, want %q", ManifestName, ms.Gen, ms.File, want)
+		}
 		if seen[ms.Gen] {
 			return m, fmt.Errorf("%s: duplicate segment generation %d", ManifestName, ms.Gen)
 		}
@@ -190,13 +194,16 @@ func openDir(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// sweepOrphans deletes segment files in the directory that the manifest
-// does not name — leftovers of a crash between segment write and
-// manifest commit, or of a compaction that retired them.
+// sweepOrphans deletes the segment files below the manifest's next_gen
+// that it does not name: segments a compaction retired, whose deletion
+// a crash cut short. A file at or past next_gen is left alone: a writer
+// (another Store, in this process or another) writes its new segment
+// there before its manifest names it. If the writer died first, its
+// store's next write at that generation overwrites the file.
 func (s *Store) sweepOrphans(m manifest) {
-	live := map[string]bool{}
+	live := map[int64]bool{}
 	for _, ms := range m.Segments {
-		live[ms.File] = true
+		live[ms.Gen] = true
 	}
 	entries, err := os.ReadDir(s.path)
 	if err != nil {
@@ -204,13 +211,15 @@ func (s *Store) sweepOrphans(m manifest) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || live[name] {
+		var gen int64
+		if _, err := fmt.Sscanf(name, "seg-%d.tks", &gen); err != nil || name != segFileName(gen) || e.IsDir() {
+			continue // not a segment file
+		}
+		if live[gen] || gen >= m.NextGen {
 			continue
 		}
-		if matched, _ := filepath.Match("seg-*.tks", name); matched {
-			os.Remove(filepath.Join(s.path, name))
-			logEvent("store sweep orphan", "path", s.path, "file", name)
-		}
+		os.Remove(filepath.Join(s.path, name))
+		logEvent("store sweep orphan", "path", s.path, "file", name)
 	}
 }
 
@@ -285,7 +294,8 @@ func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
 	s.gen++
 	s.contentGen++
 	if err := writeManifest(s.path, s.currentManifestLocked()); err != nil {
-		// Roll back the in-memory view; the orphaned file is swept later.
+		// Roll back the in-memory view and the file; the next append
+		// writes this generation again, over anything left behind.
 		s.segs = s.segs[:len(s.segs)-1]
 		s.nextSegGen--
 		s.gen--

@@ -308,13 +308,13 @@ func (v SegmentView) head() (hp *headPart, kept bool, err error) {
 	return &headPart{tree: tree, perf: perf, meta: meta}, false, nil
 }
 
-// check checks a header part, and the stored stats table when given, as
-// core.FromParts checks a thicket, and keeps the part once it passes.
+// check checks a header part, and the stored stats table when given,
+// with core.CheckParts, and keeps the part once it passes.
 func (v SegmentView) check(hp *headPart, kept bool, stats *dataframe.Frame) error {
 	if kept && stats == nil {
 		return nil
 	}
-	if _, err := core.FromParts(hp.tree, hp.perf, hp.meta, stats, v.seg.header.ProfileLevel); err != nil {
+	if _, err := core.CheckParts(hp.tree, hp.perf, hp.meta, stats, v.seg.header.ProfileLevel); err != nil {
 		return err
 	}
 	v.seg.head.CompareAndSwap(nil, hp)
@@ -326,7 +326,7 @@ func (v SegmentView) check(hp *headPart, kept bool, stats *dataframe.Frame) erro
 // store, matching Store.Load — through the column cache, reading the
 // blocks Store.Load reads, in the same order. ctx is checked at every
 // block boundary and wired to the context's ScanObserver. The first scan
-// checks the frames against the segment's tree as core.FromParts does
+// checks the frames against the segment's tree as core.CheckParts does
 // and, once that passes, keeps the check's verdict and the profile
 // ordinals; a segment that fails fails every scan with the same error.
 func (v SegmentView) Scan(ctx context.Context, withStats bool) (SegmentPart, error) {
@@ -357,7 +357,7 @@ func (v SegmentView) scan(ctx context.Context, sp *telemetry.Span, withStats boo
 	}
 	ords := v.seg.ords.Load()
 	if ords == nil {
-		o, err := core.Assemble(hp.tree, perf, meta, stats, v.seg.header.ProfileLevel).ValidOrdinals()
+		o, err := core.CheckParts(hp.tree, perf, meta, stats, v.seg.header.ProfileLevel)
 		if err != nil {
 			return SegmentPart{}, err
 		}
@@ -377,7 +377,7 @@ func (v SegmentView) scan(ctx context.Context, sp *telemetry.Span, withStats boo
 // block is read; with withStats the stored stats table still decodes
 // under ctx (a pruned single-segment store must reproduce the stats
 // table the naive path carries over). The header part is checked as
-// core.FromParts checks a thicket, and kept once that passes.
+// core.CheckParts checks parts, and kept once that passes.
 func (v SegmentView) Empty(ctx context.Context, withStats bool) (SegmentPart, error) {
 	hp, kept, err := v.head()
 	if err != nil {

@@ -389,7 +389,7 @@ type (
 	// MetricsRegistry holds typed counters/gauges/histograms and renders
 	// them in the Prometheus text format.
 	MetricsRegistry = telemetry.Registry
-	// SelfProfiler exports retained slow traces into an ensemble store —
+	// SelfProfiler streams retained slow traces into a directory store —
 	// the dogfood loop feeding thicketd's history back to its own EDA.
 	SelfProfiler = selfprofile.Profiler
 	// SelfProfileOptions configures the self-profiler.
@@ -401,7 +401,8 @@ type (
 	Monitor = monitor.Sampler
 	// MonitorOptions configures the monitor sampler.
 	MonitorOptions = monitor.Options
-	// MonitorHistoryOptions configures the monitor-store flusher.
+	// MonitorHistoryOptions configures the monitor store, the directory
+	// store every sample streams into through the ingest path.
 	MonitorHistoryOptions = monitor.HistoryOptions
 	// AlertRule is one declarative monitor alert (threshold, rate,
 	// absence, or latency baseline).
@@ -421,7 +422,7 @@ func NewSelfProfiler(opts SelfProfileOptions) (*SelfProfiler, error) {
 
 // NewMonitor builds the continuous self-monitoring sampler. Call Run
 // for wall-clock sampling or Tick for clock-injected sampling, and
-// Close to flush the history tail.
+// Close to flush the history store.
 func NewMonitor(opts MonitorOptions) (*Monitor, error) { return monitor.New(opts) }
 
 // DefaultAlertRules is the shipped monitor alert set: heap growth, GC
