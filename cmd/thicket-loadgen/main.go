@@ -67,7 +67,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.SetOutput(stderr)
 	cfg := &config{}
 	fs.StringVar(&cfg.target, "target", "", "base URL of an external thicketd (empty self-hosts one in-process)")
-	fs.StringVar(&cfg.store, "store", "", "ensemble store for the self-hosted server (empty generates a synthetic MARBL store)")
+	fs.StringVar(&cfg.store, "store", "", "directory store for the self-hosted server, which ingests into it (empty generates a synthetic MARBL store)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "master seed; every random draw derives from it")
 	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "virtual run horizon")
 	fs.Float64Var(&cfg.rate, "rate", 200, "total offered request rate per second")

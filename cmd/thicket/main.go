@@ -32,7 +32,7 @@
 //	save       serialize the thicket object       -o file
 //	convert    Caliper json-split → native        -caliper in.json -o out.json (no -dir needed)
 //	compose    horizontal multi-tool composition  -dirs a,b -groups CPU,GPU -index-by col [-o out.json]
-//	store      columnar ensemble store ops        store <create|append|info|ls> -store file.tks [-dir profiles/]
+//	store      columnar ensemble store ops        store <create|append|info|ls> -store path.tks [-dir profiles/]
 //	monitor    live self-monitoring view          monitor -target http://host:8080 [-window 5m] [-metrics go_,rate] [-watch]
 //
 // Profiles load from -dir (raw profile JSONs), -load (a serialized

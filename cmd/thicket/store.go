@@ -15,13 +15,17 @@ import (
 //	store append -store out.tks -dir more-profiles/
 //	store info   -store out.tks
 //	store ls     -store out.tks [-max N]
+//
+// create writes a directory store, which append grows one segment file
+// and one manifest swap at a time. info and ls also read a single-file
+// store (thicket.CreateStore), which is written once and refuses append.
 func storeCmd(args []string) {
 	if len(args) < 1 {
 		fatal(fmt.Errorf("store requires an action: create, append, info, or ls"))
 	}
 	action := args[0]
 	fs := flag.NewFlagSet("store "+action, flag.ContinueOnError)
-	storePath := fs.String("store", "", "path of the ensemble store file (required)")
+	storePath := fs.String("store", "", "path of the ensemble store: a directory store, or a single-file store to read (required)")
 	dir := fs.String("dir", "", "directory of thicket-profile JSON files (create/append)")
 	indexBy := fs.String("index-by", "", "metadata column to use as the profile index (create)")
 	maxRows := fs.Int("max", 40, "maximum rows to print (0 = all)")
@@ -37,7 +41,7 @@ func storeCmd(args []string) {
 			fatal(fmt.Errorf("store create requires -dir profiles/"))
 		}
 		th := loadDirThicket(*dir, *indexBy)
-		if err := thicket.CreateStore(*storePath, th); err != nil {
+		if err := thicket.CreateDirStore(*storePath, th); err != nil {
 			fatal(err)
 		}
 		st := openStore(*storePath)

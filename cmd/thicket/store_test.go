@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	thicket "repro"
 	"repro/internal/sim"
 )
 
@@ -69,6 +72,25 @@ func TestStoreSubcommandErrors(t *testing.T) {
 	storePath := filepath.Join(t.TempDir(), "ensemble.tks")
 	invoke(t, "store", "create", "-store", storePath, "-dir", dir)
 
+	// A single-file store, which is written once: append and create
+	// over it must fail and leave it as it was.
+	profiles, err := thicket.LoadProfileDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := thicket.FromProfiles(profiles, thicket.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := filepath.Join(t.TempDir(), "single.tks")
+	if err := thicket.CreateStore(single, th); err != nil {
+		t.Fatal(err)
+	}
+	singleBytes, err := os.ReadFile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name     string
 		args     []string
@@ -80,6 +102,8 @@ func TestStoreSubcommandErrors(t *testing.T) {
 		{"create missing dir", []string{"store", "create", "-store", storePath}, "-dir"},
 		{"open names path", []string{"store", "info", "-store", filepath.Join(dir, "absent.tks")}, "absent.tks"},
 		{"duplicate append", []string{"store", "append", "-store", storePath, "-dir", dir}, "already present"},
+		{"append to single file", []string{"store", "append", "-store", single, "-dir", writeEnsembleSeed(t, 2)}, single + ": read-only"},
+		{"create over file", []string{"store", "create", "-store", single, "-dir", dir}, single},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,6 +114,9 @@ func TestStoreSubcommandErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantText) {
 				t.Errorf("run(%v) error = %q, want substring %q", tc.args, err, tc.wantText)
+			}
+			if got, err := os.ReadFile(single); err != nil || !bytes.Equal(got, singleBytes) {
+				t.Errorf("run(%v) changed the single-file store (err=%v)", tc.args, err)
 			}
 		})
 	}

@@ -63,9 +63,9 @@
 // write-ahead log, flushed to small level-0 segments, and merged into
 // sorted higher-level segments by a background compactor; a full
 // admission queue sheds with 429 + Retry-After rather than stalling
-// query traffic. The store should use the directory layout (thicket
-// ingest -init or CreateDirStore) so compaction can run; a single-file
-// store still ingests but only appends.
+// query traffic. The store must use the directory layout (thicket store
+// create, thicket ingest -init or CreateDirStore): a single-file store is
+// written once, and -ingest on one fails at startup.
 //
 // Observability: requests accept and emit W3C traceparent headers, and
 // every log line is one JSON object carrying the request's trace ID.
@@ -77,10 +77,11 @@
 // dedicated directory store that thicket query and thicketd can analyze
 // — the server's own performance forest. Both self-data stores take the
 // -ingest path: a profile is durable in the store's WAL once written,
-// and a single-file store is refused. On shutdown (including
-// SIGINT/SIGTERM) -trace-out receives every retained span tree as
-// Chrome trace_event JSON plus a native thicket profile, and the
-// self-profile store is flushed — the trace tail is never dropped.
+// and a single-file store, which is written once, is refused. On
+// shutdown (including SIGINT/SIGTERM) -trace-out receives every
+// retained span tree as Chrome trace_event JSON plus a native thicket
+// profile, and the self-profile store is flushed — the trace tail is
+// never dropped.
 // -debug-addr starts a second listener with net/http/pprof.
 package main
 
@@ -136,7 +137,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.storePath, "store", "", "path of the ensemble store file (required)")
+	flag.StringVar(&cfg.storePath, "store", "", "path of the ensemble store, a directory store or a single-file one (required; -ingest needs a directory store)")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.DurationVar(&cfg.timeout, "timeout", 15*time.Second, "per-request timeout: answer 503 and cancel the request, so a scan stops at the next block boundary")
 	flag.IntVar(&cfg.maxConc, "max-concurrent", 64, "maximum concurrently executing requests")
@@ -386,8 +387,7 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 				err = cerr
 			}
 		}()
-		dlog.Info("ingest enabled",
-			"wal", ing.WALPath(), "sync", cfg.ingestSync, "compact", st.CanCompact())
+		dlog.Info("ingest enabled", "wal", ing.WALPath(), "sync", cfg.ingestSync)
 	}
 
 	serverOpts := thicket.ServerOptions{

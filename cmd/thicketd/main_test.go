@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"log/slog"
@@ -192,6 +193,31 @@ func TestSelfDataRefusesSingleFile(t *testing.T) {
 	}
 	if n := th.NumProfiles(); n != 4 {
 		t.Fatalf("refused store holds %d profiles, want 4", n)
+	}
+}
+
+// TestServeIngestRefusesSingleFile: -ingest on a single-file store,
+// which is written once, fails at startup with an error naming the
+// store; no WAL appears and the file is left as it was.
+func TestServeIngestRefusesSingleFile(t *testing.T) {
+	path := writeStore(t)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(path)
+	cfg.ingestEnabled = true
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = serve(ctx, cfg, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a directory store") {
+		t.Fatalf("serve -ingest on a single-file store: err = %v, want ingest's refusal naming %s", err, path)
+	}
+	if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
+		t.Errorf("a refused store got a WAL (err=%v)", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("a refused store changed (err=%v)", err)
 	}
 }
 

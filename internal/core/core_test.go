@@ -66,7 +66,7 @@ func TestFromProfilesFigure2(t *testing.T) {
 		t.Errorf("tree nodes = %d, want 4", th.Tree.Len())
 	}
 	// Two rows per node (one per profile index).
-	groups, err := th.PerfData.GroupByIndexLevel(NodeLevel)
+	groups, err := th.PerfData.GroupBy(NodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}

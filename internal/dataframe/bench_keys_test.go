@@ -76,26 +76,6 @@ func BenchmarkGroupByNew(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupByIndexLevelRef(b *testing.B) {
-	f := benchFrame(b)
-	benchSequential(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		refGroupByIndexLevel(b, f, "node")
-	}
-}
-
-func BenchmarkGroupByIndexLevelNew(b *testing.B) {
-	f := benchFrame(b)
-	benchSequential(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.GroupByIndexLevel("node"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Lookup benchmarks measure a build-plus-probe cycle: the old path paid
 // an EncodeKey map build and string hashing per probe; the new path pays
 // one keySpace build and integer probes.

@@ -74,23 +74,6 @@ func refGroupBy(t testing.TB, f *Frame, names ...string) []Group {
 	return groups
 }
 
-func refGroupByIndexLevel(t testing.TB, f *Frame, level string) []Group {
-	t.Helper()
-	lv := f.index.LevelByName(level)
-	if lv == nil {
-		t.Fatalf("no index level %q", level)
-	}
-	byKey, order := refPartition(f.NRows(), func(r int) []Value {
-		return []Value{lv.At(r)}
-	})
-	groups := make([]Group, len(order))
-	for i, enc := range order {
-		b := byKey[enc]
-		groups[i] = Group{Key: b.key, Frame: f.SelectRows(b.rows)}
-	}
-	return groups
-}
-
 // refLookup is the old Index lookup: an EncodeKey map built per index.
 func refLookup(ix *Index, key []Value) []int {
 	m := make(map[string][]int)
@@ -383,20 +366,6 @@ func TestDifferentialGroupBy(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertGroupsEqual(t, fmt.Sprintf("seed %d node+ratio", seed), want2, got2)
-	}
-}
-
-func TestDifferentialGroupByIndexLevel(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		f := diffFrame(rand.New(rand.NewSource(100+seed)), 150, false)
-		want := refGroupByIndexLevel(t, f, "node")
-		eachWorkerCount(t, func(t *testing.T) {
-			got, err := f.GroupByIndexLevel("node")
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertGroupsEqual(t, fmt.Sprintf("seed %d", seed), want, got)
-		})
 	}
 }
 

@@ -156,24 +156,6 @@ func TestGroupByPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestGroupByIndexLevel(t *testing.T) {
-	f := perfFrame(t)
-	groups, err := f.GroupByIndexLevel("node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 4 {
-		t.Fatalf("groups = %d, want 4", len(groups))
-	}
-	// First-appearance order: MAIN first.
-	if groups[0].Key[0].Str() != "MAIN" {
-		t.Errorf("first group = %v, want MAIN", groups[0].Key)
-	}
-	if _, err := f.GroupByIndexLevel("ghost"); err == nil {
-		t.Error("missing level must error")
-	}
-}
-
 func TestInnerJoinOnIndexComposition(t *testing.T) {
 	// CPU frame: 3 keys. GPU frame: 2 overlapping keys + 1 extra.
 	cpuIx := MustIndex(

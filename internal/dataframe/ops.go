@@ -187,28 +187,6 @@ func (f *Frame) GroupBy(names ...string) ([]Group, error) {
 	return f.materializeGroups(buckets, keys, order), nil
 }
 
-// GroupByIndexLevel partitions rows by unique values of one index level,
-// preserving first-appearance key order. Used for per-node order
-// reduction.
-func (f *Frame) GroupByIndexLevel(level string) ([]Group, error) {
-	sp := telemetry.StartOp("dataframe.GroupByIndexLevel")
-	if sp != nil {
-		sp.SetAttr("rows", itoa(f.NRows()))
-		sp.SetAttr("level", level)
-		defer sp.End()
-	}
-	lv := f.index.LevelByName(level)
-	if lv == nil {
-		return nil, fmt.Errorf("dataframe: no index level %q", level)
-	}
-	buckets, keys := f.partitionByKey([]*Series{lv})
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	return f.materializeGroups(buckets, keys, order), nil
-}
-
 // baseSpaceIDs maps every row of ix into the retained key space ks (built
 // over an equal-shaped index of another frame): per level, the row's code
 // translates into the base frame's code space through a per-distinct-value

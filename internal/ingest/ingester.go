@@ -122,8 +122,9 @@ type Ingester struct {
 
 // New opens the WAL (replaying any crash residue into the store as a
 // level-0 segment) and starts the writer and compactor goroutines.
-// The store must remain open for the Ingester's lifetime; Close the
-// Ingester first.
+// The store must be a directory store, the one layout that grows; any
+// other is refused before the WAL is opened. It must remain open for
+// the Ingester's lifetime; Close the Ingester first.
 func New(st *store.Store, opts Options) (*Ingester, error) {
 	in, err := newIngester(st, opts)
 	if err != nil {
@@ -136,7 +137,7 @@ func New(st *store.Store, opts Options) (*Ingester, error) {
 	in.updateBacklog()
 	in.writerWG.Add(1)
 	go in.writerLoop()
-	if in.opts.CompactRun > 0 && st.CanCompact() {
+	if in.opts.CompactRun > 0 {
 		in.compactWG.Add(1)
 		go in.compactLoop()
 	}
@@ -146,6 +147,9 @@ func New(st *store.Store, opts Options) (*Ingester, error) {
 // newIngester builds the wired-but-idle ingester: WAL open, metrics
 // registered, no goroutines yet. Tests drive the pieces directly.
 func newIngester(st *store.Store, opts Options) (*Ingester, error) {
+	if !st.IsDir() {
+		return nil, fmt.Errorf("ingest: %s: not a directory store; a single-file store is written once", st.Path())
+	}
 	opts = opts.withDefaults(st.Path())
 	wal, err := OpenWAL(opts.WALPath, WALOptions{Sync: opts.Sync, Registry: opts.Registry})
 	if err != nil {

@@ -484,6 +484,41 @@ func TestIngesterSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestNewRefusesSingleFile: a single-file store is written once, so New
+// refuses it, naming the path, before it opens a WAL; the store file is
+// left as Create wrote it.
+func TestNewRefusesSingleFile(t *testing.T) {
+	th, err := core.FromProfiles(genProfiles(t, 2, 3), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "one.tks")
+	if err := store.Create(path, th); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if in, err := New(st, quietOpts()); err == nil || !strings.Contains(err.Error(), path) {
+		if in != nil {
+			in.Close()
+		}
+		t.Fatalf("New on a single-file store: err = %v, want one naming %s", err, path)
+	}
+	if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
+		t.Errorf("a refused store got a WAL (err=%v)", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("a refused store changed (err=%v)", err)
+	}
+}
+
 // TestPlanRun pins the compaction planner's choices.
 func TestPlanRun(t *testing.T) {
 	seg := func(gen int64, level int) store.SegmentInfo {

@@ -65,8 +65,9 @@ func ParseRegress(s string) (*Regression, error) {
 
 // SelfHostOptions configures an in-process thicketd under test.
 type SelfHostOptions struct {
-	// StorePath serves an existing ensemble store; empty builds a
-	// synthetic MARBL ensemble store under ScratchDir.
+	// StorePath serves an existing directory store, which the self-host
+	// ingests into; empty builds a synthetic MARBL ensemble store under
+	// ScratchDir.
 	StorePath string
 	// ScratchDir holds the synthetic store and the self-profile store
 	// (typically a temp dir; required when StorePath is empty).
@@ -161,8 +162,8 @@ func (o SelfHostOptions) withDefaults() SelfHostOptions {
 }
 
 // synthStore writes a small synthetic MARBL ensemble to a directory
-// store under dir — directory layout so the ingest pipeline can run
-// background compaction against it.
+// store under dir, the layout the ingest pipeline appends to and
+// compacts.
 func synthStore(dir string, seed int64) (string, error) {
 	profiles, err := sim.MarblEnsemble(
 		[]sim.MarblCluster{sim.ClusterRZTopaz, sim.ClusterAWS}, []int{1, 2, 4}, 2, seed)

@@ -28,7 +28,8 @@ const monitorNode = "monitor"
 // HistoryOptions configures the monitor store.
 type HistoryOptions struct {
 	// StorePath is the directory store every sample streams into,
-	// created on the first sample. A single-file store is refused.
+	// created on the first sample. A single-file store, which is written
+	// once, is refused.
 	StorePath string
 	// Meta is stamped on every stored profile (server identity).
 	Meta map[string]dataframe.Value

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,6 +222,49 @@ func TestLoadRules(t *testing.T) {
 	if _, err := LoadRules(bad); err == nil {
 		t.Fatal("baseline rule with op < accepted")
 	}
+}
+
+// FuzzLoadRules: no rules file may panic LoadRules. A rule set it
+// accepts either fails New on an 8-sample ring or yields a sampler that
+// survives three ticks and an Alerts read.
+func FuzzLoadRules(f *testing.F) {
+	defaults, err := json.Marshal(DefaultRules())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(defaults),
+		// TestLoadRules' rules, good and bad.
+		`[{"name": "heap", "kind": "rate", "metric": "go_heap_inuse_bytes", "value": 1048576}]`,
+		`[{"name": "quiet", "kind": "absence", "metric": "thicket_http_requests_total", "window_ticks": 4}]`,
+		`[{"name": "lat", "kind": "baseline", "metric": "thicket_http_request_seconds", "value": 3, "factor": 1.5, "min_samples": 5, "min_delta_s": 0.005, "for_ticks": 1}]`,
+		`[{"name": "x", "kind": "sideways", "metric": "m"}]`,
+		`[{"name": "x", "kind": "baseline", "metric": "m", "op": "<"}]`,
+		// A window the ring cannot hold, and files holding no rules.
+		`[{"name": "r", "kind": "rate", "metric": "m", "window_ticks": 9}]`,
+		`[]`, `null`, ``, `{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	path := filepath.Join(f.TempDir(), "rules.json")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rules, err := LoadRules(path)
+		if err != nil {
+			return
+		}
+		s, err := New(Options{Registry: newTestRegistry(), RingSize: 8, Rules: rules})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		for sec := int64(1); sec <= 3; sec++ {
+			s.Tick(unix(sec))
+		}
+		s.Alerts()
+	})
 }
 
 // TestRulesThatCanNeverFireRejected: a rate rule needs WindowTicks+1

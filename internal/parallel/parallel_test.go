@@ -121,30 +121,6 @@ func TestGroupByMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestGroupByIndexLevelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, nRows := range frameShapes {
-		f := randomFrame(rng, nRows)
-		want := atParallelism(1, func() []dataframe.Group {
-			gs, err := f.GroupByIndexLevel("node")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return gs
-		})
-		for _, w := range workerCounts[1:] {
-			got := atParallelism(w, func() []dataframe.Group {
-				gs, err := f.GroupByIndexLevel("node")
-				if err != nil {
-					t.Fatal(err)
-				}
-				return gs
-			})
-			groupsEqual(t, fmt.Sprintf("GroupByIndexLevel rows=%d workers=%d", nRows, w), want, got)
-		}
-	}
-}
-
 // TestPivotMatchesSequential uses a left-fold sum aggregator — the most
 // order-sensitive float reduction — so any reordering of cell samples
 // between sequential and parallel collection would change low-order bits

@@ -56,10 +56,10 @@ func benchEnsemble(b *testing.B, seg int) []*profile.Profile {
 	return out
 }
 
-// benchStore builds the multi-segment store with the given column
-// cache budget (store.Options.CacheBytes). The cold pairs disable the
-// cache, so every Naive iteration pays the full decode the compiled path
-// is designed to avoid.
+// benchStore builds the multi-segment directory store with the given
+// column cache budget (store.Options.CacheBytes). The cold pairs disable
+// the cache, so every Naive iteration pays the full decode the compiled
+// path is designed to avoid.
 func benchStore(b *testing.B, cacheBytes int64) *store.Store {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.tks")
@@ -70,7 +70,7 @@ func benchStore(b *testing.B, cacheBytes int64) *store.Store {
 		}
 		return th
 	}
-	if err := store.Create(path, mk(0)); err != nil {
+	if err := store.CreateDir(path, mk(0)); err != nil {
 		b.Fatal(err)
 	}
 	st, err := store.OpenWithOptions(path, store.Options{CacheBytes: cacheBytes})

@@ -63,12 +63,13 @@ func thicketOf(t *testing.T, profiles []*profile.Profile) *core.Thicket {
 	return th
 }
 
-// buildStore writes one segment per batch: Create with the first, Append
-// the rest. Returns the opened store (closed via t.Cleanup).
+// buildStore writes one segment per batch into a directory store:
+// CreateDir with the first, Append the rest. Returns the opened store
+// (closed via t.Cleanup).
 func buildStore(t *testing.T, batches ...[]*profile.Profile) *store.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "plan.tks")
-	if err := store.Create(path, thicketOf(t, batches[0])); err != nil {
+	if err := store.CreateDir(path, thicketOf(t, batches[0])); err != nil {
 		t.Fatal(err)
 	}
 	s, err := store.Open(path)

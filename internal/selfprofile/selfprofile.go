@@ -51,7 +51,8 @@ const (
 // Options configures a Profiler.
 type Options struct {
 	// StorePath is the directory store to stream into, created on the
-	// first export. A single-file store is refused.
+	// first export. A single-file store, which is written once, is
+	// refused.
 	StorePath string
 	// Collector supplies the retained slow traces (TakeSlow feed).
 	Collector *telemetry.Collector

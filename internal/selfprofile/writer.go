@@ -32,10 +32,9 @@ type StoreWriter struct {
 
 // NewStoreWriter returns a writer for the directory store at path. A
 // store already there is opened now, so its ingester replays a crash's
-// leftover WAL records before the first Append. A single-file store is
-// refused: ingest could only append to it, a segment per flush, and
-// never compact. reg hosts the ingester's metrics (nil selects
-// telemetry.Default); logger may be nil.
+// leftover WAL records before the first Append; ingest.New refuses a
+// single-file store, which is written once. reg hosts the ingester's
+// metrics (nil selects telemetry.Default); logger may be nil.
 func NewStoreWriter(path string, reg *telemetry.Registry, logger *slog.Logger) (*StoreWriter, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -43,14 +42,11 @@ func NewStoreWriter(path string, reg *telemetry.Registry, logger *slog.Logger) (
 	// Self-data stores sit beside the served store: name the store in
 	// every line, the ingester's included.
 	w := &StoreWriter{path: path, reg: reg, logger: logger.With("store", path)}
-	fi, err := os.Stat(path)
-	switch {
+	switch _, err := os.Stat(path); {
 	case os.IsNotExist(err):
 		return w, nil
 	case err != nil:
 		return nil, fmt.Errorf("selfprofile: %w", err)
-	case !fi.IsDir():
-		return nil, fmt.Errorf("selfprofile: %s is a single-file store; self-data needs a directory store", path)
 	}
 	if err := w.open(); err != nil {
 		return nil, err

@@ -108,7 +108,7 @@ func TestAppendInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "grow.tks")
-	if err := store.Create(path, th1); err != nil {
+	if err := store.CreateDir(path, th1); err != nil {
 		t.Fatal(err)
 	}
 	st, err := store.Open(path)

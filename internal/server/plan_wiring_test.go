@@ -40,7 +40,7 @@ func planFixtureOpts(t *testing.T, opts server.Options) (*httptest.Server, *serv
 		return th
 	}
 	path := filepath.Join(t.TempDir(), "two.tks")
-	if err := store.Create(path, mk(sim.ClusterRZTopaz)); err != nil {
+	if err := store.CreateDir(path, mk(sim.ClusterRZTopaz)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := store.Open(path)

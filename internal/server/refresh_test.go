@@ -101,20 +101,15 @@ type refreshHarness struct {
 	nextID int
 }
 
-func newRefreshHarness(t *testing.T, seed int64, dir bool) *refreshHarness {
+func newRefreshHarness(t *testing.T, seed int64) *refreshHarness {
 	t.Helper()
 	h := &refreshHarness{t: t, rng: rand.New(rand.NewSource(seed)), reg: telemetry.NewRegistry()}
 	base := h.thicket(1 + h.rng.Intn(4))
 	path := filepath.Join(t.TempDir(), "store")
-	var err error
-	if dir {
-		err = store.CreateDir(path, base)
-	} else {
-		err = store.Create(path, base)
-	}
-	if err != nil {
+	if err := store.CreateDir(path, base); err != nil {
 		t.Fatal(err)
 	}
+	var err error
 	if h.st, err = store.Open(path); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +202,7 @@ func TestRefreshMatchesFreshLoad(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("dir/workers=%d/seed=%d", workers, seed), func(t *testing.T) {
 				defer parallel.Set(parallel.Set(workers))
-				h := newRefreshHarness(t, seed, true)
+				h := newRefreshHarness(t, seed)
 				h.check("initial")
 				// An L0 segment compacted away before the server's next
 				// read: Refresh must pick the unseen tail rows out of the
@@ -242,19 +237,6 @@ func TestRefreshMatchesFreshLoad(t *testing.T) {
 				}
 			})
 		}
-		t.Run(fmt.Sprintf("file/workers=%d", workers), func(t *testing.T) {
-			defer parallel.Set(parallel.Set(workers))
-			h := newRefreshHarness(t, 7, false)
-			for step := 0; step < 6; step++ {
-				for m := 1 + h.rng.Intn(2); m > 0; m-- {
-					h.appendL0()
-				}
-				h.check(fmt.Sprintf("step %d", step))
-			}
-			if n := h.fullRefreshes(); n != 0 {
-				t.Errorf("%d refreshes fell back to a full load", n)
-			}
-		})
 	}
 }
 
@@ -264,7 +246,7 @@ func TestRefreshMatchesFreshLoad(t *testing.T) {
 // counting a reload, and a where= plan that scans the damaged segment
 // answers 500 with the store's error.
 func TestFailedRefreshServesStale(t *testing.T) {
-	h := newRefreshHarness(t, 1, true)
+	h := newRefreshHarness(t, 1)
 	healthz := func() (reloads, reloadErrs int64) {
 		status, body := serveBody(h.long, "/healthz")
 		var out struct {

@@ -187,18 +187,14 @@ func TestV1FileStillLoads(t *testing.T) {
 	assertThicketsEqual(t, "v1 load", th, got)
 }
 
-// TestV1AppendUpgrades asserts a v2 segment appended to a v1 file reads
-// back as the concatenation — mixed-version files are valid.
+// TestV1AppendUpgrades asserts a segment of the current encoder that an
+// older version appended to a v1 file reads back as the concatenation —
+// mixed-version files are valid — and that Append on such a file is
+// refused and leaves it byte-identical.
 func TestV1AppendUpgrades(t *testing.T) {
 	th1 := randomThicket(t, 5151, 3)
 	path := filepath.Join(t.TempDir(), "mixed.tks")
 	v1WriteStore(t, path, th1)
-
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	p2 := randomEnsemble(t, 5252, 3)
 	for i, p := range p2 {
 		p.SetMeta("id", dataframe.Int64(int64(100+i)))
@@ -207,9 +203,13 @@ func TestV1AppendUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(th2); err != nil {
-		t.Fatalf("append v2 segment to v1 file: %v", err)
+	appendLegacySegment(t, path, th2)
+
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
 	if s.NumSegments() != 2 {
 		t.Fatalf("segments = %d, want 2", s.NumSegments())
 	}
@@ -222,6 +222,8 @@ func TestV1AppendUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertThicketsEqual(t, "mixed-version load", want, got)
+	more := randomThicket(t, 5353, 2)
+	refusesAppend(t, "mixed-version file", path, func() error { return s.Append(more) })
 }
 
 // TestUnknownVersionRejected asserts a header version beyond the

@@ -342,14 +342,12 @@ func TestPlanMixedVersionStores(t *testing.T) {
 	th1, th2, th3 := mk(801, 0), mk(802, 1000), mk(803, 2000)
 	path := filepath.Join(t.TempDir(), "mixed.tks")
 	tWriteStore(t, path, []int{1, 2}, []*core.Thicket{th1, th2})
+	appendLegacySegment(t, path, th3)
 	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Append(th3); err != nil {
-		t.Fatal(err)
-	}
 	naive, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -391,9 +389,10 @@ func TestPlanMixedVersionStores(t *testing.T) {
 }
 
 // whereFuzzStore builds FuzzWhere's store: a v1 and a v2 segment from
-// this file's encoder, then a v3 segment appended by the store. Only the
-// v2 segment has a "ranks" column (schema drift), and the first profile
-// of each segment has a NaN "ratio".
+// this file's encoder, then a v3 segment from the store's encoder,
+// appended as older versions' Append wrote it. Only the v2 segment has a
+// "ranks" column (schema drift), and the first profile of each segment
+// has a NaN "ratio".
 func whereFuzzStore(tb testing.TB) *store.Store {
 	mk := func(seed int64, base int, drift bool) *core.Thicket {
 		profiles := randomEnsemble(tb, seed, 4)
@@ -412,14 +411,12 @@ func whereFuzzStore(tb testing.TB) *store.Store {
 	}
 	path := filepath.Join(tb.TempDir(), "where.tks")
 	tWriteStore(tb, path, []int{1, 2}, []*core.Thicket{mk(811, 0, false), mk(812, 1000, true)})
+	appendLegacySegment(tb, path, mk(813, 2000, false))
 	s, err := store.Open(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
-	if err := s.Append(mk(813, 2000, false)); err != nil {
-		tb.Fatal(err)
-	}
 	sn := s.Snapshot()
 	defer sn.Release()
 	for i, want := range []int{1, 2, 3} {

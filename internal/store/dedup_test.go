@@ -101,72 +101,66 @@ func drawBatch(t *testing.T, rng *rand.Rand, kind dataframe.Kind) *core.Thicket 
 }
 
 // TestAppendDuplicateCheckMatchesKeySet drives seeded append sequences
-// through single-file and directory stores and holds every append's
-// verdict — accepted, or refused with an exact error text — to dedupRef.
-// Reopens and (on directory stores) compactions between appends leave
-// segments whose profile index has not been built yet.
+// through directory stores and holds every append's verdict — accepted,
+// or refused with an exact error text — to dedupRef. Reopens and
+// compactions between appends leave segments whose profile index has not
+// been built yet.
 func TestAppendDuplicateCheckMatchesKeySet(t *testing.T) {
 	var verdicts [3]int // accepted, refused as duplicate, refused for kind
 	for seed := int64(1); seed <= 32; seed++ {
-		for _, layout := range []string{"file", "dir"} {
-			rng := rand.New(rand.NewSource(seed))
-			label := fmt.Sprintf("seed %d %s", seed, layout)
-			base := drawBatch(t, rng, idKinds[rng.Intn(len(idKinds))])
-			path := filepath.Join(t.TempDir(), "dedup")
-			create := store.Create
-			if layout == "dir" {
-				create = store.CreateDir
-			}
-			if err := create(path, base); err != nil {
-				t.Fatal(err)
-			}
-			s, err := store.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newDedupRef(base)
-			accepted := base.NumProfiles()
-			for step := 0; step < 10; step++ {
-				switch r := rng.Intn(6); {
-				case r == 0:
-					s.Close()
-					if s, err = store.Open(path); err != nil {
-						t.Fatal(err)
-					}
-				case r == 1 && layout == "dir":
-					if err := ingest.CompactAll(s); err != nil {
-						t.Fatal(err)
-					}
+		rng := rand.New(rand.NewSource(seed))
+		label := fmt.Sprintf("seed %d", seed)
+		base := drawBatch(t, rng, idKinds[rng.Intn(len(idKinds))])
+		path := filepath.Join(t.TempDir(), "dedup")
+		if err := store.CreateDir(path, base); err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newDedupRef(base)
+		accepted := base.NumProfiles()
+		for step := 0; step < 10; step++ {
+			switch r := rng.Intn(6); {
+			case r == 0:
+				s.Close()
+				if s, err = store.Open(path); err != nil {
+					t.Fatal(err)
 				}
-				th := drawBatch(t, rng, ref.kind)
-				want := ref.append(path, th)
-				got := s.Append(th)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s step %d: append %v: err = %v, want %v", label, step, th.Profiles(), got, want)
-				}
-				switch {
-				case want == nil:
-					accepted += th.NumProfiles()
-					verdicts[0]++
-				case th.Metadata.Index().Level(0).Kind() == ref.kind:
-					verdicts[1]++
-				default:
-					verdicts[2]++
+			case r == 1:
+				if err := ingest.CompactAll(s); err != nil {
+					t.Fatal(err)
 				}
 			}
-			s.Close()
-			s, err = store.Open(path)
-			if err != nil {
-				t.Fatal(err)
+			th := drawBatch(t, rng, ref.kind)
+			want := ref.append(path, th)
+			got := s.Append(th)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s step %d: append %v: err = %v, want %v", label, step, th.Profiles(), got, want)
 			}
-			th, err := s.Load()
-			s.Close()
-			if err != nil {
-				t.Fatalf("%s: load: %v", label, err)
+			switch {
+			case want == nil:
+				accepted += th.NumProfiles()
+				verdicts[0]++
+			case th.Metadata.Index().Level(0).Kind() == ref.kind:
+				verdicts[1]++
+			default:
+				verdicts[2]++
 			}
-			if th.NumProfiles() != accepted {
-				t.Fatalf("%s: loaded %d profiles, want %d", label, th.NumProfiles(), accepted)
-			}
+		}
+		s.Close()
+		s, err = store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := s.Load()
+		s.Close()
+		if err != nil {
+			t.Fatalf("%s: load: %v", label, err)
+		}
+		if th.NumProfiles() != accepted {
+			t.Fatalf("%s: loaded %d profiles, want %d", label, th.NumProfiles(), accepted)
 		}
 	}
 	if verdicts[0] == 0 || verdicts[1] == 0 || verdicts[2] == 0 {

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,8 +51,8 @@ func TestDirStoreCreateOpenAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.IsDir() || !s.CanCompact() {
-		t.Fatal("directory store must report IsDir and CanCompact")
+	if !s.IsDir() {
+		t.Fatal("directory store must report IsDir")
 	}
 	if n := s.NumSegments(); n != 1 {
 		t.Fatalf("segments = %d, want 1", n)
@@ -160,6 +163,80 @@ func mustSegments(t testing.TB, s *Store, gens ...int64) *core.Thicket {
 	return th
 }
 
+// TestDirStoreCommitRollsBack: when the manifest swap fails, an append
+// and a compaction each leave the store as it was — its layout, both
+// generations and the manifest on disk — and remove the segment file
+// they wrote, so the next commit takes the same generation.
+func TestDirStoreCommitRollsBack(t *testing.T) {
+	profiles := dirProfiles(t, 6, 17)
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := CreateDir(dir, dirThicket(t, profiles[:2])); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AppendSegment(dirThicket(t, profiles[2:4]), 0); err != nil {
+		t.Fatal(err)
+	}
+	gens, layout, content := s.Generations(), s.Generation(), s.ContentGeneration()
+	manifestPath := filepath.Join(dir, ManifestName)
+	before, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the manifest's temp file goes fails every swap.
+	block := filepath.Join(dir, ManifestName+".tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(dir, segFileName(3)) // next_gen after generations 1 and 2
+	for _, tc := range []struct {
+		name   string
+		commit func() error
+	}{
+		{"append", func() error { return s.Append(dirThicket(t, profiles[4:])) }},
+		{"compact", func() error { return s.ReplaceSegments(gens, mustSegments(t, s, gens...), 1) }},
+	} {
+		if err := tc.commit(); err == nil {
+			t.Fatalf("%s: committed with the manifest swap failing", tc.name)
+		}
+		if got := s.Generations(); fmt.Sprint(got) != fmt.Sprint(gens) || s.Generation() != layout || s.ContentGeneration() != content {
+			t.Fatalf("%s: after a failed commit: generations %v, layout %d, content %d; want %v, %d, %d",
+				tc.name, got, s.Generation(), s.ContentGeneration(), gens, layout, content)
+		}
+		if _, err := os.Stat(next); !os.IsNotExist(err) {
+			t.Fatalf("%s: a failed commit left its segment file (err=%v)", tc.name, err)
+		}
+		if after, err := os.ReadFile(manifestPath); err != nil || !bytes.Equal(before, after) {
+			t.Fatalf("%s: a failed commit changed the manifest (err=%v)", tc.name, err)
+		}
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(dirThicket(t, profiles[4:])); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Generations(); len(got) != 3 || got[2] != 3 {
+		t.Fatalf("generations after the swap recovered = %v, want [1 2 3]", got)
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	th, err := reopened.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := th.NumProfiles(); n != 6 {
+		t.Fatalf("reopened store holds %d profiles, want 6", n)
+	}
+}
+
 func TestDirStoreOrphanSweep(t *testing.T) {
 	profiles := dirProfiles(t, 6, 4)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -226,22 +303,11 @@ func TestDirStoreOrphanSweep(t *testing.T) {
 	}
 }
 
-// TestDirStoreOpenDuringAppend: a Store opening the directory while
-// another Store appends to it must not sweep the writer's new segment,
-// which is on disk before the writer's manifest names it. Every open
-// must succeed, and the store must reopen with every appended profile.
-func TestDirStoreOpenDuringAppend(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := InitDir(dir, ""); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	const segments, perSegment = 300, 3
+// opensDuring runs write while two goroutines open and close the
+// directory store at dir in a loop. It fails the test if write fails or
+// if any open fails.
+func opensDuring(t *testing.T, dir string, write func() error) {
+	t.Helper()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	readerErrs := make(chan error, 2)
@@ -264,23 +330,52 @@ func TestDirStoreOpenDuringAppend(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < segments; i++ {
-		batch := make([]*profile.Profile, perSegment)
-		for j := range batch {
-			batch[j] = tinyProfile(t, i*perSegment+j)
-		}
-		if err := w.Append(dirThicket(t, batch)); err != nil {
-			close(done)
-			wg.Wait()
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
+	err := write()
 	close(done)
 	wg.Wait()
 	close(readerErrs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for err := range readerErrs {
 		t.Errorf("concurrent open: %v", err)
 	}
+}
+
+// tinyBatch is the i-th batch of n tiny profiles.
+func tinyBatch(t testing.TB, i, n int) *core.Thicket {
+	t.Helper()
+	batch := make([]*profile.Profile, n)
+	for j := range batch {
+		batch[j] = tinyProfile(t, i*n+j)
+	}
+	return dirThicket(t, batch)
+}
+
+// TestDirStoreOpenDuringAppend: a Store opening the directory while
+// another Store appends to it must not sweep the writer's new segment,
+// which is on disk before the writer's manifest names it. Every open
+// must succeed, and the store must reopen with every appended profile.
+func TestDirStoreOpenDuringAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := InitDir(dir, ""); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	const segments, perSegment = 300, 3
+	opensDuring(t, dir, func() error {
+		for i := 0; i < segments; i++ {
+			if err := w.Append(tinyBatch(t, i, perSegment)); err != nil {
+				return fmt.Errorf("append %d: %w", i, err)
+			}
+		}
+		return nil
+	})
 
 	st, err := Open(dir)
 	if err != nil {
@@ -296,6 +391,90 @@ func TestDirStoreOpenDuringAppend(t *testing.T) {
 	}
 	if n := th.NumProfiles(); n != segments*perSegment {
 		t.Fatalf("profiles = %d, want %d", n, segments*perSegment)
+	}
+}
+
+// TestDirStoreOpenDuringCompaction: a Store opening the directory while
+// another Store compacts it can read a manifest naming a segment that
+// the compaction then retires and deletes. Open must re-read the
+// manifest rather than fail: every open must succeed, and the store must
+// reopen with every appended profile.
+func TestDirStoreOpenDuringCompaction(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := InitDir(dir, ""); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	// After each append, merge the last four segments into one.
+	const segments, perSegment, run = 200, 3, 4
+	opensDuring(t, dir, func() error {
+		for i := 0; i < segments; i++ {
+			if err := w.Append(tinyBatch(t, i, perSegment)); err != nil {
+				return fmt.Errorf("append %d: %w", i, err)
+			}
+			gens := w.Generations()
+			if len(gens) < run {
+				continue
+			}
+			gens = gens[len(gens)-run:]
+			merged, err := w.LoadSegments(gens)
+			if err == nil {
+				err = w.ReplaceSegments(gens, merged, 1)
+			}
+			if err != nil {
+				return fmt.Errorf("compact after append %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st.Close()
+	th, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := th.NumProfiles(); n != segments*perSegment {
+		t.Fatalf("profiles = %d, want %d", n, segments*perSegment)
+	}
+}
+
+// TestDirStoreOpenMissingSegment: a segment file the manifest names but
+// that is gone is a broken store, not a compaction in flight. Open must
+// still fail, naming the file, after it has re-read the manifest.
+func TestDirStoreOpenMissingSegment(t *testing.T) {
+	profiles := dirProfiles(t, 4, 5)
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := CreateDir(dir, dirThicket(t, profiles[:2])); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(dirThicket(t, profiles[2:])); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	missing := segFileName(2)
+	if err := os.Remove(filepath.Join(dir, missing)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err == nil {
+		st.Close()
+		t.Fatal("a store whose manifest names a deleted segment opened")
+	}
+	if !strings.Contains(err.Error(), missing) || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("open error %v does not name the missing file %s", err, missing)
 	}
 }
 

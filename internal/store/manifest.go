@@ -2,9 +2,12 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -144,54 +147,73 @@ func CreateDir(dir string, th *core.Thicket) error {
 	return s.AppendSegment(th, 1)
 }
 
+// openAttempts bounds how often openDir reads the manifest. A
+// compaction in another Store can commit a new manifest and delete a
+// segment it retired between this open's manifest read and its open of
+// that segment's file; the re-read manifest no longer names it. A file
+// still missing after the last attempt is a broken store.
+const openAttempts = 3
+
 // openDir opens a directory store: the manifest names the live segment
-// files; each is a single-segment store file opened read-write (so the
-// compactor can fsync) or read-only as permissions allow.
+// files, each a single-segment store file opened read-only.
 func openDir(dir string, opts Options) (*Store, error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	for attempt := 1; ; attempt++ {
+		m, err := readManifest(dir)
+		if err != nil {
+			return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		}
+		segs, err := openSegments(dir, m)
+		if errors.Is(err, fs.ErrNotExist) && attempt < openAttempts {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		}
+		s := newStore(dir, opts, telemetry.Default)
+		s.dir = true
+		s.segs = segs
+		s.profileLevel = m.ProfileLevel
+		s.nextSegGen = m.NextGen
+		s.contentGen = m.ContentGen
+		s.gen = m.ContentGen // layout starts where content is; moves independently after
+		s.sweepOrphans(m)
+		logEvent("store open", "path", dir, "segments", len(s.segs), "dir", true)
+		return s, nil
 	}
-	s := newStore(dir, opts, telemetry.Default)
-	s.dir = true
-	s.profileLevel = m.ProfileLevel
-	s.nextSegGen = m.NextGen
-	s.contentGen = m.ContentGen
-	s.gen = m.ContentGen // layout starts where content is; moves independently after
+}
+
+// openSegments opens and parses the segment files m names, in its
+// order. On failure it closes what it opened.
+func openSegments(dir string, m manifest) (segs []*segment, err error) {
+	defer func() {
+		if err != nil {
+			for _, sg := range segs {
+				sg.closeFile()
+			}
+		}
+	}()
 	for _, ms := range m.Segments {
 		path := filepath.Join(dir, ms.File)
 		f, err := os.Open(path)
 		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("store: open %s: segment %s: %w", dir, ms.File, err)
+			return segs, fmt.Errorf("segment %s: %w", ms.File, err)
 		}
-		segs, err := parseFile(f)
+		parsed, err := parseFile(f)
+		if err == nil && len(parsed) != 1 {
+			err = fmt.Errorf("holds %d segments, want 1", len(parsed))
+		}
+		if err == nil && parsed[0].header.ProfileLevel != m.ProfileLevel {
+			err = fmt.Errorf("uses profile level %q, manifest says %q", parsed[0].header.ProfileLevel, m.ProfileLevel)
+		}
 		if err != nil {
 			f.Close()
-			s.Close()
-			return nil, fmt.Errorf("store: open %s: segment %s: %w", dir, ms.File, err)
+			return segs, fmt.Errorf("segment %s: %w", ms.File, err)
 		}
-		if len(segs) != 1 {
-			f.Close()
-			s.Close()
-			return nil, fmt.Errorf("store: open %s: segment %s holds %d segments, want 1", dir, ms.File, len(segs))
-		}
-		sg := segs[0]
-		if sg.header.ProfileLevel != m.ProfileLevel {
-			f.Close()
-			s.Close()
-			return nil, fmt.Errorf("store: open %s: segment %s uses profile level %q, manifest says %q",
-				dir, ms.File, sg.header.ProfileLevel, m.ProfileLevel)
-		}
-		sg.gen = ms.Gen
-		sg.level = ms.Level
-		sg.file = path
-		sg.owned = true
-		s.segs = append(s.segs, sg)
+		sg := parsed[0]
+		sg.gen, sg.level, sg.file, sg.owned = ms.Gen, ms.Level, path, true
+		segs = append(segs, sg)
 	}
-	s.sweepOrphans(m)
-	logEvent("store open", "path", dir, "segments", len(s.segs), "dir", true)
-	return s, nil
+	return segs, nil
 }
 
 // sweepOrphans deletes the segment files below the manifest's next_gen
@@ -241,23 +263,21 @@ func (s *Store) currentManifestLocked() manifest {
 }
 
 // writeSegmentFile writes one segment record as a standalone store file
-// and fsyncs it, returning the opened handle.
+// and fsyncs it, returning the opened handle. On failure it removes the
+// file.
 func writeSegmentFile(path string, rec []byte) (*os.File, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(FileMagic)); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
+	_, err = f.Write([]byte(FileMagic))
+	if err == nil {
+		_, err = f.Write(rec)
 	}
-	if _, err := f.Write(rec); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -265,54 +285,64 @@ func writeSegmentFile(path string, rec []byte) (*os.File, error) {
 	return f, nil
 }
 
-// appendSegmentDir commits rec as a new segment file + manifest update.
-func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gen := s.nextSegGen
+// commitSegment is the one commit of a directory store: it writes rec
+// as segment file seg-<next_gen>.tks, fsyncs and parses it, splices it
+// into the layout in place of the n segments from position at (n = 0
+// adds it there, as an append adds it at the tail), bumps next_gen and
+// the layout generation — and the content generation for an append —
+// and swaps the manifest. On failure it restores the in-memory view and
+// removes the file; the next commit writes this generation again, over
+// anything left behind. It returns the new segment's generation and the
+// n segments it replaced. Caller holds s.mu.
+func (s *Store) commitSegment(rec []byte, level, at, n int) (gen int64, replaced []*segment, err error) {
+	gen = s.nextSegGen
 	path := filepath.Join(s.path, segFileName(gen))
 	f, err := writeSegmentFile(path, rec)
 	if err != nil {
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
+		return 0, nil, err
 	}
-	segs, err := parseFile(f)
-	if err != nil || len(segs) != 1 {
-		f.Close()
-		os.Remove(path)
-		if err == nil {
-			err = fmt.Errorf("wrote %d segments, want 1", len(segs))
+	old, oldGen, oldContent, oldNext := s.segs, s.gen, s.contentGen, s.nextSegGen
+	defer func() {
+		if err != nil {
+			s.segs, s.gen, s.contentGen, s.nextSegGen = old, oldGen, oldContent, oldNext
+			f.Close()
+			os.Remove(path)
 		}
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
+	}()
+	parsed, err := parseFile(f)
+	if err == nil && len(parsed) != 1 {
+		err = fmt.Errorf("wrote %d segments, want 1", len(parsed))
 	}
-	sg := segs[0]
-	sg.gen = gen
-	sg.level = level
-	sg.file = path
-	sg.owned = true
-	s.segs = append(s.segs, sg)
+	if err != nil {
+		return 0, nil, err
+	}
+	sg := parsed[0]
+	sg.gen, sg.level, sg.file, sg.owned = gen, level, path, true
+	s.segs = slices.Concat(old[:at], []*segment{sg}, old[at+n:])
 	s.nextSegGen++
 	s.gen++
-	s.contentGen++
+	if n == 0 {
+		s.contentGen++
+	}
 	if err := writeManifest(s.path, s.currentManifestLocked()); err != nil {
-		// Roll back the in-memory view and the file; the next append
-		// writes this generation again, over anything left behind.
-		s.segs = s.segs[:len(s.segs)-1]
-		s.nextSegGen--
-		s.gen--
-		s.contentGen--
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
+		return 0, nil, err
 	}
 	s.genGauge.Set(s.gen)
+	return gen, old[at : at+n], nil
+}
+
+// appendSegmentDir commits rec as a new segment at the layout's tail.
+func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gen, _, err := s.commitSegment(rec, level, len(s.segs), 0)
+	if err != nil {
+		return fmt.Errorf("store: %s: append: %w", s.path, err)
+	}
 	logEvent("store append", "path", s.path,
 		"profiles", nProfiles, "generation", s.gen, "segment_gen", gen, "bytes", int64(len(rec)))
 	return nil
 }
-
-// CanCompact reports whether the store supports in-place segment
-// replacement (directory layout, writable).
-func (s *Store) CanCompact() bool { return s.dir && !s.readOnly }
 
 // ReplaceSegments atomically swaps the live segments stamped gens for a
 // single new segment holding merged at level. The compactor's commit:
@@ -325,8 +355,8 @@ func (s *Store) CanCompact() bool { return s.dir && !s.readOnly }
 // hands resident thickets back as they are. Retired segments' files are deleted once the last
 // pinned reader drains.
 func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) error {
-	if !s.CanCompact() {
-		return fmt.Errorf("store: %s: not a writable directory store", s.path)
+	if !s.dir {
+		return fmt.Errorf("store: %s: read-only: a single-file store is written once; compaction runs on directory stores", s.path)
 	}
 	if len(gens) < 1 {
 		return fmt.Errorf("store: %s: replace: no segments named", s.path)
@@ -370,49 +400,10 @@ func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) e
 		return fmt.Errorf("store: %s: replace: merged thicket has %d profiles, replaced segments hold %d", s.path, got, wantProfiles)
 	}
 
-	gen := s.nextSegGen
-	path := filepath.Join(s.path, segFileName(gen))
-	f, err := writeSegmentFile(path, rec)
+	gen, retired, err := s.commitSegment(rec, level, idx[0], len(idx))
 	if err != nil {
 		return fmt.Errorf("store: %s: replace: %w", s.path, err)
 	}
-	parsed, err := parseFile(f)
-	if err != nil || len(parsed) != 1 {
-		f.Close()
-		os.Remove(path)
-		if err == nil {
-			err = fmt.Errorf("wrote %d segments, want 1", len(parsed))
-		}
-		return fmt.Errorf("store: %s: replace: %w", s.path, err)
-	}
-	sg := parsed[0]
-	sg.gen = gen
-	sg.level = level
-	sg.file = path
-	sg.owned = true
-
-	old := s.segs
-	retired := make([]*segment, 0, len(idx))
-	next := make([]*segment, 0, len(old)-len(idx)+1)
-	next = append(next, old[:idx[0]]...)
-	next = append(next, sg)
-	for _, i := range idx {
-		retired = append(retired, old[i])
-	}
-	next = append(next, old[idx[len(idx)-1]+1:]...)
-
-	s.segs = next
-	s.nextSegGen++
-	s.gen++ // layout changed; content did not
-	if err := writeManifest(s.path, s.currentManifestLocked()); err != nil {
-		s.segs = old
-		s.nextSegGen--
-		s.gen--
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("store: %s: replace: %w", s.path, err)
-	}
-	s.genGauge.Set(s.gen)
 	for _, r := range retired {
 		s.cache.dropSegment(r.gen)
 		r.retire(true)

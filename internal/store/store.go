@@ -118,17 +118,17 @@ func (sg *segment) closeFile() error {
 	return sg.r.(*os.File).Close()
 }
 
-// Store is an open columnar ensemble store — a single append-only
-// file, a directory of segment files under a manifest (the
-// streaming-ingest layout, which supports compaction), or one read-only
-// segment held in memory (FromThicket). All methods are safe for
-// concurrent use; reads go through positional I/O and a shared
-// decoded-column LRU cache keyed by segment generation stamp.
+// Store is an open columnar ensemble store — a directory of segment
+// files under a manifest, the one layout that grows (appends and
+// compaction each commit one manifest swap); a single file, which Create
+// writes once and which is read-only after; or one read-only segment
+// held in memory (FromThicket). All methods are safe for concurrent use;
+// reads go through positional I/O and a shared decoded-column LRU cache
+// keyed by segment generation stamp.
 type Store struct {
-	path     string
-	dir      bool     // directory (manifest) layout
-	f        *os.File // single-file layout only; nil in memory
-	readOnly bool
+	path string
+	dir  bool     // directory (manifest) layout
+	f    *os.File // single-file layout only; nil in memory
 
 	appendMu sync.Mutex // serializes validate+commit of appends
 
@@ -136,7 +136,7 @@ type Store struct {
 	segs         []*segment
 	gen          int64 // layout generation: bumps on append AND compaction
 	contentGen   int64 // content generation: bumps on append only
-	nextSegGen   int64 // allocator for per-segment stamps
+	nextSegGen   int64 // allocator for per-segment stamps (directory layout)
 	profileLevel string
 	cache        *columnCache
 
@@ -159,7 +159,8 @@ type Options struct {
 
 // Create writes a brand-new single-file, single-segment store holding
 // th, creating parent directories. An existing file at path is
-// truncated.
+// truncated. A single-file store is written once: it takes no appends,
+// so a store that grows is a directory store (CreateDir).
 func Create(path string, th *core.Thicket) error {
 	if dir := filepath.Dir(path); dir != "" && dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -200,18 +201,12 @@ func OpenWithOptions(path string, opts Options) (*Store, error) {
 	if err == nil && st.IsDir() {
 		return openDir(path, opts)
 	}
-	readOnly := false
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := os.Open(path)
 	if err != nil {
-		f, err = os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", path, err)
-		}
-		readOnly = true
+		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
 	s := newStore(path, opts, telemetry.Default)
 	s.f = f
-	s.readOnly = readOnly
 	segs, err := parseFile(f)
 	if err == nil {
 		err = s.adopt(segs)
@@ -220,8 +215,7 @@ func OpenWithOptions(path string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	logEvent("store open", "path", path,
-		"segments", len(s.segs), "read_only", readOnly)
+	logEvent("store open", "path", path, "segments", len(s.segs))
 	return s, nil
 }
 
@@ -241,7 +235,6 @@ func FromThicket(th *core.Thicket) (*Store, error) {
 	}
 	rec := append([]byte(FileMagic), seg...)
 	s := newStore(memPath, Options{}, telemetry.NewRegistry())
-	s.readOnly = true
 	segs, err := parseSegments(bytes.NewReader(rec), int64(len(rec)))
 	if err == nil {
 		err = s.adopt(segs)
@@ -338,7 +331,7 @@ func parseSegments(r io.ReaderAt, size int64) ([]*segment, error) {
 
 // adopt installs the parsed segments of a single-record store (a store
 // file, or an in-memory record). Per-segment generation stamps are
-// positional: such a store only ever grows at the end, so position is a
+// positional: such a store is never written again, so position is a
 // stable identity.
 func (s *Store) adopt(segs []*segment) error {
 	if len(segs) == 0 {
@@ -356,7 +349,6 @@ func (s *Store) adopt(segs []*segment) error {
 	}
 	s.mu.Lock()
 	s.segs = segs
-	s.nextSegGen = int64(len(segs) + 1)
 	s.profileLevel = first
 	s.mu.Unlock()
 	return nil
@@ -972,10 +964,11 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 // profile level, index levels and columns whose kinds agree with stored
 // ones of the same name or key, and no reused profile-index values. Its
 // cost is a header walk plus one Locate of th's profiles per live
-// segment, on each segment's profile index. Caller holds appendMu.
+// segment, on each segment's profile index. Only a directory store takes
+// appends. Caller holds appendMu.
 func (s *Store) validateAppend(th *core.Thicket) error {
-	if s.readOnly {
-		return fmt.Errorf("store: %s: opened read-only", s.path)
+	if !s.dir {
+		return fmt.Errorf("store: %s: read-only: a single-file store is written once; appends go to directory stores", s.path)
 	}
 	if got, want := th.ProfileLevelName(), s.ProfileLevel(); got != want {
 		return fmt.Errorf("store: %s: appended thicket uses profile level %q, store uses %q", s.path, got, want)
@@ -1031,11 +1024,12 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 	return nil
 }
 
-// Append writes th as a new level-0 segment at the store's tail.
-// Existing blocks are untouched. The thicket must share the store's
-// profile level, must not reuse existing profile-index values, and its
-// index-level and column kinds must agree with stored ones of the same
-// name or key.
+// Append writes th as a new level-0 segment at a directory store's tail,
+// committed by one manifest swap; a single-file or in-memory store
+// refuses it as read-only. Existing segments are untouched. The thicket
+// must share the store's profile level, must not reuse existing
+// profile-index values, and its index-level and column kinds must agree
+// with stored ones of the same name or key.
 func (s *Store) Append(th *core.Thicket) error { return s.AppendSegment(th, 0) }
 
 // AppendSegment is Append with an explicit LSM level for the new
@@ -1059,50 +1053,7 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 	if err != nil {
 		return fmt.Errorf("store: %s: append: %w", s.path, err)
 	}
-	if s.dir {
-		err = s.appendSegmentDir(rec, th.NumProfiles(), level)
-	} else {
-		err = s.appendSegmentFile(rec, th.NumProfiles(), level)
-	}
-	return err
-}
-
-// appendSegmentFile commits rec at the tail of a single-file store.
-func (s *Store) appendSegmentFile(rec []byte, nProfiles, level int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
-	}
-	if _, err := s.f.WriteAt(rec, st.Size()); err != nil {
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
-	}
-	// Parse the freshly written segment into the in-memory view.
-	hdrLen := binary.LittleEndian.Uint32(rec[4:8])
-	dataLen := binary.LittleEndian.Uint64(rec[12:20])
-	var hdr segmentHeader
-	if err := json.Unmarshal(rec[segPreludeLen:segPreludeLen+int(hdrLen)], &hdr); err != nil {
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
-	}
-	s.segs = append(s.segs, &segment{
-		header:  hdr,
-		dataOff: st.Size() + segPreludeLen + int64(hdrLen),
-		dataLen: int64(dataLen),
-		gen:     s.nextSegGen,
-		level:   level,
-		r:       s.f,
-	})
-	s.nextSegGen++
-	s.gen++
-	s.contentGen++
-	s.genGauge.Set(s.gen)
-	logEvent("store append", "path", s.path,
-		"profiles", nProfiles, "generation", s.gen, "bytes", int64(len(rec)))
-	return nil
+	return s.appendSegmentDir(rec, th.NumProfiles(), level)
 }
 
 // AppendProfiles composes raw profiles into a thicket keyed the same

@@ -127,8 +127,8 @@ func TestFromThicketReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.NumSegments() != 1 || s.IsDir() || s.CanCompact() {
-		t.Fatalf("in-memory store: segments=%d dir=%v compact=%v", s.NumSegments(), s.IsDir(), s.CanCompact())
+	if s.NumSegments() != 1 || s.IsDir() {
+		t.Fatalf("in-memory store: segments=%d dir=%v", s.NumSegments(), s.IsDir())
 	}
 	more := randomThicket(t, 9, 2)
 	if err := s.Append(more); err == nil || !strings.Contains(err.Error(), "read-only") {
@@ -190,6 +190,84 @@ func TestRoundTripMatchesJSON(t *testing.T) {
 	}
 }
 
+// appendLegacySegment appends th to the single-file store at path the
+// way older versions' Append did: the segment record store.Create writes
+// after FileMagic, added at the file's tail. Single-file stores take no
+// appends now, but files grown this way still read.
+func appendLegacySegment(t testing.TB, path string, th *core.Thicket) {
+	t.Helper()
+	seg := filepath.Join(t.TempDir(), "segment.tks")
+	if err := store.Create(seg, th); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, rec[len(store.FileMagic):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refusesAppend asserts that appendTo, an append to the single-file
+// store at path, fails as read-only, naming the path, and leaves the
+// file byte for byte as it was.
+func refusesAppend(t *testing.T, label, path string, appendTo func() error) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendTo(); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("%s: append to a single-file store: err = %v, want a read-only error naming %s", label, err, path)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("%s: a refused append changed the file", label)
+	}
+}
+
+// TestSingleFileRefusesAppends: a single-file store is written once.
+// Append and AppendProfiles refuse it, on the handle that opened it
+// first and on one that reopened it after a refusal, and it still
+// loads what Create wrote.
+func TestSingleFileRefusesAppends(t *testing.T) {
+	profiles := randomEnsemble(t, 44, 6)
+	th, err := core.FromProfiles(profiles[:3], core.Options{IndexBy: "id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := core.FromProfiles(profiles[3:], core.Options{IndexBy: "id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "once.tks")
+	if err := store.Create(path, th); err != nil {
+		t.Fatal(err)
+	}
+	for _, handle := range []string{"fresh", "reopened"} {
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", handle, err)
+		}
+		refusesAppend(t, handle+" Append", path, func() error { return s.Append(more) })
+		refusesAppend(t, handle+" AppendProfiles", path, func() error { return s.AppendProfiles(profiles[3:]) })
+		got, err := s.Load()
+		s.Close()
+		if err != nil {
+			t.Fatalf("%s: load after refused appends: %v", handle, err)
+		}
+		assertThicketsEqual(t, handle, th, got)
+	}
+}
+
 func TestAppendMatchesConcat(t *testing.T) {
 	profiles := randomEnsemble(t, 42, 8)
 	// Distinct id ranges per half so profile indexes stay unique.
@@ -204,53 +282,34 @@ func TestAppendMatchesConcat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := core.ConcatProfiles([]*core.Thicket{th1, th2})
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// A single file that an older version appended th2 to reads as the
+	// concatenation, and refuses a further append.
 	path := filepath.Join(t.TempDir(), "a.tks")
 	if err := store.Create(path, th1); err != nil {
 		t.Fatal(err)
 	}
+	appendLegacySegment(t, path, th2)
 	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.AppendProfiles(profiles[5:]); err != nil {
-		t.Fatal(err)
-	}
 	if s.NumSegments() != 2 {
 		t.Fatalf("segments = %d, want 2", s.NumSegments())
-	}
-
-	want, err := core.ConcatProfiles([]*core.Thicket{th1, th2})
-	if err != nil {
-		t.Fatal(err)
 	}
 	got, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertThicketsEqual(t, "append", want, got)
-
-	// Reopening sees both segments identically.
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got2, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertThicketsEqual(t, "append-reopen", want, got2)
-
-	// Appending a duplicate profile index must fail, through the writing
-	// handle and through a reopened one.
-	if err := s.AppendProfiles(profiles[5:6]); err == nil {
-		t.Fatal("expected duplicate-profile append to fail")
-	}
-	if err := s2.AppendProfiles(profiles[0:1]); err == nil {
-		t.Fatal("expected duplicate-profile append to a reopened store to fail")
-	}
+	assertThicketsEqual(t, "legacy two-segment file", want, got)
+	extra := randomEnsemble(t, 43, 1)
+	extra[0].SetMeta("id", dataframe.Int64(100))
+	refusesAppend(t, "legacy two-segment file", path, func() error { return s.AppendProfiles(extra) })
 
 	// The same on a directory store, where a compaction has since moved
 	// the duplicated profiles into a merged segment.
@@ -285,8 +344,6 @@ func TestAppendMatchesConcat(t *testing.T) {
 		}
 	}
 	// A new profile still lands, and the duplicate check then sees it.
-	extra := randomEnsemble(t, 43, 1)
-	extra[0].SetMeta("id", dataframe.Int64(100))
 	if err := d.AppendProfiles(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +482,14 @@ func TestSharedColumnsStayIsolated(t *testing.T) {
 		}
 		return th
 	}
+	// One segment reads from a single file; more grow a directory store.
 	open := func(segments int) *store.Store {
 		path := filepath.Join(t.TempDir(), "iso.tks")
-		if err := store.Create(path, part(71, 0)); err != nil {
+		create := store.Create
+		if segments > 1 {
+			create = store.CreateDir
+		}
+		if err := create(path, part(71, 0)); err != nil {
 			t.Fatal(err)
 		}
 		s, err := store.Open(path)
@@ -622,36 +684,29 @@ func TestAppendRejectsMismatchedProfileLevel(t *testing.T) {
 		{"other profile level", "profile level", other},
 		{"float id on an int level", `index level "id" kind float conflicts with stored kind int`, floatID},
 	} {
-		for _, layout := range []string{"file", "dir"} {
-			label := tc.name + " (" + layout + ")"
-			path := filepath.Join(t.TempDir(), "lvl")
-			create := store.Create
-			if layout == "dir" {
-				create = store.CreateDir
-			}
-			if err := create(path, th); err != nil {
-				t.Fatal(err)
-			}
-			s, err := store.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Append(tc.th); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s: append err = %v, want %q", label, err, tc.want)
-			}
-			s.Close()
-			// The refused append left nothing behind: the store still loads.
-			s, err = store.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Load()
-			s.Close()
-			if err != nil {
-				t.Fatalf("%s: load after refused append: %v", label, err)
-			}
-			assertThicketsEqual(t, label, th, got)
+		path := filepath.Join(t.TempDir(), "lvl")
+		if err := store.CreateDir(path, th); err != nil {
+			t.Fatal(err)
 		}
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(tc.th); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: append err = %v, want %q", tc.name, err, tc.want)
+		}
+		s.Close()
+		// The refused append left nothing behind: the store still loads.
+		s, err = store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Load()
+		s.Close()
+		if err != nil {
+			t.Fatalf("%s: load after refused append: %v", tc.name, err)
+		}
+		assertThicketsEqual(t, tc.name, th, got)
 	}
 }
 
@@ -672,9 +727,9 @@ func infEnsemble(t *testing.T, seed int64, idBase int64, n int) []*profile.Profi
 }
 
 // TestInfRoundTrip: float columns holding ±Inf, in metrics and in
-// metadata, must survive Create, Append and compaction in both layouts.
-// An infinite bound cannot go into the JSON header, so such blocks carry
-// no zone map.
+// metadata, must survive Create in both layouts, and Append and
+// compaction in the directory layout. An infinite bound cannot go into
+// the JSON header, so such blocks carry no zone map.
 func TestInfRoundTrip(t *testing.T) {
 	first, second := infEnsemble(t, 61, 0, 3), infEnsemble(t, 62, 100, 4)
 	compose := func(ps []*profile.Profile) *core.Thicket {
@@ -705,19 +760,19 @@ func TestInfRoundTrip(t *testing.T) {
 		}
 		assertThicketsEqual(t, layout+" create", th1, got)
 
-		if err := s.Append(compose(second)); err != nil {
-			t.Fatalf("%s: append: %v", layout, err)
-		}
-		want, err := core.ConcatProfiles([]*core.Thicket{th1, compose(second)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err = s.Load(); err != nil {
-			t.Fatal(err)
-		}
-		assertThicketsEqual(t, layout+" append", want, got)
-
 		if layout == "dir" {
+			if err := s.Append(compose(second)); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			want, err := core.ConcatProfiles([]*core.Thicket{th1, compose(second)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = s.Load(); err != nil {
+				t.Fatal(err)
+			}
+			assertThicketsEqual(t, "append", want, got)
+
 			if err := ingest.CompactAll(s); err != nil {
 				t.Fatalf("compact: %v", err)
 			}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -29,12 +30,14 @@ func TestParseTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseTraceparentRejectsMalformed(t *testing.T) {
+// malformedTraceparents are headers ParseTraceparent must reject, by
+// case name.
+func malformedTraceparents() map[string]string {
 	const (
 		tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 		sid = "00f067aa0ba902b7"
 	)
-	bad := map[string]string{
+	return map[string]string{
 		"empty":                     "",
 		"whitespace only":           "   \t ",
 		"garbage":                   "not-a-header",
@@ -71,22 +74,29 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"null byte in trace id":     "00-4bf92f3577b34da6a3ce929d0e0e473\x00-" + sid + "-01",
 		"unicode hex lookalike":     "00-4bf92f3577b34da6a3ce929d0e0e473а-" + sid + "-01",
 	}
-	for name, h := range bad {
+}
+
+func TestParseTraceparentRejectsMalformed(t *testing.T) {
+	for name, h := range malformedTraceparents() {
 		if tc, err := ParseTraceparent(h); err == nil {
 			t.Errorf("%s: ParseTraceparent(%q) = %+v, want error", name, h, tc)
 		}
 	}
 }
 
-// TestParseTraceparentAccepts pins the lenient edges: surrounding
+// acceptedTraceparents are the lenient edges ParseTraceparent accepts,
+// by case name, with the sampled flag each carries: surrounding
 // whitespace is trimmed and any hex flag byte is fine (only bit 0 is
 // the sampled flag).
-func TestParseTraceparentAccepts(t *testing.T) {
+func acceptedTraceparents() map[string]struct {
+	in      string
+	sampled bool
+} {
 	const (
 		tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 		sid = "00f067aa0ba902b7"
 	)
-	for name, tc := range map[string]struct {
+	return map[string]struct {
 		in      string
 		sampled bool
 	}{
@@ -94,7 +104,16 @@ func TestParseTraceparentAccepts(t *testing.T) {
 		"flags ff":               {"00-" + tid + "-" + sid + "-ff", true},
 		"flags fe":               {"00-" + tid + "-" + sid + "-fe", false},
 		"future version":         {"cc-" + tid + "-" + sid + "-01", true},
-	} {
+	}
+}
+
+// TestParseTraceparentAccepts pins acceptedTraceparents.
+func TestParseTraceparentAccepts(t *testing.T) {
+	const (
+		tid = "4bf92f3577b34da6a3ce929d0e0e4736"
+		sid = "00f067aa0ba902b7"
+	)
+	for name, tc := range acceptedTraceparents() {
 		got, err := ParseTraceparent(tc.in)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -104,6 +123,38 @@ func TestParseTraceparentAccepts(t *testing.T) {
 			t.Errorf("%s: parsed %+v", name, got)
 		}
 	}
+}
+
+// FuzzTraceparent: no header may panic ParseTraceparent. One it accepts
+// is a valid context that its own Traceparent parses back to, and whose
+// Child keeps the trace ID and is valid.
+func FuzzTraceparent(f *testing.F) {
+	var seeds []string
+	for _, h := range malformedTraceparents() {
+		seeds = append(seeds, h)
+	}
+	for _, tc := range acceptedTraceparents() {
+		seeds = append(seeds, tc.in)
+	}
+	sort.Strings(seeds) // each seed#N names the same header every run
+	for _, h := range seeds {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tc, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", h, tc)
+		}
+		if again, err := ParseTraceparent(tc.Traceparent()); err != nil || again != tc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its Traceparent %q parses as (%+v, %v)", h, tc, tc.Traceparent(), again, err)
+		}
+		if child := tc.Child(); child.TraceID != tc.TraceID || !child.Valid() {
+			t.Fatalf("ParseTraceparent(%q) = %+v has child %+v", h, tc, child)
+		}
+	})
 }
 
 func TestParseTraceparentFutureVersion(t *testing.T) {

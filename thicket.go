@@ -223,9 +223,10 @@ func ThicketFromBytes(data []byte) (*Thicket, error) { return core.ThicketFromBy
 
 // Columnar ensemble store (persisting and serving ensembles).
 type (
-	// Store is an append-only binary columnar ensemble store: opening
-	// reads only headers, Load decodes columns in parallel, and
-	// LoadProjection reads just the requested metric columns.
+	// Store is a binary columnar ensemble store: opening reads only
+	// headers, Load decodes columns in parallel, and LoadProjection
+	// reads just the requested metric columns. A directory store grows
+	// by appends and compaction; a single-file store is written once.
 	Store = store.Store
 	// StoreOptions tunes store opening (decoded-column cache budget).
 	StoreOptions = store.Options
@@ -237,7 +238,10 @@ type (
 	ServerOptions = server.Options
 )
 
-// CreateStore writes th as a new single-segment ensemble store at path.
+// CreateStore writes th as a new single-file, single-segment ensemble
+// store at path: an export written once, which every reader opens and
+// which refuses appends. A store that grows is a directory store: pass
+// a single-file store's Load to CreateDirStore to rebuild it as one.
 func CreateStore(path string, th *Thicket) error { return store.Create(path, th) }
 
 // OpenStore opens an existing ensemble store, reading only its headers.
@@ -347,9 +351,10 @@ var (
 	ErrIngestClosed     = ingest.ErrClosed
 )
 
-// NewIngester starts the streaming-ingest pipeline over an open store:
-// WAL replay (crash recovery), the single writer goroutine, and — on
-// directory stores — the background compactor. Always Close it.
+// NewIngester starts the streaming-ingest pipeline over an open
+// directory store: WAL replay (crash recovery), the single writer
+// goroutine, and the background compactor. A single-file store is
+// refused before the WAL opens. Always Close it.
 func NewIngester(st *Store, opts IngestOptions) (*Ingester, error) {
 	return ingest.New(st, opts)
 }
@@ -360,7 +365,8 @@ func ParseIngestSyncPolicy(s string) (IngestSyncPolicy, error) {
 }
 
 // CreateDirStore writes th as a new directory-layout ensemble store —
-// the layout that supports incremental segments and compaction.
+// the one layout that grows: each append writes one segment file and
+// commits by an atomic manifest swap, as each compaction does.
 func CreateDirStore(dir string, th *Thicket) error { return store.CreateDir(dir, th) }
 
 // InitDirStore creates an empty directory-layout store; profileLevel ""
