@@ -11,8 +11,8 @@
 //   - self-host (default): boots an in-process thicketd on a loopback
 //     port wired with a self-monitor ticked on the replay's virtual
 //     clock (1s), whose latency-baseline rules also judge the
-//     tail-sampling trace collector, and a self-profiler — the full
-//     closed loop. -regress injects a latency regression mid-run and a
+//     tail-sampling trace collector, and whose ticks drain the retained
+//     slow traces into the self-profile store — the full closed loop. -regress injects a latency regression mid-run and a
 //     baseline rule is expected to fire for the slowed endpoint.
 //   - -target URL: drives an external thicketd. Latency injection then
 //     belongs to that server (-inject-latency); -regress is rejected.
@@ -244,7 +244,7 @@ func run(ctx context.Context, cfg *config, stdout, stderr io.Writer) (int, error
 	if host != nil {
 		exported, err := host.Annotate(rep)
 		if err != nil {
-			return 1, fmt.Errorf("self-profile flush: %w", err)
+			return 1, fmt.Errorf("closed-loop report: %w", err)
 		}
 		if exported > 0 {
 			fmt.Fprintf(stderr, "thicket-loadgen: exported %d slow-trace profiles to %s\n",

@@ -20,29 +20,34 @@ import (
 // latency-baseline rule for that endpoint at /debug/alerts and bump the
 // rule's alert counter in /metrics, (2) get the slow request's trace
 // retained by the tail sampler, whose judge is the monitor's IsSlow,
-// (3) land that trace in the self-profile ensemble store, which
-// (4) thicket then opens and queries like any other performance forest,
-// returning the slow call path. The monitor ticks at synthetic
-// instants, so no wall clock is involved.
+// (3) land that trace in the self-profile ensemble store, drained by
+// the monitor's next tick, which (4) thicket then opens and queries like
+// any other performance forest, returning the slow call path. The
+// monitor ticks at synthetic instants, so no wall clock is involved.
 func TestEndToEndBaselineAlertSelfProfile(t *testing.T) {
 	prevEnabled := thicket.EnableTelemetry(true)
 	defer thicket.EnableTelemetry(prevEnabled)
 
 	reg := telemetry.NewRegistry()
-	mon, err := thicket.NewMonitor(thicket.MonitorOptions{Registry: reg, Rules: []thicket.AlertRule{{
-		Name: "http-latency", Kind: monitor.KindBaseline, Metric: "thicket_http_request_seconds",
-		Value: 3, Factor: 1.5, MinSamples: 2, ForTicks: 1, ClearTicks: 1,
-		// µs loopback jitter (scheduler, GC) sits below this noise
-		// floor; the injected 25ms clears it fivefold.
-		MinDeltaS: 0.005,
-	}}})
+	col := &thicket.TraceCollector{Policy: &thicket.TracePolicy{
+		HeadProbability: 0, // only baseline-relative slowness retains
+	}}
+	selfPath := filepath.Join(t.TempDir(), "self.tks")
+	mon, err := thicket.NewMonitor(thicket.MonitorOptions{
+		Registry: reg,
+		Rules: []thicket.AlertRule{{
+			Name: "http-latency", Kind: monitor.KindBaseline, Metric: "thicket_http_request_seconds",
+			Value: 3, Factor: 1.5, MinSamples: 2, ForTicks: 1, ClearTicks: 1,
+			// µs loopback jitter (scheduler, GC) sits below this noise
+			// floor; the injected 25ms clears it fivefold.
+			MinDeltaS: 0.005,
+		}},
+		Traces:  col,
+		History: thicket.MonitorHistoryOptions{TraceStorePath: selfPath},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &thicket.TraceCollector{Policy: &thicket.TracePolicy{
-		HeadProbability: 0, // only baseline-relative slowness retains
-		Judge:           mon.IsSlow,
-	}}
 	prevCol := thicket.SetTraceCollector(col)
 	defer thicket.SetTraceCollector(prevCol)
 
@@ -62,16 +67,6 @@ func TestEndToEndBaselineAlertSelfProfile(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	selfPath := filepath.Join(t.TempDir(), "self.tks")
-	sp, err := thicket.NewSelfProfiler(thicket.SelfProfileOptions{
-		StorePath: selfPath,
-		Collector: col,
-		Interval:  time.Hour, // flushed explicitly below
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const endpoint = "/api/info"
 	hit := func(n int) {
@@ -122,15 +117,12 @@ func TestEndToEndBaselineAlertSelfProfile(t *testing.T) {
 		t.Error("alert counter missing from /metrics")
 	}
 
-	// (2)+(3) The slow traces were retained and flush into the store.
-	n, err := sp.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
+	// (2)+(3) The slow traces were retained, and the regression tick
+	// drained them into the store.
+	if n := reg.Counter("thicket_selfprofile_exported_total", "").Value(); n == 0 {
 		t.Fatal("no slow traces exported to the self-profile store")
 	}
-	if err := sp.Close(); err != nil {
+	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,7 +7,7 @@
 //
 //	thicketd -store ensemble.tks [-addr :8080] [-timeout 15s] [-max-concurrent 64]
 //	         [-slow-query 1s] [-debug-addr :6060] [-trace-out trace.json]
-//	         [-trace-sample 1.0] [-self-profile-store self.tks] [-self-profile-interval 30s]
+//	         [-trace-sample 1.0] [-self-profile-store self.tks]
 //	         [-log-level info] [-inject-latency /api/stats=50ms]
 //	         [-ingest] [-ingest-wal path] [-ingest-queue 256] [-ingest-flush 16]
 //	         [-ingest-compact-run 4] [-ingest-sync batch]
@@ -50,7 +50,9 @@
 // dedicated directory store that `thicket query/stats` and thicketd
 // itself can analyze — the service's own operational history as an
 // ensemble. `thicket monitor -target` renders the ring as a live
-// top-like table.
+// top-like table. -monitor-store and -self-profile-store are both
+// written on the monitor's tick, so with -monitor-interval < 0 either
+// fails at startup.
 //
 // Every analytical endpoint accepts explain=plan (prune verdicts from
 // headers alone, nothing executes) and explain=analyze (execute and
@@ -75,12 +77,14 @@
 // -monitor-interval < 0 only head sampling keeps traces).
 // -self-profile-store streams each retained slow request trace into a
 // dedicated directory store that thicket query and thicketd can analyze
-// — the server's own performance forest. Both self-data stores take the
-// -ingest path: a profile is durable in the store's WAL once written,
-// and a single-file store, which is written once, is refused. On
-// shutdown (including SIGINT/SIGTERM) -trace-out receives every
-// retained span tree as Chrome trace_event JSON plus a native thicket
-// profile, and the self-profile store is flushed — the trace tail is
+// — the server's own performance forest: every monitor tick drains the
+// slow traces retained since the last one, and shutdown drains once
+// more. Both self-data stores take the -ingest path: a profile is
+// durable in the store's WAL once written, and a single-file store,
+// which is written once, is refused. On shutdown (including
+// SIGINT/SIGTERM) -trace-out receives every retained span tree as
+// Chrome trace_event JSON plus a native thicket profile, and the
+// self-profile store receives the last slow traces — the trace tail is
 // never dropped.
 // -debug-addr starts a second listener with net/http/pprof.
 package main
@@ -117,7 +121,6 @@ type config struct {
 
 	traceSample     float64
 	selfProfilePath string
-	selfProfileIntv time.Duration
 	injectLatency   string
 	logLevel        string
 
@@ -146,8 +149,7 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional second listener with /debug/pprof/ and process-wide /metrics")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "enable span collection; on shutdown write Chrome trace_event JSON here plus a native .profile.json")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1.0, "head-sampling probability in [0,1]; traces slower than their latency baseline are always kept")
-	flag.StringVar(&cfg.selfProfilePath, "self-profile-store", "", "enable span collection and stream retained slow traces into this directory store")
-	flag.DurationVar(&cfg.selfProfileIntv, "self-profile-interval", 30*time.Second, "slow-trace export interval of the self-profile store")
+	flag.StringVar(&cfg.selfProfilePath, "self-profile-store", "", "enable span collection and stream retained slow traces into this directory store, drained on every monitor tick (needs the monitor)")
 	flag.StringVar(&cfg.injectLatency, "inject-latency", "", "artificial endpoint delays for regression demos, e.g. /api/stats=50ms; an @onset (e.g. /api/stats=50ms@8s) arms the delay after the baseline has warmed")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "structured-log level: debug, info, warn, error")
 	flag.BoolVar(&cfg.ingestEnabled, "ingest", false, "enable POST /ingest: stream profiles into the store through a write-ahead log")
@@ -156,9 +158,9 @@ func main() {
 	flag.IntVar(&cfg.ingestFlush, "ingest-flush", 0, "profiles per level-0 segment flush (0 selects 16)")
 	flag.IntVar(&cfg.ingestCompact, "ingest-compact-run", 0, "adjacent same-level segments merged per compaction (0 selects 4, negative disables)")
 	flag.StringVar(&cfg.ingestSync, "ingest-sync", "batch", "WAL fsync policy: batch (group commit), always, none")
-	flag.DurationVar(&cfg.monitorInterval, "monitor-interval", 10*time.Second, "self-monitoring sample interval, also the latency-baseline window (negative disables the monitor and its alerts, and with them tail retention of slow traces: only -trace-sample head sampling keeps traces)")
+	flag.DurationVar(&cfg.monitorInterval, "monitor-interval", 10*time.Second, "self-monitoring sample interval, also the latency-baseline window and the -self-profile-store drain interval (negative disables the monitor and its alerts, and with them tail retention of slow traces: only -trace-sample head sampling keeps traces, and -monitor-store or -self-profile-store fails at startup)")
 	flag.IntVar(&cfg.monitorRing, "monitor-ring", 0, "samples retained in the monitor ring (0 selects 720)")
-	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "stream monitor samples into this directory store (one profile per sample, queryable via thicket query/stats or thicketd)")
+	flag.StringVar(&cfg.monitorStore, "monitor-store", "", "stream monitor samples into this directory store (one profile per sample, queryable via thicket query/stats or thicketd; needs the monitor)")
 	flag.StringVar(&cfg.alertRulesPath, "alert-rules", "", "JSON alert-rules file (default: the shipped heap/GC/goroutine/ingest/cache/latency-baseline rule set)")
 	flag.IntVar(&cfg.injectLeak, "inject-leak", 0, "retain this many bytes of heap per monitor tick — the demo hook behind the heap-growth alert")
 	flag.Parse()
@@ -240,6 +242,15 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	if cfg.traceSample < 0 || cfg.traceSample > 1 {
 		return fmt.Errorf("-trace-sample %v out of [0,1]", cfg.traceSample)
 	}
+	// Both self-data stores are written on the monitor's tick.
+	if cfg.monitorInterval < 0 {
+		switch {
+		case cfg.monitorStore != "":
+			return fmt.Errorf("-monitor-store needs the monitor, which -monitor-interval %v disables", cfg.monitorInterval)
+		case cfg.selfProfilePath != "":
+			return fmt.Errorf("-self-profile-store needs the monitor, which -monitor-interval %v disables", cfg.monitorInterval)
+		}
+	}
 	logger := thicket.NewJSONLogger(out, level)
 	dlog := logger.With("component", "thicketd")
 	thicket.SetStoreLogger(logger)
@@ -251,13 +262,20 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 		"addr":         thicket.Str(cfg.addr),
 	}
 
+	// Span collection. The collector is built before the monitor, which
+	// makes its latency baselines the collector's tail-sampling judge,
+	// and installed after it.
+	var col *thicket.TraceCollector
+	if cfg.traceOut != "" || cfg.selfProfilePath != "" {
+		col = &thicket.TraceCollector{Policy: &thicket.TracePolicy{HeadProbability: cfg.traceSample}}
+	}
+
 	// Continuous self-monitoring: every interval the sampler snapshots
 	// the registry + Go runtime into the ring, evaluates the alert
-	// rules, and (with -monitor-store) streams the sample into a
-	// dedicated directory store. Shutdown takes a final sample, so the
-	// incident that killed the process is in the history. It is built
-	// first because its latency baselines are the trace collector's
-	// tail-sampling judge.
+	// rules, streams the sample into -monitor-store and drains the slow
+	// traces retained since the last tick into -self-profile-store.
+	// Shutdown takes a final sample and drains once more, so the
+	// incident that killed the process is in both stores.
 	var mon *thicket.Monitor
 	if cfg.monitorInterval >= 0 {
 		rules := thicket.DefaultAlertRules()
@@ -273,9 +291,11 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 			Registry: thicket.DefaultMetrics(),
 			Rules:    rules,
 			Logger:   logger,
+			Traces:   col,
 			History: thicket.MonitorHistoryOptions{
-				StorePath: cfg.monitorStore,
-				Meta:      selfMeta,
+				StorePath:      cfg.monitorStore,
+				TraceStorePath: cfg.selfProfilePath,
+				Meta:           selfMeta,
 			},
 		})
 		if err != nil {
@@ -298,17 +318,15 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 		dlog.Info("self-monitoring enabled",
 			"interval", mon.Interval().String(), "rules", len(rules),
 			"history", cfg.monitorStore)
+		if cfg.selfProfilePath != "" {
+			dlog.Info("self-profiling enabled", "path", cfg.selfProfilePath)
+		}
 	}
 
 	// Enable telemetry before the store loads so the load itself is the
 	// first span tree in the trace.
-	var col *thicket.TraceCollector
-	if cfg.traceOut != "" || cfg.selfProfilePath != "" {
+	if col != nil {
 		thicket.EnableTelemetry(true)
-		col = &thicket.TraceCollector{Policy: &thicket.TracePolicy{HeadProbability: cfg.traceSample}}
-		if mon != nil {
-			col.Policy.Judge = mon.IsSlow
-		}
 		prev := thicket.SetTraceCollector(col)
 		defer thicket.SetTraceCollector(prev)
 	}
@@ -331,34 +349,6 @@ func serve(ctx context.Context, cfg config, out io.Writer) (err error) {
 	th, err := st.Load()
 	if err != nil {
 		return err
-	}
-
-	// The dogfood loop: retained slow traces become profiles in a
-	// dedicated directory store, exported periodically and once more on
-	// shutdown.
-	if cfg.selfProfilePath != "" {
-		sp, serr := thicket.NewSelfProfiler(thicket.SelfProfileOptions{
-			StorePath: cfg.selfProfilePath,
-			Collector: col,
-			Interval:  cfg.selfProfileIntv,
-			Logger:    logger,
-			Meta:      selfMeta,
-		})
-		if serr != nil {
-			return serr
-		}
-		spCtx, spCancel := context.WithCancel(context.Background())
-		spDone := make(chan struct{})
-		go func() { defer close(spDone); sp.Run(spCtx) }()
-		defer func() {
-			spCancel()
-			<-spDone
-			if cerr := sp.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		dlog.Info("self-profiling enabled",
-			"path", cfg.selfProfilePath, "interval", cfg.selfProfileIntv.String())
 	}
 
 	// Streaming ingest: the WAL replays any crash remnant before the

@@ -115,18 +115,33 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	if err := serve(context.Background(), cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "heap-growth") {
 		t.Errorf("-monitor-ring 4 with the default rules: err %v, want one naming heap-growth", err)
 	}
+	// Both self-data stores are written on the monitor's tick: with the
+	// monitor off, startup refuses either by name instead of ignoring it.
+	for flag, set := range map[string]func(*config){
+		"-monitor-store":      func(c *config) { c.monitorStore = filepath.Join(t.TempDir(), "monitor.tks") },
+		"-self-profile-store": func(c *config) { c.selfProfilePath = filepath.Join(t.TempDir(), "self.tks") },
+	} {
+		cfg = testConfig(path)
+		cfg.monitorInterval = -1
+		set(&cfg)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := serve(ctx, cfg, io.Discard); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s with -monitor-interval -1: err %v, want one naming %s", flag, err, flag)
+		}
+	}
 }
 
 // TestServeSelfProfileLifecycle: a serve run with -self-profile-store
-// set must start and cleanly stop the self-profiler even when no slow
-// traces were retained (the store file is then never created).
+// set must start and cleanly stop the monitor's slow-trace drain even
+// when no slow traces were retained (the store file is then never
+// created).
 func TestServeSelfProfileLifecycle(t *testing.T) {
 	prevEnabled := thicket.EnableTelemetry(false)
 	defer thicket.EnableTelemetry(prevEnabled)
 
 	cfg := testConfig(writeStore(t))
 	cfg.selfProfilePath = filepath.Join(t.TempDir(), "self.tks")
-	cfg.selfProfileIntv = time.Hour
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sb strings.Builder
@@ -147,13 +162,14 @@ func TestServeSelfProfileLifecycle(t *testing.T) {
 // left as it was: it still opens and loads.
 func TestSelfDataRefusesSingleFile(t *testing.T) {
 	path := writeStore(t)
-	_, err := thicket.NewSelfProfiler(thicket.SelfProfileOptions{
-		StorePath: path,
-		Collector: &thicket.TraceCollector{},
-		Registry:  telemetry.NewRegistry(),
+	_, err := thicket.NewMonitor(thicket.MonitorOptions{
+		Registry: telemetry.NewRegistry(),
+		Rules:    []thicket.AlertRule{},
+		Traces:   &thicket.TraceCollector{Policy: &thicket.TracePolicy{}},
+		History:  thicket.MonitorHistoryOptions{TraceStorePath: path},
 	})
 	if err == nil || !strings.Contains(err.Error(), path) {
-		t.Errorf("NewSelfProfiler on a single-file store: err = %v, want one naming %s", err, path)
+		t.Errorf("NewMonitor with a single-file trace store: err = %v, want one naming %s", err, path)
 	}
 	_, err = thicket.NewMonitor(thicket.MonitorOptions{
 		Registry: telemetry.NewRegistry(),

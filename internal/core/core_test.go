@@ -15,7 +15,7 @@ import (
 
 // figure2Profiles builds the paper's Figure 2 setup: a code with four
 // call sites run twice, yielding two profiles.
-func figure2Profiles(t *testing.T) []*profile.Profile {
+func figure2Profiles(t testing.TB) []*profile.Profile {
 	t.Helper()
 	mk := func(run int, scale float64) *profile.Profile {
 		p := profile.New()

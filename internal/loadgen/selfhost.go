@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/monitor"
-	"repro/internal/selfprofile"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -126,15 +125,14 @@ func selfHostRules() []monitor.Rule {
 // SelfHost is a live in-process thicketd wired for closed-loop load
 // testing: a private metrics registry, a self-monitor ticked by the
 // replay's virtual clock whose latency-baseline rules flag regressions,
-// a trace collector whose tail sampler is the monitor's IsSlow, and a
-// self-profiler exporting retained slow traces to an ensemble store.
+// and a trace collector whose tail sampler is the monitor's IsSlow; each
+// tick drains the retained slow traces into the self-profile store.
 // Always Close it — installing the collector mutates process-global
 // telemetry state that Close restores.
 type SelfHost struct {
 	URL       string
 	Server    *server.Server
 	Collector *telemetry.Collector
-	Profiler  *selfprofile.Profiler
 	Registry  *telemetry.Registry
 	Monitor   *monitor.Sampler
 
@@ -185,6 +183,12 @@ func synthStore(dir string, seed int64) (string, error) {
 // listener on a loopback port.
 func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 	opts = opts.withDefaults()
+	if opts.SelfProfilePath == "" {
+		if opts.ScratchDir == "" {
+			return nil, fmt.Errorf("loadgen: selfhost needs SelfProfilePath or ScratchDir")
+		}
+		opts.SelfProfilePath = filepath.Join(opts.ScratchDir, "self.tks")
+	}
 	storePath := opts.StorePath
 	if storePath == "" {
 		if opts.ScratchDir == "" {
@@ -206,6 +210,8 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 	}
 
 	reg := telemetry.NewRegistry()
+	// Tail-only: retain exactly the traces the monitor judges slow.
+	col := &telemetry.Collector{Policy: &telemetry.Policy{HeadProbability: 0}}
 	// The self-monitor samples on the replay's virtual clock (Target
 	// ticks it), so same-seed runs observe identical sample instants.
 	mon, err := monitor.New(monitor.Options{
@@ -213,29 +219,8 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 		Registry: reg,
 		Rules:    opts.MonitorRules,
 		Logger:   opts.Logger,
-	})
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	col := &telemetry.Collector{Policy: &telemetry.Policy{
-		HeadProbability: 0, // tail-only: retain exactly the slow traces
-		Judge:           mon.IsSlow,
-	}}
-
-	selfPath := opts.SelfProfilePath
-	if selfPath == "" {
-		if opts.ScratchDir == "" {
-			return nil, fmt.Errorf("loadgen: selfhost needs SelfProfilePath or ScratchDir")
-		}
-		selfPath = filepath.Join(opts.ScratchDir, "self.tks")
-	}
-	sp, err := selfprofile.New(selfprofile.Options{
-		StorePath: selfPath,
-		Collector: col,
-		Interval:  time.Hour, // flushed explicitly by Annotate/Close
-		Logger:    opts.Logger,
-		Registry:  reg,
+		Traces:   col,
+		History:  monitor.HistoryOptions{TraceStorePath: opts.SelfProfilePath},
 	})
 	if err != nil {
 		st.Close()
@@ -251,7 +236,7 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 	}
 	ing, err := ingest.New(st, iopts)
 	if err != nil {
-		sp.Close()
+		mon.Close()
 		st.Close()
 		return nil, err
 	}
@@ -268,7 +253,7 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		ing.Close()
-		sp.Close()
+		mon.Close()
 		st.Close()
 		return nil, err
 	}
@@ -276,7 +261,6 @@ func StartSelfHost(opts SelfHostOptions) (*SelfHost, error) {
 		URL:       "http://" + ln.Addr().String(),
 		Server:    srv,
 		Collector: col,
-		Profiler:  sp,
 		Registry:  reg,
 		Monitor:   mon,
 		opts:      opts,
@@ -366,16 +350,17 @@ func (h *SelfHost) Target(concurrency int, regress *Regression) Target {
 	return t
 }
 
-// Annotate flushes the self-profiler and fills the report's closed-loop
-// fields (anomaly count, retained traces, exported profiles, plan
-// efficiency, resource usage from the self-monitor).
+// Annotate fills the report's closed-loop fields (anomaly count,
+// retained traces, plan efficiency, resource usage from the
+// self-monitor) and returns the slow-trace profiles the monitor's ticks
+// exported to the self-profile store during the replay.
 func (h *SelfHost) Annotate(rep *Report) (exported int, err error) {
-	exported, err = h.Profiler.Flush()
+	exported = int(h.Registry.Counter("thicket_selfprofile_exported_total", "").Value())
 	rep.Measured.Anomalies = baselineFirings(h.Monitor.Alerts())
 	rep.Measured.RetainedTraces = h.Collector.Len()
 	if pe, perr := h.planEfficiency(); perr == nil {
 		rep.Measured.Plan = pe
-	} else if err == nil {
+	} else {
 		err = perr
 	}
 	if rs, rerr := h.resourceSummary(); rerr == nil {
@@ -489,10 +474,11 @@ func (h *SelfHost) planEfficiency() (*PlanEfficiency, error) {
 }
 
 // SelfProfilePath reports where retained slow traces are exported.
-func (h *SelfHost) SelfProfilePath() string { return h.Profiler.StorePath() }
+func (h *SelfHost) SelfProfilePath() string { return h.opts.SelfProfilePath }
 
-// Close stops the listener, closes the profiler and store, and restores
-// the process-global telemetry state. Safe to call once.
+// Close stops the listener, closes the monitor, which drains the slow
+// traces no tick took, and the store, and restores the process-global
+// telemetry state. Safe to call once.
 func (h *SelfHost) Close() error {
 	if h.closed {
 		return nil
@@ -506,9 +492,6 @@ func (h *SelfHost) Close() error {
 	telemetry.SetEnabled(h.prevOn)
 	// The ingester drains its queue and flushes before the store closes.
 	if cerr := h.ing.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := h.Profiler.Close(); err == nil {
 		err = cerr
 	}
 	if cerr := h.Monitor.Close(); err == nil {

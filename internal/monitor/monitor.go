@@ -9,8 +9,12 @@
 // /metrics, and as slog events; and
 // (4) a history writer that streams each sample through the ingest
 // path into a dedicated directory store — one profile per sample,
-// metrics as columns — so the service's own operation is queryable
-// through the ordinary `thicket query/stats` and thicketd path.
+// metrics as columns — and drains the slow request traces the trace
+// collector retained since the last tick into the self-profile store,
+// one profile per trace, so the service's own operation is queryable
+// through the ordinary `thicket query/stats` and thicketd path. The
+// latency baselines judge which traces are slow (IsSlow), so samples
+// and slow traces of one window are written by one loop.
 //
 // The sampler is clock-injectable: thicketd runs it on a wall-clock
 // ticker (Run), while the loadgen self-host target ticks it at virtual
@@ -59,9 +63,15 @@ type Options struct {
 	// Rules are the alert rules evaluated on each tick. Nil selects
 	// DefaultRules(); an explicit empty slice disables alerting.
 	Rules []Rule
-	// History configures the monitor store; a zero value (empty
-	// StorePath) disables it.
+	// History configures the self-data stores; a zero value disables
+	// them.
 	History HistoryOptions
+	// Traces is the trace collector whose tail retention the latency
+	// baselines judge: New installs IsSlow as its Policy.Judge, so
+	// install the collector (telemetry.SetCollector) only after New
+	// returns. With History.TraceStorePath set, every tick drains the
+	// slow traces it retained into that store.
+	Traces *telemetry.Collector
 	// Logger receives alert transitions and store events. Nil discards.
 	Logger *slog.Logger
 }
@@ -106,9 +116,17 @@ const transitionLogSize = 256
 
 // New validates opts and returns a Sampler. Monitor metrics (sample
 // counter, firing gauge, one alerts_total series per rule) register
-// eagerly so they appear on /metrics before the first tick. The monitor
-// store opens as selfprofile.NewStoreWriter describes.
+// eagerly so they appear on /metrics before the first tick. The
+// self-data stores open as selfprofile.NewStoreWriter describes. A
+// trace store without a collector is refused, and so is a collector
+// without a sampling policy, which would judge no trace slow.
 func New(opts Options) (*Sampler, error) {
+	if opts.History.TraceStorePath != "" && opts.Traces == nil {
+		return nil, fmt.Errorf("monitor: trace store %s needs a trace collector", opts.History.TraceStorePath)
+	}
+	if opts.Traces != nil && opts.Traces.Policy == nil {
+		return nil, fmt.Errorf("monitor: trace collector has no sampling policy, so no trace is judged slow")
+	}
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
 	}
@@ -160,12 +178,13 @@ func New(opts Options) (*Sampler, error) {
 		s.alertTotals[r.Name] = opts.Registry.Counter("thicket_monitor_alerts_total",
 			"Alert firing transitions by rule.", "rule", r.Name)
 	}
-	if opts.History.StorePath != "" {
-		h, err := newHistoryWriter(opts.History, opts.Registry, storeLogger)
-		if err != nil {
-			return nil, err
-		}
-		s.history = h
+	h, err := newHistoryWriter(opts.History, opts.Traces, opts.Registry, storeLogger)
+	if err != nil {
+		return nil, err
+	}
+	s.history = h
+	if opts.Traces != nil {
+		opts.Traces.Policy.Judge = s.IsSlow
 	}
 	return s, nil
 }
@@ -205,8 +224,10 @@ func (s *Sampler) SetInjectedLeak(bytesPerTick int) {
 // Tick takes one sample at the given instant: snapshot registry +
 // runtime into the ring, derive rates against the previous tick,
 // evaluate the alert rules (folding each baseline rule's interval into
-// its series' baselines), and hand the sample to the history writer.
-// The loadgen self-host target calls this with virtual timestamps.
+// its series' baselines), hand the sample to the history writer, and
+// drain the slow traces retained since the last tick into the
+// self-profile store. The loadgen self-host target calls this with
+// virtual timestamps.
 func (s *Sampler) Tick(now time.Time) {
 	s.mu.Lock()
 
@@ -248,7 +269,7 @@ func (s *Sampler) Tick(now time.Time) {
 		}
 		s.log = append(s.log, tr)
 	}
-	h, tick := s.history, s.ticks
+	tick := s.ticks
 	s.mu.Unlock()
 
 	for _, tr := range transitions {
@@ -259,9 +280,8 @@ func (s *Sampler) Tick(now time.Time) {
 		s.opts.Logger.Warn("alert "+state,
 			"rule", tr.Rule, "target", tr.Target, "value", tr.Value, "tick", tr.Tick)
 	}
-	if h != nil {
-		h.record(sample, tick, firingNames)
-	}
+	s.history.record(sample, tick, firingNames)
+	s.history.drain()
 }
 
 // snapshotRegistry flattens the registry into the sample: gauges as-is,
@@ -340,26 +360,13 @@ func (s *Sampler) snapshotRegistry(values map[string]float64, now time.Time) {
 	s.prev = prevState{valid: true, unixNS: now.UnixNano(), counters: counters}
 }
 
-// Close closes the monitor store, flushing every sample its ingester
-// acked into a segment.
-func (s *Sampler) Close() error {
-	s.mu.Lock()
-	h := s.history
-	s.mu.Unlock()
-	if h == nil {
-		return nil
-	}
-	return h.writer.Close()
-}
+// Close drains the slow traces no tick took, then closes the self-data
+// stores, flushing every profile their ingesters acked into a segment.
+func (s *Sampler) Close() error { return s.history.close() }
 
 // HistoryPath returns the monitor-store path, or "" when history is
 // disabled.
-func (s *Sampler) HistoryPath() string {
-	if s.history == nil {
-		return ""
-	}
-	return s.opts.History.StorePath
-}
+func (s *Sampler) HistoryPath() string { return s.opts.History.StorePath }
 
 // SeriesPoint is one (timestamp, value) observation.
 type SeriesPoint struct {

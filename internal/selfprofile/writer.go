@@ -12,14 +12,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StoreWriter is the store half of the dogfood loop, shared by the
-// slow-trace Profiler and the monitor history: it streams self-data
-// through an ingest.Ingester into a directory store, the path external
-// profiles take. A profile is durable in the store's WAL once Append
-// returns, and the ingester's compactor keeps the segment count
-// logarithmic in the number of flushes. A path that does not exist is
-// not touched until the first Append, so enabling a writer on an idle
-// healthy server writes nothing.
+// StoreWriter is the store half of the dogfood loop, one per self-data
+// store the monitor writes (its samples, and the slow traces its tick
+// drains): it streams self-data through an ingest.Ingester into a
+// directory store, the path external profiles take. A profile is
+// durable in the store's WAL once Append returns, and the ingester's
+// compactor keeps the segment count logarithmic in the number of
+// flushes. A path that does not exist is not touched until the first
+// Append, so enabling a writer on an idle healthy server writes nothing.
 type StoreWriter struct {
 	path   string
 	reg    *telemetry.Registry

@@ -243,17 +243,18 @@ func (l *queryLog) snapshotTotals() QueryLogTotals {
 	return l.totals
 }
 
-// beginQuery registers one routed request in the inspector and returns
-// the query context: cancelable (a DELETE kill cancels it, and so does
-// the -timeout deadline on the request context it derives from) and
-// observed (plan stages and block progress feed the registry entry).
-func (s *Server) beginQuery(path string, r *http.Request) (*activeQuery, *http.Request) {
+// beginQuery registers one routed request, which started at start, in
+// the inspector and returns the query context: cancelable (a DELETE
+// kill cancels it, and so does the -timeout deadline on the request
+// context it derives from) and observed (plan stages and block progress
+// feed the registry entry).
+func (s *Server) beginQuery(path string, r *http.Request, start time.Time) (*activeQuery, *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	q := &activeQuery{
 		endpoint: path,
 		where:    strings.Join(r.URL.Query()["where"], ","),
 		explain:  r.URL.Query().Get("explain"),
-		start:    time.Now(),
+		start:    start,
 		cancel:   cancel,
 		srv:      s,
 	}
@@ -283,7 +284,8 @@ func activeQueryFrom(ctx context.Context) *activeQuery {
 // cancellation counters, and — for slow queries that carry a plan tree
 // — emits the full tree through the structured log with the trace-ID
 // exemplar.
-func (s *Server) finishQuery(q *activeQuery, status int, cache string, elapsed time.Duration) {
+func (s *Server) finishQuery(q *activeQuery, status int, cache string) {
+	elapsed := time.Since(q.start)
 	q.cancel()
 	s.queries.remove(q)
 	s.activeGauge.Set(int64(s.queries.len()))

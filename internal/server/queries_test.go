@@ -3,16 +3,19 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/plan"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // metricValue extracts one counter's value from Prometheus text by its
@@ -380,6 +383,75 @@ func TestActiveQueriesAndKill(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("DELETE %s: %d, want %d", tc.path, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// lockedBuffer is a log sink safe to read while handlers write to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	sb strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sb.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sb.String()
+}
+
+// TestQuerylogTimesWholeRequest: a routed query's querylog record and
+// its slow-plan line are timed from the request's start, as the latency
+// histogram and the slow-request line are, so a delay the client waited
+// through before the handler ran counts in all of them.
+func TestQuerylogTimesWholeRequest(t *testing.T) {
+	var logs lockedBuffer
+	ts, srv, _ := planFixtureOpts(t, server.Options{
+		SlowQuery: 20 * time.Millisecond,
+		Logger:    telemetry.NewJSONLogger(&logs, slog.LevelWarn),
+	})
+	const delay = 30 * time.Millisecond
+	srv.SetInjectedLatency("/api/stats", delay)
+	if status, body := fetch(t, ts, "/api/stats?where=cluster=rztopaz"); status != http.StatusOK {
+		t.Fatalf("/api/stats: %d\n%s", status, body)
+	}
+	srv.SetInjectedLatency("/api/stats", 0)
+
+	// The record and the plan line land when the handler returns, which
+	// may be after the client has read the body.
+	var rec *server.QueryRecord
+	var planLine map[string]any
+	for deadline := time.Now().Add(5 * time.Second); (rec == nil || planLine == nil) && time.Now().Before(deadline); {
+		records, _ := querylog(t, ts)
+		for i := range records {
+			if records[i].Endpoint == "/api/stats" {
+				rec = &records[i]
+			}
+		}
+		for _, line := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(line, `"slow query plan"`) {
+				if err := json.Unmarshal([]byte(line), &planLine); err != nil {
+					t.Fatalf("slow-plan line is not JSON: %v\n%s", err, line)
+				}
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if rec == nil {
+		t.Fatal("querylog holds no /api/stats record")
+	}
+	if rec.LatencyUS < delay.Microseconds() {
+		t.Errorf("querylog latency_us = %d, want at least the %d injected", rec.LatencyUS, delay.Microseconds())
+	}
+	if planLine == nil {
+		t.Fatalf("no slow query plan line for a request past -slow-query:\n%s", logs.String())
+	}
+	if us, _ := planLine[telemetry.LogKeyLatencyUS].(float64); us < float64(delay.Microseconds()) {
+		t.Errorf("slow query plan latency_us = %v, want at least the %d injected", us, delay.Microseconds())
 	}
 }
 

@@ -396,10 +396,13 @@ func (s *Server) injectedScanDelay() time.Duration {
 	return time.Duration(s.scanDelay.Load())
 }
 
-// statusRecorder captures the response status for span attrs and logs.
+// statusRecorder captures the response status for span attrs and logs,
+// and carries the request's start, the one clock every record of the
+// request reads.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	start  time.Time
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -421,8 +424,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		ctx, sp := telemetry.StartSpan(r.Context(), "http "+path)
 		sp.SetTraceID(self.TraceID)
 		r = r.WithContext(ctx)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, start: time.Now()}
 		if d := s.injectedLatency(path); d > 0 {
 			// A request past its deadline stops waiting and goes on to
 			// record its cancellation.
@@ -434,7 +436,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		defer func() {
-			elapsed := time.Since(start)
+			elapsed := time.Since(rec.start)
 			sp.SetAttr("status", strconv.Itoa(rec.status))
 			sp.End()
 			ep.requests.Inc()
@@ -468,10 +470,11 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) route(path string, routeDep cacheDep, h func(*http.Request) (int, any)) http.HandlerFunc {
 	return s.instrument(path, func(w http.ResponseWriter, r *http.Request) {
 		s.maybeReload()
-		q, r := s.beginQuery(path, r)
-		start := time.Now()
+		// The query is timed from instrument's clock, so its record
+		// counts the injected delay and the reload the client waited on.
+		q, r := s.beginQuery(path, r, w.(*statusRecorder).start)
 		status, cacheState := http.StatusOK, "none"
-		defer func() { s.finishQuery(q, status, cacheState, time.Since(start)) }()
+		defer func() { s.finishQuery(q, status, cacheState) }()
 		dep := routeDep
 		if dep == depTree && len(r.URL.Query()["where"]) > 0 {
 			// A where= filter makes even a tree-derived response depend
@@ -780,7 +783,7 @@ func (qr queryResult) planPayload() (int, any) {
 // querylog record, the slow-query log, and (on explain=analyze) the
 // response itself; explain=plan stops after the prune verdicts. The
 // plan's scan accounting lands on the endpoint's counters and on the
-// request span's attributes (which the self-profiler dogfoods into
+// request span's attributes (which the self-profile store dogfoods into
 // metadata columns); the returned status is non-zero only on error
 // (400 for parse and unknown-column errors, 503 when the query's
 // context was canceled — timeout, kill, or disconnect — and 500 for
@@ -854,7 +857,7 @@ func (s *Server) filteredThicket(r *http.Request, endpoint string) (queryResult,
 			pm.rowsMaterialized.Add(int64(qr.stats.RowsMaterialized))
 			pm.segmentsPruned.Add(int64(qr.stats.SegmentsPruned))
 		}
-		// Stamp the request span so the self-profiler's dogfood store
+		// Stamp the request span so the self-profile store
 		// grows ExecStats metadata columns.
 		sp := telemetry.FromContext(ctx)
 		sp.SetAttr("plan_blocks_scanned", strconv.Itoa(qr.stats.BlocksScanned))

@@ -8,7 +8,7 @@ import (
 )
 
 // storeLog is the package's structured event logger. Stores are opened
-// from many call sites (CLI, thicketd, the self-profiler), so the
+// from many call sites (CLI, thicketd, the self-data writers), so the
 // logger is process-wide rather than per-Store; the default discards.
 var storeLog atomic.Pointer[slog.Logger]
 

@@ -52,8 +52,9 @@ type Policy struct {
 	HeadProbability float64
 	// Judge reports whether a finished root (name, seconds) is slow
 	// against the rolling baseline; slow traces are always retained,
-	// whatever the head decision. Typically (*monitor.Sampler).IsSlow,
-	// which judges against the monitor's latency-baseline rules.
+	// whatever the head decision. monitor.New installs its sampler's
+	// IsSlow here, which judges against the monitor's latency-baseline
+	// rules.
 	Judge func(name string, seconds float64) bool
 }
 
@@ -212,7 +213,8 @@ func (c *Collector) Retained() []RetainedTrace {
 // TakeSlow returns up to max tail-retained ("slow") traces that have
 // not been taken before, oldest first, marking them taken. The traces
 // stay in the ring for /debug/traces inspection until evicted. max <= 0
-// means no limit. This is the feed of the self-profile dogfood loop.
+// means no limit. This is the feed of the self-profile dogfood loop,
+// which the monitor's tick drains.
 func (c *Collector) TakeSlow(max int) []RetainedTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 
 // Canonical structured-log field names shared by every component
 // (server request logs, store events, thicketd lifecycle, the
-// self-profiler). The golden log-schema test pins these — renaming one
+// monitor's self-data writers). The golden log-schema test pins these — renaming one
 // fails loudly.
 const (
 	LogKeyComponent = "component"

@@ -77,6 +77,16 @@
 #   blocks, and the full-scan pair — where pushdown can prune nothing —
 #   must not regress more than MAX_FULLSCAN_REGRESSION_PCT (default 10)
 #   percent. This is the CI gate on the compiled query path.
+# Store mode: scripts/bench.sh store [output.json]
+#   Columnar-store and endpoint baseline: runs the store benchmarks
+#   (ColdOpen, ProjectedLoad, FullStoreLoad, FullJSONLoad, MetadataOnly
+#   on the 560-profile Figure-13 ensemble) and the BenchmarkEndpoint*
+#   requests against the resident MARBL server, with -benchmem, COUNT
+#   runs each (default 5) at BENCHTIME (default 1s), and writes
+#   BENCH_store.json: per benchmark the median and min-max of ns/op, B/op
+#   and allocs/op, plus the median speedups of the projected, full-store
+#   and metadata-only loads over FullJSONLoad. No gate: this mode records
+#   the numbers the README and EXPERIMENTS.md quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -323,6 +333,101 @@ ingest_mode() {
 		-out "$OUT"
 	echo "wrote $OUT" >&2
 }
+
+store_mode() {
+	local OUT="${1:-BENCH_store.json}"
+	local BENCHTIME="${BENCHTIME:-1s}"
+	local COUNT="${COUNT:-5}"
+
+	local RAW
+	RAW="$(go test ./internal/store ./internal/server -run '^$' \
+		-bench '^Benchmark(ColdOpen|ProjectedLoad|FullStoreLoad|FullJSONLoad|MetadataOnly|Endpoint.*)$' \
+		-benchmem -benchtime "$BENCHTIME" -count "$COUNT" -timeout 20m)"
+	echo "$RAW" >&2
+
+	echo "$RAW" | awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v cores="$(nproc)" '
+	function median(list,    v, n, i, j, t) {
+		n = split(list, v, " ")
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+		return (n % 2) ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2
+	}
+	function stat(list,    v, n, i, lo, hi) {
+		n = split(list, v, " ")
+		lo = hi = v[1] + 0
+		for (i = 2; i <= n; i++) { if (v[i] + 0 < lo) lo = v[i] + 0; if (v[i] + 0 > hi) hi = v[i] + 0 }
+		return sprintf("{ \"median\": %d, \"min\": %d, \"max\": %d }", median(list), lo, hi)
+	}
+	function emit(section,    i, name, first) {
+		first = 1
+		for (i = 1; i <= n; i++) {
+			name = order[i]
+			if (group[name] != section) continue
+			if (!first) printf ",\n"
+			first = 0
+			printf "      \"%s\": {\n", name
+			printf "        \"ns_per_op\": %s,\n", stat(ns[name])
+			printf "        \"bytes_per_op\": %s,\n", stat(bytes[name])
+			printf "        \"allocs_per_op\": %s\n", stat(allocs[name])
+			printf "      }"
+			printf "%-26s median %12.0f ns/op %12.0f B/op %8.0f allocs/op\n", \
+				name, median(ns[name]), median(bytes[name]), median(allocs[name]) > "/dev/stderr"
+		}
+		printf "\n"
+	}
+	/^goos: /   { goos = $2 }
+	/^goarch: / { goarch = $2 }
+	/^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }
+	/^Benchmark/ && /ns\/op/ {
+		name = $1
+		sub(/-[0-9]+$/, "", name)
+		for (i = 3; i < NF; i++) {
+			if ($(i+1) == "ns/op") ns[name] = ns[name] " " $i
+			if ($(i+1) == "B/op") bytes[name] = bytes[name] " " $i
+			if ($(i+1) == "allocs/op") allocs[name] = allocs[name] " " $i
+		}
+		if (!(name in group)) {
+			order[++n] = name
+			group[name] = (name ~ /^BenchmarkEndpoint/) ? "server" : "store"
+		}
+	}
+	END {
+		json = median(ns["BenchmarkFullJSONLoad"])
+		printf "{\n"
+		printf "  \"description\": \"Columnar ensemble store + thicketd endpoint baseline, written by scripts/bench.sh store: median and min-max over %d runs of go test -benchmem -benchtime %s. Store benchmarks run on the 560-profile Figure-13 RAJAPerf ensemble (sim.Figure13Ensemble(1)) persisted both as serialized thicket JSON and as a columnar store, each load on a cold column cache; endpoint benchmarks run against the resident 8-profile MARBL server used by the golden tests. Speedups are ratios of medians.\",\n", count, benchtime
+		printf "  \"benchtime\": \"%s\",\n", benchtime
+		printf "  \"count\": %d,\n", count
+		printf "  \"environment\": { \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\", \"cores\": %d },\n", goos, goarch, cpu, cores
+		printf "  \"store\": {\n"
+		printf "    \"fixture\": { \"profiles\": 560, \"ensemble\": \"sim.Figure13Ensemble(1)\", \"projected_column\": \"time (exc)\" },\n"
+		printf "    \"benchmarks\": {\n"
+		emit("store")
+		printf "    },\n"
+		printf "    \"speedups\": {\n"
+		printf "      \"projected_load_vs_full_json\": %.1f,\n", json / median(ns["BenchmarkProjectedLoad"])
+		printf "      \"full_store_load_vs_full_json\": %.1f,\n", json / median(ns["BenchmarkFullStoreLoad"])
+		printf "      \"metadata_only_vs_full_json\": %.1f\n", json / median(ns["BenchmarkMetadataOnly"])
+		printf "    }\n"
+		printf "  },\n"
+		printf "  \"server\": {\n"
+		printf "    \"benchmarks\": {\n"
+		emit("server")
+		printf "    }\n"
+		printf "  }\n"
+		printf "}\n"
+		printf "speedups over FullJSONLoad (medians): projected %.1fx, full store %.1fx, metadata only %.1fx\n", \
+			json / median(ns["BenchmarkProjectedLoad"]), json / median(ns["BenchmarkFullStoreLoad"]), \
+			json / median(ns["BenchmarkMetadataOnly"]) > "/dev/stderr"
+	}' > "$OUT"
+
+	echo "wrote $OUT" >&2
+}
+
+if [[ "${1:-}" == "store" ]]; then
+	shift
+	store_mode "$@"
+	exit 0
+fi
 
 if [[ "${1:-}" == "overhead" ]]; then
 	shift

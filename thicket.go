@@ -44,7 +44,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/profile"
 	"repro/internal/query"
-	"repro/internal/selfprofile"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -395,20 +394,18 @@ type (
 	// MetricsRegistry holds typed counters/gauges/histograms and renders
 	// them in the Prometheus text format.
 	MetricsRegistry = telemetry.Registry
-	// SelfProfiler streams retained slow traces into a directory store —
-	// the dogfood loop feeding thicketd's history back to its own EDA.
-	SelfProfiler = selfprofile.Profiler
-	// SelfProfileOptions configures the self-profiler.
-	SelfProfileOptions = selfprofile.Options
 	// Monitor is the continuous self-monitoring sampler: registry +
 	// runtime metrics into a timestamped ring, declarative alert rules
 	// (including per-endpoint latency baselines, whose IsSlow is the
-	// tail-sampling judge), and an optional queryable history store.
+	// tail-sampling judge), and optional queryable self-data stores —
+	// the dogfood loop feeding thicketd's history back to its own EDA.
 	Monitor = monitor.Sampler
-	// MonitorOptions configures the monitor sampler.
+	// MonitorOptions configures the monitor sampler, including the trace
+	// collector whose slow traces each tick drains.
 	MonitorOptions = monitor.Options
-	// MonitorHistoryOptions configures the monitor store, the directory
-	// store every sample streams into through the ingest path.
+	// MonitorHistoryOptions configures the self-data stores, the
+	// directory stores every sample and every drained slow trace stream
+	// into through the ingest path.
 	MonitorHistoryOptions = monitor.HistoryOptions
 	// AlertRule is one declarative monitor alert (threshold, rate,
 	// absence, or latency baseline).
@@ -421,14 +418,9 @@ func NewTraceContext() TraceContext { return telemetry.NewTraceContext() }
 // ParseTraceparent parses a W3C traceparent header.
 func ParseTraceparent(h string) (TraceContext, error) { return telemetry.ParseTraceparent(h) }
 
-// NewSelfProfiler builds the slow-trace exporter of the dogfood loop.
-func NewSelfProfiler(opts SelfProfileOptions) (*SelfProfiler, error) {
-	return selfprofile.New(opts)
-}
-
 // NewMonitor builds the continuous self-monitoring sampler. Call Run
 // for wall-clock sampling or Tick for clock-injected sampling, and
-// Close to flush the history store.
+// Close to drain the last slow traces and flush the self-data stores.
 func NewMonitor(opts MonitorOptions) (*Monitor, error) { return monitor.New(opts) }
 
 // DefaultAlertRules is the shipped monitor alert set: heap growth, GC
