@@ -94,28 +94,42 @@ func (t *Tree) Len() int { return t.nNodes }
 func (t *Tree) Roots() []*Node { return t.roots }
 
 // AddPath ensures every node along the root path exists, returning the
-// final node. Empty paths are an error.
+// final node. Empty paths are an error. Each prefix is looked up by its
+// key, grown in one buffer; only a new node allocates its key.
 func (t *Tree) AddPath(path []string) (*Node, error) {
 	if len(path) == 0 {
 		return nil, fmt.Errorf("calltree: empty path")
 	}
+	var arr [128]byte
+	key := arr[:0]
 	var cur *Node
-	for i := range path {
-		key := EncodePath(path[:i+1])
-		next, ok := t.byKey[key]
+	for _, name := range path {
+		key = strconv.AppendInt(key, int64(len(name)), 10)
+		key = append(key, ':')
+		key = append(key, name...)
+		key = append(key, '/')
+		next, ok := t.byKey[string(key)]
 		if !ok {
-			next = &Node{name: path[i], parent: cur, pathKey: key, depth: i}
-			t.byKey[key] = next
-			t.nNodes++
-			if cur == nil {
-				t.roots = append(t.roots, next)
-			} else {
-				cur.children = append(cur.children, next)
-			}
+			next = t.add(cur, name, string(key))
 		}
 		cur = next
 	}
 	return cur, nil
+}
+
+// add appends a node with the given name and key under parent, or as a
+// new root when parent is nil. The key must be new to the tree.
+func (t *Tree) add(parent *Node, name, key string) *Node {
+	n := &Node{name: name, parent: parent, pathKey: key}
+	if parent == nil {
+		t.roots = append(t.roots, n)
+	} else {
+		n.depth = parent.depth + 1
+		parent.children = append(parent.children, n)
+	}
+	t.byKey[key] = n
+	t.nNodes++
+	return n
 }
 
 // MustAddPath is AddPath that panics on error; for generators with
@@ -185,15 +199,7 @@ func (t *Tree) Paths() [][]string {
 }
 
 // Copy returns a deep copy of the tree.
-func (t *Tree) Copy() *Tree {
-	out := New()
-	for _, n := range t.Nodes() {
-		if _, err := out.AddPath(n.Path()); err != nil {
-			panic(err) // paths from a valid tree are non-empty
-		}
-	}
-	return out
-}
+func (t *Tree) Copy() *Tree { return Union(t) }
 
 // SortChildren orders every node's children (and the roots) by name,
 // producing the canonical form used by equality laws.
@@ -227,43 +233,60 @@ func (t *Tree) Equal(o *Tree) bool {
 // Union returns a new tree containing every node present in any input
 // (paper: composing profiles whose call trees are "similar or identical").
 // Node order follows the first tree, with novel nodes appended in later
-// trees' order.
+// trees' order: each input is walked in pre-order, and a node whose key
+// is new joins its parent's copy as that copy's last child.
 func Union(trees ...*Tree) *Tree {
-	out := New()
+	size := 0
+	for _, t := range trees {
+		if t != nil && t.nNodes > size {
+			size = t.nNodes
+		}
+	}
+	out := &Tree{byKey: make(map[string]*Node, size)}
+	var merge func(parent, n *Node)
+	merge = func(parent, n *Node) {
+		cp, ok := out.byKey[n.pathKey]
+		if !ok {
+			cp = out.add(parent, n.name, n.pathKey)
+		}
+		for _, c := range n.children {
+			merge(cp, c)
+		}
+	}
 	for _, t := range trees {
 		if t == nil {
 			continue
 		}
-		for _, n := range t.Nodes() {
-			if _, err := out.AddPath(n.Path()); err != nil {
-				panic(err)
-			}
+		for _, r := range t.roots {
+			merge(nil, r)
 		}
 	}
 	return out
 }
 
 // Intersect returns a new tree containing exactly the nodes present in
-// every input. Because identity is path-based, an intersected node's
-// ancestors are present by construction.
+// every input, in the first tree's order. Because identity is path-based,
+// an intersected node's ancestors are present by construction, and a node
+// missing from some input has no descendant present in all of them.
 func Intersect(trees ...*Tree) *Tree {
 	out := New()
 	if len(trees) == 0 {
 		return out
 	}
-	for _, n := range trees[0].Nodes() {
-		inAll := true
+	var keep func(parent, n *Node)
+	keep = func(parent, n *Node) {
 		for _, t := range trees[1:] {
-			if !t.Contains(n.Key()) {
-				inAll = false
-				break
+			if !t.Contains(n.pathKey) {
+				return
 			}
 		}
-		if inAll {
-			if _, err := out.AddPath(n.Path()); err != nil {
-				panic(err)
-			}
+		cp := out.add(parent, n.name, n.pathKey)
+		for _, c := range n.children {
+			keep(cp, c)
 		}
+	}
+	for _, r := range trees[0].roots {
+		keep(nil, r)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package calltree
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -175,6 +178,92 @@ func TestTreeSetAlgebraProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// rebuildUnion is the reference the set operations' order is pinned
+// against: every node of every input, in pre-order, re-added through
+// AddPath(n.Path()).
+func rebuildUnion(trees ...*Tree) *Tree {
+	out := New()
+	for _, t := range trees {
+		for _, n := range t.Nodes() {
+			if _, err := out.AddPath(n.Path()); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return out
+}
+
+// rebuildIntersect re-adds, in the first tree's pre-order, every node
+// that all inputs contain.
+func rebuildIntersect(trees ...*Tree) *Tree {
+	out := New()
+	for _, n := range trees[0].Nodes() {
+		inAll := true
+		for _, t := range trees[1:] {
+			inAll = inAll && t.Contains(n.Key())
+		}
+		if inAll {
+			if _, err := out.AddPath(n.Path()); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return out
+}
+
+// randomTree adds a few random paths over a small alphabet, so trees
+// share roots and prefixes often. Names that look like key syntax check
+// that identity stays injective.
+func randomTree(rng *rand.Rand) *Tree {
+	names := []string{"a", "b", "c", "1:a/", "a/b", ""}
+	tr := New()
+	for i := rng.Intn(10); i > 0; i-- {
+		path := make([]string, 1+rng.Intn(4))
+		for d := range path {
+			path[d] = names[rng.Intn(len(names))]
+		}
+		tr.MustAddPath(path...)
+	}
+	return tr
+}
+
+// assertSameOrder checks two trees have the same pre-order paths, and
+// that every node's key and depth agree with its path.
+func assertSameOrder(t *testing.T, label string, want, got *Tree) {
+	t.Helper()
+	if w, g := want.Paths(), got.Paths(); !reflect.DeepEqual(w, g) {
+		t.Fatalf("%s: pre-order paths\n got %q\nwant %q", label, g, w)
+	}
+	if got.Len() != len(got.Nodes()) {
+		t.Fatalf("%s: Len %d, %d nodes", label, got.Len(), len(got.Nodes()))
+	}
+	for _, n := range got.Nodes() {
+		if n.Key() != EncodePath(n.Path()) || n.Depth() != len(n.Path())-1 || got.NodeByKey(n.Key()) != n {
+			t.Fatalf("%s: node %q has key %q, depth %d", label, n.Path(), n.Key(), n.Depth())
+		}
+	}
+}
+
+// TestSetOperationOrder pins the node order of Union, Copy and Intersect,
+// which fixes the perf row order of every thicket: the same pre-order as
+// a rebuild through AddPath, and a union of unions equal to one union of
+// all inputs (the identity FromProfiles' single union relies on).
+func TestSetOperationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		a, b, c := randomTree(rng), randomTree(rng), randomTree(rng)
+		label := fmt.Sprintf("trial %d", trial)
+		assertSameOrder(t, label+" union", rebuildUnion(a, b, c), Union(a, b, c))
+		assertSameOrder(t, label+" union of unions", Union(a, b, c), Union(Union(a, b), c))
+		assertSameOrder(t, label+" union with nil", rebuildUnion(a, b), Union(nil, a, b))
+		assertSameOrder(t, label+" copy", rebuildUnion(a), a.Copy())
+		assertSameOrder(t, label+" copy is the tree", a, a.Copy())
+		assertSameOrder(t, label+" intersect", rebuildIntersect(a, b, c), Intersect(a, b, c))
+		u := Union(a, b)
+		assertSameOrder(t, label+" intersect with union", rebuildIntersect(u, a), Intersect(u, a))
 	}
 }
 

@@ -6,14 +6,16 @@ import (
 
 	"repro/internal/dataframe"
 	"repro/internal/parallel"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
 // Old-vs-new pairs for the profile-ordinal rewrite: each *Ref runs the
 // string-key implementation preserved in differential_test.go, each *New
 // the shipping code, on the Figure-13 ensemble (560 RAJAPerf profiles)
-// with one worker. scripts/bench.sh diffs the pairs into
-// BENCH_kernels.json.
+// with one worker. The FromProfiles pair composes the ensemble's five
+// rows, one thicket each, with refFromProfiles and FromProfiles.
+// scripts/bench.sh diffs the pairs into BENCH_kernels.json.
 
 var (
 	fig13Once sync.Once
@@ -160,5 +162,61 @@ func BenchmarkPivotMetricNew(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = out
+	}
+}
+
+var (
+	fig13RowsOnce sync.Once
+	fig13Rows     [][]*profile.Profile
+	fig13RowsErr  error
+)
+
+// fig13RowProfiles generates the five Figure-13 rows' profiles once per
+// test binary and starts the timer afresh.
+func fig13RowProfiles(b *testing.B) [][]*profile.Profile {
+	b.Helper()
+	fig13RowsOnce.Do(func() {
+		for _, row := range sim.Figure13Rows() {
+			ps, err := sim.RajaEnsemble(row, 1)
+			if err != nil {
+				fig13RowsErr = err
+				return
+			}
+			fig13Rows = append(fig13Rows, ps)
+		}
+	})
+	if fig13RowsErr != nil {
+		b.Fatal(fig13RowsErr)
+	}
+	prev := parallel.Set(1)
+	b.Cleanup(func() { parallel.Set(prev) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	return fig13Rows
+}
+
+func BenchmarkFromProfilesRef(b *testing.B) {
+	rows := fig13RowProfiles(b)
+	for i := 0; i < b.N; i++ {
+		for _, ps := range rows {
+			th, err := refFromProfiles(ps, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = th
+		}
+	}
+}
+
+func BenchmarkFromProfilesNew(b *testing.B) {
+	rows := fig13RowProfiles(b)
+	for i := 0; i < b.N; i++ {
+		for _, ps := range rows {
+			th, err := FromProfiles(ps, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = th
+		}
 	}
 }

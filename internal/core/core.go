@@ -79,14 +79,18 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("core: no profiles")
 	}
+	// A profile that cannot be composed at all fails first. One lacking
+	// its index value fails after any repeat among the profiles before
+	// it, as a one-pass scan over the index values would.
+	lacking := len(profiles)
+	var lackErr error
 	for i, p := range profiles {
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("core: profile %d: %w", i, err)
+		bad, lacks := checkProfile(i, p, opts.IndexBy)
+		if bad != nil {
+			return nil, bad
 		}
-		for _, n := range p.Tree().Nodes() {
-			if strings.Contains(n.Name(), "/") {
-				return nil, fmt.Errorf("core: profile %d: region name %q contains '/'", i, n.Name())
-			}
+		if lacks != nil && lackErr == nil {
+			lacking, lackErr = i, lacks
 		}
 	}
 
@@ -94,22 +98,13 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 	if opts.IndexBy != "" {
 		level = opts.IndexBy
 	}
-
-	// Assign profile index values. A repeat before the first profile
-	// lacking its index value is reported first, as a one-pass scan would.
-	indexVals := make([]dataframe.Value, 0, len(profiles))
-	var lackErr error
-	for i, p := range profiles {
+	indexVals := make([]dataframe.Value, lacking)
+	for i, p := range profiles[:lacking] {
 		if opts.IndexBy == "" {
-			indexVals = append(indexVals, dataframe.Int64(p.Hash()))
-			continue
+			indexVals[i] = dataframe.Int64(p.Hash())
+		} else {
+			indexVals[i], _ = p.Meta(opts.IndexBy)
 		}
-		mv, ok := p.Meta(opts.IndexBy)
-		if !ok {
-			lackErr = fmt.Errorf("core: profile %d lacks metadata %q requested as index", i, opts.IndexBy)
-			break
-		}
-		indexVals = append(indexVals, mv)
 	}
 	if j, i, dup := firstRepeat(level, indexVals); dup {
 		return nil, fmt.Errorf("core: profiles %d and %d share index value %s; use the default hash index or a distinguishing column", j, i, indexVals[i])
@@ -118,13 +113,13 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 		return nil, lackErr
 	}
 
-	// Union (or intersection) call tree and metric-name union in
-	// first-appearance order.
-	tree := calltree.New()
+	// One union (or intersection) of all call trees, and the metric-name
+	// union in first-appearance order.
+	trees := make([]*calltree.Tree, len(profiles))
 	var metricOrder []string
 	metricSeen := map[string]bool{}
-	for _, p := range profiles {
-		tree = calltree.Union(tree, p.Tree())
+	for i, p := range profiles {
+		trees[i] = p.Tree()
 		for _, m := range p.MetricNames() {
 			if !metricSeen[m] {
 				metricSeen[m] = true
@@ -132,47 +127,25 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 			}
 		}
 	}
+	var tree *calltree.Tree
 	if opts.IntersectTrees {
-		trees := make([]*calltree.Tree, len(profiles))
-		for i, p := range profiles {
-			trees[i] = p.Tree()
-		}
 		tree = calltree.Intersect(trees...)
+	} else {
+		tree = calltree.Union(trees...)
+	}
+	nodes := tree.Nodes()
+	paths := make([]string, len(nodes))
+	for i, n := range nodes {
+		paths[i] = nodePath(n)
 	}
 
-	// Performance data: rows ordered tree pre-order × profile order.
-	indexKind := dataframe.Int
-	if len(indexVals) > 0 {
-		indexKind = indexVals[0].Kind()
-	}
-	pb := dataframe.NewBuilder([]string{NodeLevel, level}, []dataframe.Kind{dataframe.String, indexKind})
-	for _, n := range tree.Nodes() {
-		for pi, p := range profiles {
-			own := p.Tree().NodeByKey(n.Key())
-			if own == nil {
-				continue // node absent from this profile's tree
-			}
-			metrics := p.NodeMetrics(own.Key())
-			cells := make(map[string]dataframe.Value, len(metrics))
-			for name, v := range metrics {
-				cells[name] = v
-			}
-			if err := pb.AddRow([]dataframe.Value{dataframe.Str(nodePath(n)), indexVals[pi]}, cells); err != nil {
-				return nil, err
-			}
-		}
-	}
-	perf, err := pb.Build()
-	if err != nil {
-		return nil, err
-	}
-	// Column order: metric union order, not first-row order.
-	perf, err = reorderColumns(perf, metricOrder)
+	perf, err := perfFrame(nodes, paths, profiles, indexVals, level, metricOrder)
 	if err != nil {
 		return nil, err
 	}
 
 	// Metadata: union of keys in first-appearance order.
+	indexKind := indexVals[0].Kind()
 	var metaOrder []string
 	metaSeen := map[string]bool{}
 	for _, p := range profiles {
@@ -211,9 +184,120 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 		Tree:         tree,
 		PerfData:     perf,
 		Metadata:     meta,
-		Stats:        emptyStats(tree),
+		Stats:        nodeFrame(paths),
 		profileLevel: level,
 	}, nil
+}
+
+// CheckProfile reports why p cannot be composed under opts, even on its
+// own: the error FromProfiles returns for p alone, or nil when it passes
+// the per-profile checks.
+func CheckProfile(p *profile.Profile, opts Options) error {
+	bad, lacks := checkProfile(0, p, opts.IndexBy)
+	if bad != nil {
+		return bad
+	}
+	return lacks
+}
+
+// checkProfile is FromProfiles' check of its i-th profile on its own.
+// bad is set when p fails Validate or a region name contains '/', and
+// lacks when p has no value in the metadata column indexBy names.
+func checkProfile(i int, p *profile.Profile, indexBy string) (bad, lacks error) {
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("core: profile %d: %w", i, err), nil
+	}
+	for _, n := range p.Tree().Nodes() {
+		if strings.Contains(n.Name(), "/") {
+			return fmt.Errorf("core: profile %d: region name %q contains '/'", i, n.Name()), nil
+		}
+	}
+	if indexBy != "" {
+		if _, ok := p.Meta(indexBy); !ok {
+			return nil, fmt.Errorf("core: profile %d lacks metadata %q requested as index", i, indexBy)
+		}
+	}
+	return nil, nil
+}
+
+// perfFrame builds the performance table straight from the profiles: a
+// row per (node, profile) pair whose profile has the node, in node order
+// × profile order, and a column per metric present in some row, in
+// metricOrder. paths holds each node's index value. It keeps
+// dataframe.Builder's rules: a column takes the kind of its first present
+// cell in row order, absent cells are nulls, and a cell of another kind
+// fails with the error Build would report first.
+func perfFrame(nodes []*calltree.Node, paths []string, profiles []*profile.Profile, indexVals []dataframe.Value, level string, metricOrder []string) (*dataframe.Frame, error) {
+	type column struct {
+		s     *dataframe.Series // nil until the column's first present cell
+		first int               // row of that cell
+		err   error             // first cell of another kind
+	}
+	cols := make([]column, len(metricOrder))
+	colOf := make(map[string]*column, len(metricOrder))
+	for i, name := range metricOrder {
+		colOf[name] = &cols[i]
+	}
+	dict := dataframe.NewDict()
+	var codes []uint32
+	profLevel := dataframe.NewSeries(level, indexVals[0].Kind())
+	for ni, n := range nodes {
+		code := dict.Intern(paths[ni])
+		for pi, p := range profiles {
+			if p.Tree().NodeByKey(n.Key()) == nil {
+				continue // node absent from this profile's tree
+			}
+			row := len(codes)
+			codes = append(codes, code)
+			if err := profLevel.Append(indexVals[pi]); err != nil {
+				return nil, fmt.Errorf("index level %q: %w", level, err)
+			}
+			for name, v := range p.MetricRow(n.Key()) {
+				c := colOf[name]
+				if c.err != nil {
+					continue
+				}
+				if c.s == nil {
+					c.s, c.first = dataframe.NewSeries(name, v.Kind()), row
+				}
+				if gap := row - c.s.Len(); gap > 0 {
+					c.s.AppendNulls(gap)
+				}
+				if err := c.s.Append(v); err != nil {
+					c.err = fmt.Errorf("column %q: %w", name, err)
+				}
+			}
+		}
+	}
+	// Build registers columns by first row, then name within a row, and
+	// reports the first failing column in that order.
+	var failed *column
+	series := make([]*dataframe.Series, 0, len(cols))
+	for i := range cols {
+		c := &cols[i]
+		if c.s == nil {
+			continue
+		}
+		if c.err != nil && (failed == nil || c.first < failed.first || c.first == failed.first && c.s.Name() < failed.s.Name()) {
+			failed = c
+		}
+		if gap := len(codes) - c.s.Len(); gap > 0 {
+			c.s.AppendNulls(gap)
+		}
+		series = append(series, c.s)
+	}
+	if failed != nil {
+		return nil, failed.err
+	}
+	nodeLevel, err := dataframe.NewStringSeriesFromCodes(NodeLevel, dict, codes, nil)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := dataframe.NewIndex(nodeLevel, profLevel)
+	if err != nil {
+		return nil, err
+	}
+	return dataframe.NewFrame(ix, series...)
 }
 
 // FromParts assembles a thicket directly from its components — the
@@ -275,7 +359,12 @@ func emptyStats(tree *calltree.Tree) *dataframe.Frame {
 	for i, n := range nodes {
 		names[i] = nodePath(n)
 	}
-	return dataframe.MustFrame(dataframe.MustIndex(dataframe.NewStringSeries(NodeLevel, names)))
+	return nodeFrame(names)
+}
+
+// nodeFrame is the empty statistics frame over the given node paths.
+func nodeFrame(paths []string) *dataframe.Frame {
+	return dataframe.MustFrame(dataframe.MustIndex(dataframe.NewStringSeries(NodeLevel, paths)))
 }
 
 // Profiles returns the distinct profile-index values in metadata order.

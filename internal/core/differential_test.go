@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -456,6 +457,150 @@ func refIndexValues(profiles []*profile.Profile, opts Options) error {
 	return nil
 }
 
+// refFromProfiles is FromProfiles before it built its perf columns
+// directly: the call trees unioned one profile at a time, and every
+// (node, profile) row's metrics copied through dataframe.Builder.
+func refFromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
+	if len(profiles) == 0 {
+		return nil, fmt.Errorf("core: no profiles")
+	}
+	for i, p := range profiles {
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("core: profile %d: %w", i, err)
+		}
+		for _, n := range p.Tree().Nodes() {
+			if strings.Contains(n.Name(), "/") {
+				return nil, fmt.Errorf("core: profile %d: region name %q contains '/'", i, n.Name())
+			}
+		}
+	}
+
+	level := ProfileLevel
+	if opts.IndexBy != "" {
+		level = opts.IndexBy
+	}
+
+	// Assign profile index values. A repeat before the first profile
+	// lacking its index value is reported first, as a one-pass scan would.
+	indexVals := make([]dataframe.Value, 0, len(profiles))
+	var lackErr error
+	for i, p := range profiles {
+		if opts.IndexBy == "" {
+			indexVals = append(indexVals, dataframe.Int64(p.Hash()))
+			continue
+		}
+		mv, ok := p.Meta(opts.IndexBy)
+		if !ok {
+			lackErr = fmt.Errorf("core: profile %d lacks metadata %q requested as index", i, opts.IndexBy)
+			break
+		}
+		indexVals = append(indexVals, mv)
+	}
+	if j, i, dup := firstRepeat(level, indexVals); dup {
+		return nil, fmt.Errorf("core: profiles %d and %d share index value %s; use the default hash index or a distinguishing column", j, i, indexVals[i])
+	}
+	if lackErr != nil {
+		return nil, lackErr
+	}
+
+	// Union (or intersection) call tree and metric-name union in
+	// first-appearance order.
+	tree := calltree.New()
+	var metricOrder []string
+	metricSeen := map[string]bool{}
+	for _, p := range profiles {
+		tree = calltree.Union(tree, p.Tree())
+		for _, m := range p.MetricNames() {
+			if !metricSeen[m] {
+				metricSeen[m] = true
+				metricOrder = append(metricOrder, m)
+			}
+		}
+	}
+	if opts.IntersectTrees {
+		trees := make([]*calltree.Tree, len(profiles))
+		for i, p := range profiles {
+			trees[i] = p.Tree()
+		}
+		tree = calltree.Intersect(trees...)
+	}
+
+	// Performance data: rows ordered tree pre-order × profile order.
+	indexKind := dataframe.Int
+	if len(indexVals) > 0 {
+		indexKind = indexVals[0].Kind()
+	}
+	pb := dataframe.NewBuilder([]string{NodeLevel, level}, []dataframe.Kind{dataframe.String, indexKind})
+	for _, n := range tree.Nodes() {
+		for pi, p := range profiles {
+			own := p.Tree().NodeByKey(n.Key())
+			if own == nil {
+				continue // node absent from this profile's tree
+			}
+			metrics := p.NodeMetrics(own.Key())
+			cells := make(map[string]dataframe.Value, len(metrics))
+			for name, v := range metrics {
+				cells[name] = v
+			}
+			if err := pb.AddRow([]dataframe.Value{dataframe.Str(nodePath(n)), indexVals[pi]}, cells); err != nil {
+				return nil, err
+			}
+		}
+	}
+	perf, err := pb.Build()
+	if err != nil {
+		return nil, err
+	}
+	// Column order: metric union order, not first-row order.
+	perf, err = reorderColumns(perf, metricOrder)
+	if err != nil {
+		return nil, err
+	}
+
+	// Metadata: union of keys in first-appearance order.
+	var metaOrder []string
+	metaSeen := map[string]bool{}
+	for _, p := range profiles {
+		for _, k := range p.MetaKeys() {
+			if k == opts.IndexBy {
+				continue // promoted to the index (pandas set_index semantics)
+			}
+			if !metaSeen[k] {
+				metaSeen[k] = true
+				metaOrder = append(metaOrder, k)
+			}
+		}
+	}
+	mb := dataframe.NewBuilder([]string{level}, []dataframe.Kind{indexKind})
+	for pi, p := range profiles {
+		cells := make(map[string]dataframe.Value, len(metaOrder))
+		for _, k := range metaOrder {
+			if v, ok := p.Meta(k); ok {
+				cells[k] = v
+			}
+		}
+		if err := mb.AddRow([]dataframe.Value{indexVals[pi]}, cells); err != nil {
+			return nil, err
+		}
+	}
+	meta, err := mb.Build()
+	if err != nil {
+		return nil, err
+	}
+	meta, err = reorderColumns(meta, metaOrder)
+	if err != nil {
+		return nil, err
+	}
+
+	return &Thicket{
+		Tree:         tree,
+		PerfData:     perf,
+		Metadata:     meta,
+		Stats:        emptyStats(tree),
+		profileLevel: level,
+	}, nil
+}
+
 // ---- randomized thicket generator -------------------------------------
 
 var diffPaths = [][]string{{"main"}, {"main", "solve"}, {"main", "solve", "mult"}, {"main", "io"}, {"main", "halo"}}
@@ -858,5 +1003,160 @@ func TestDifferentialFromProfilesIndex(t *testing.T) {
 	}
 	if dups == 0 {
 		t.Fatal("no trial produced a repeated index value")
+	}
+}
+
+// fromProfilesCases are hand-built ensembles for the edges of
+// FromProfiles' column building: a column whose first present cell is
+// null, kind conflicts (reported for the column Build would check
+// first), disjoint and intersected trees, and index errors.
+func fromProfilesCases(t *testing.T) map[string][]*profile.Profile {
+	t.Helper()
+	type sample struct {
+		path    []string
+		metrics map[string]dataframe.Value
+	}
+	mk := func(meta map[string]dataframe.Value, samples ...sample) *profile.Profile {
+		p := profile.New()
+		for _, k := range []string{"id", "key", "group"} {
+			if v, ok := meta[k]; ok {
+				p.SetMeta(k, v)
+			}
+		}
+		for _, s := range samples {
+			if err := p.AddSample(s.path, s.metrics); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	id := func(i int64) map[string]dataframe.Value { return map[string]dataframe.Value{"id": dataframe.Int64(i)} }
+	at := func(metrics map[string]dataframe.Value, path ...string) sample { return sample{path, metrics} }
+	vals := func(kv ...any) map[string]dataframe.Value {
+		m := map[string]dataframe.Value{}
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i].(string)] = kv[i+1].(dataframe.Value)
+		}
+		return m
+	}
+	f, n := dataframe.Float64, dataframe.Int64
+	return map[string][]*profile.Profile{
+		"first cell null": {
+			mk(id(1), at(vals("x", dataframe.Null(dataframe.String)), "main")),
+			mk(id(2), at(vals("x", dataframe.Str("b"), "y", dataframe.Null(dataframe.Int)), "main"), at(vals("x", dataframe.Str("a")), "main", "solve")),
+			mk(id(3), at(vals("y", n(4)), "main", "solve")),
+		},
+		"first cell null then another kind": {
+			mk(id(1), at(vals("x", dataframe.Null(dataframe.Float)), "main")),
+			mk(id(2), at(vals("x", n(1)), "main")),
+		},
+		"int then float": {
+			mk(id(1), at(vals("t", n(1)), "main")),
+			mk(id(2), at(vals("t", f(1.5)), "main")),
+		},
+		"two conflicts": {
+			// Metric order is a, b, but b's first cell is in an earlier
+			// row, so Build checks b first.
+			mk(id(1), at(vals("a", dataframe.BoolVal(true)), "root", "kid"), at(vals("b", n(1)), "root")),
+			mk(id(2), at(vals("b", dataframe.Str("s")), "root"), at(vals("a", f(2)), "root", "kid")),
+		},
+		"same row conflicts": {
+			// Metric order is b, a; both first appear in row 0, so Build
+			// checks a first.
+			mk(id(1), at(vals("b", n(1)), "root", "kid"), at(vals("a", n(2), "b", n(3)), "root")),
+			mk(id(2), at(vals("a", f(2), "b", f(1)), "root")),
+		},
+		"disjoint trees": {
+			mk(id(1), at(vals("t", f(1)), "a", "x"), at(vals("u", n(1)), "a", "y")),
+			mk(id(2), at(vals("t", f(2)), "b", "x")),
+			mk(id(3), at(vals("v", dataframe.Str("q")), "c"), at(nil, "a", "z", "w")),
+		},
+		"index kinds differ": {
+			mk(map[string]dataframe.Value{"id": n(1), "key": n(1)}, at(vals("t", f(1)), "main")),
+			mk(map[string]dataframe.Value{"id": n(2), "key": f(2)}, at(vals("t", f(2)), "main")),
+		},
+		"index null then value": {
+			mk(map[string]dataframe.Value{"id": n(1), "key": dataframe.Null(dataframe.String)}, at(vals("t", f(1)), "main")),
+			mk(map[string]dataframe.Value{"id": n(2), "key": n(7)}, at(vals("t", f(2)), "main", "x")),
+		},
+		"slash after lacking index": {
+			mk(id(1), at(vals("t", f(1)), "main")),
+			mk(map[string]dataframe.Value{"id": n(2), "key": n(2)}, at(vals("t", f(2)), "main", "a/b")),
+		},
+		"repeat before lacking index": {
+			mk(map[string]dataframe.Value{"id": n(1), "key": n(1)}, at(vals("t", f(1)), "main")),
+			mk(map[string]dataframe.Value{"id": n(1), "key": n(1)}, at(vals("t", f(1)), "main")),
+			mk(id(3), at(vals("t", f(1)), "main")),
+		},
+		"lacking index before repeat": {
+			mk(map[string]dataframe.Value{"id": n(1), "key": n(1)}, at(vals("t", f(1)), "main")),
+			mk(id(2), at(vals("t", f(1)), "main")),
+			mk(map[string]dataframe.Value{"id": n(3), "key": n(1)}, at(vals("t", f(1)), "main")),
+		},
+		"invalid profile": {
+			mk(id(1), at(vals("t", f(1)), "main")),
+			profile.New(),
+		},
+	}
+}
+
+// assertSameDicts checks that two equal frames' string index levels and
+// columns also hold the same dictionaries and codes: words interned in
+// the same order, which stored segments carry.
+func assertSameDicts(t *testing.T, label string, want, got *dataframe.Frame) {
+	t.Helper()
+	var ws, gs []*dataframe.Series
+	for i := 0; i < want.Index().NLevels(); i++ {
+		ws, gs = append(ws, want.Index().Level(i)), append(gs, got.Index().Level(i))
+	}
+	for i := 0; i < want.NCols(); i++ {
+		ws, gs = append(ws, want.ColumnAt(i)), append(gs, got.ColumnAt(i))
+	}
+	for i, w := range ws {
+		if w.Kind() != dataframe.String {
+			continue
+		}
+		wd, wc := w.StringData()
+		gd, gc := gs[i].StringData()
+		if !slices.Equal(wd.Words(), gd.Words()) || !slices.Equal(wc, gc) {
+			t.Fatalf("%s: series %q: dictionary %q codes %v, want %q codes %v", label, w.Name(), gd.Words(), gc, wd.Words(), wc)
+		}
+	}
+}
+
+// TestDifferentialFromProfiles checks FromProfiles against
+// refFromProfiles on random ensembles and fromProfilesCases, under every
+// option shape, at one worker and at several: equal thickets, with trees
+// in the same pre-order and the same string dictionaries, or equal error
+// text.
+func TestDifferentialFromProfiles(t *testing.T) {
+	inputs := fromProfilesCases(t)
+	for seed := int64(0); seed < 40; seed++ {
+		inputs[fmt.Sprintf("random %d", seed)] = randomEnsemble(seed, 1+int(seed%7))
+	}
+	optsList := []Options{{}, {IndexBy: "id"}, {IndexBy: "key"}, {IntersectTrees: true}, {IndexBy: "id", IntersectTrees: true}}
+	var errs, oks int
+	for name, profiles := range inputs {
+		for _, opts := range optsList {
+			label := fmt.Sprintf("%s %+v", name, opts)
+			want, wantErr := refFromProfiles(profiles, opts)
+			eachWorkerCount(t, func(t *testing.T) {
+				got, err := FromProfiles(profiles, opts)
+				assertErrorsEqual(t, label, wantErr, err)
+				if err != nil {
+					errs++
+					return
+				}
+				oks++
+				assertThicketsEqual(t, label, want, got)
+				if w, g := want.Tree.Paths(), got.Tree.Paths(); !slices.EqualFunc(w, g, slices.Equal) {
+					t.Fatalf("%s: tree pre-order %q, want %q", label, g, w)
+				}
+				assertSameDicts(t, label, want.PerfData, got.PerfData)
+			})
+		}
+	}
+	if errs == 0 || oks == 0 {
+		t.Fatalf("%d errors and %d thickets: the inputs must exercise both", errs, oks)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -22,7 +23,9 @@ var ErrBacklogged = errors.New("ingest: queue full")
 var ErrClosed = errors.New("ingest: ingester closed")
 
 // ErrBadPayload is returned by SubmitBytes when the payload does not
-// decode as a profile — a client error (HTTP 400), not a server fault.
+// decode as a profile, and by Submit and SubmitBytes for a profile no
+// flush could compose, even alone (core.CheckProfile) — a client error
+// (HTTP 400), not a server fault.
 var ErrBadPayload = errors.New("ingest: bad profile payload")
 
 // Options configures an Ingester.
@@ -97,6 +100,10 @@ type Ingester struct {
 	wal  *WAL
 	opts Options
 	log  *slog.Logger
+	// compose is the store's ComposeOptions, read once: submits check
+	// profiles against it without taking the store's lock, which a
+	// segment commit holds across its fsyncs.
+	compose core.Options
 
 	queue      chan submitReq
 	closed     atomic.Bool
@@ -157,13 +164,14 @@ func newIngester(st *store.Store, opts Options) (*Ingester, error) {
 	}
 	reg := opts.Registry
 	in := &Ingester{
-		st:    st,
-		wal:   wal,
-		opts:  opts,
-		log:   opts.Logger,
-		queue: make(chan submitReq, opts.QueueDepth),
-		stop:  make(chan struct{}),
-		kick:  make(chan struct{}, 1),
+		st:      st,
+		wal:     wal,
+		opts:    opts,
+		log:     opts.Logger,
+		compose: st.ComposeOptions(),
+		queue:   make(chan submitReq, opts.QueueDepth),
+		stop:    make(chan struct{}),
+		kick:    make(chan struct{}, 1),
 		queueDepth: reg.Gauge("thicket_ingest_queue_depth",
 			"Profiles waiting in the ingest admission queue.", "store", st.Path()),
 		accepted: reg.Counter("thicket_ingest_accepted_total",
@@ -248,6 +256,9 @@ func (in *Ingester) submit(payload []byte, p *profile.Profile) error {
 	defer in.submitters.Done()
 	if in.closed.Load() {
 		return ErrClosed
+	}
+	if err := core.CheckProfile(p, in.compose); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	req := submitReq{payload: payload, p: p, done: make(chan error, 1)}
 	select {

@@ -484,6 +484,72 @@ func TestIngesterSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesUncomposable: a profile no flush could compose, even
+// alone, is refused at submit with ErrBadPayload, before the WAL, rather
+// than acked and then dropped at flush. There are two kinds: a region
+// name containing '/', and a profile without a value for the metadata
+// column a store is indexed by.
+func TestSubmitRefusesUncomposable(t *testing.T) {
+	mk := func(meta string) *profile.Profile {
+		p := profile.New()
+		p.SetMeta(meta, dataframe.Int64(1))
+		path := []string{"main", "solve"}
+		if meta == "slash" {
+			path = []string{"main/a/b"}
+		}
+		if err := p.AddSample(path, map[string]dataframe.Value{"time": dataframe.Float64(1)}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		level     string
+		bad, good *profile.Profile
+	}{
+		{"profile", mk("slash"), mk("trial")},
+		{"trial", mk("other"), mk("trial")},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := store.InitDir(dir, tc.level); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		reg := telemetry.NewRegistry()
+		opts := quietOpts()
+		opts.Registry = reg
+		in, err := New(st, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := tc.bad.MarshalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.SubmitBytes(payload); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("level %s: SubmitBytes = %v, want ErrBadPayload", tc.level, err)
+		}
+		if err := in.Submit(tc.bad); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("level %s: Submit = %v, want ErrBadPayload", tc.level, err)
+		}
+		if err := in.Submit(tc.good); err != nil {
+			t.Errorf("level %s: Submit of a composable profile = %v", tc.level, err)
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		acked := reg.SumCounter("thicket_ingest_acked_total")
+		dropped := reg.SumCounter("thicket_ingest_dropped_total")
+		if acked != 1 || dropped != 0 || st.Info().Profiles != 1 {
+			t.Errorf("level %s: acked %d, dropped %d, %d profiles stored; want 1, 0, 1",
+				tc.level, acked, dropped, st.Info().Profiles)
+		}
+	}
+}
+
 // TestNewRefusesSingleFile: a single-file store is written once, so New
 // refuses it, naming the path, before it opens a WAL; the store file is
 // left as Create wrote it.

@@ -1,55 +1,6 @@
 package profile
 
-import (
-	"testing"
-
-	"repro/internal/dataframe"
-)
-
-// FuzzFromBytes hardens the native profile parser: arbitrary input must
-// either parse into a valid profile or return an error — never panic,
-// and never yield a profile that fails Validate.
-func FuzzFromBytes(f *testing.F) {
-	seed, err := func() ([]byte, error) {
-		p := New()
-		p.SetMeta("cluster", dataframe.Str("quartz"))
-		if err := p.AddSample([]string{"main", "solve"}, nil); err != nil {
-			return nil, err
-		}
-		return p.MarshalBytes()
-	}()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`{"format":"thicket-profile","version":1,"nodes":[{"path":["a"]}]}`))
-	f.Add([]byte(`{"format":"thicket-profile","version":1,"metadata":{"x":1.5},"nodes":[{"path":["a","b"],"metrics":{"t":2}}]}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`{"format":"thicket-profile","version":1,"nodes":[{"path":[""]}]}`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := FromBytes(data)
-		if err != nil {
-			return
-		}
-		if verr := p.Validate(); verr != nil {
-			t.Fatalf("parsed profile fails validation: %v", verr)
-		}
-		// Successful parses round-trip.
-		out, err := p.MarshalBytes()
-		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
-		}
-		back, err := FromBytes(out)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if back.Tree().Len() != p.Tree().Len() {
-			t.Fatalf("round trip changed tree size %d -> %d", p.Tree().Len(), back.Tree().Len())
-		}
-	})
-}
+import "testing"
 
 // FuzzReadCaliperJSON hardens the Caliper json-split reader likewise.
 func FuzzReadCaliperJSON(f *testing.F) {

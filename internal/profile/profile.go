@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -78,26 +79,37 @@ func (p *Profile) MetricNames() []string { return append([]string(nil), p.metric
 // creating the node (and ancestors) if needed. Re-adding a metric for the
 // same node overwrites it.
 func (p *Profile) AddSample(path []string, metrics map[string]dataframe.Value) error {
+	return p.adoptSample(path, maps.Clone(metrics))
+}
+
+// adoptSample is AddSample for a map the profile may keep: it becomes the
+// node's row unless the node has one already. Metric names new to the
+// profile join the first-appearance order sorted among themselves.
+func (p *Profile) adoptSample(path []string, metrics map[string]dataframe.Value) error {
 	node, err := p.tree.AddPath(path)
 	if err != nil {
 		return err
 	}
-	row, ok := p.metrics[node.Key()]
-	if !ok {
-		row = make(map[string]dataframe.Value)
-		p.metrics[node.Key()] = row
-	}
-	names := make([]string, 0, len(metrics))
-	for name := range metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !p.metricSeen[name] {
-			p.metricSeen[name] = true
-			p.metricOrder = append(p.metricOrder, name)
+	if row, ok := p.metrics[node.Key()]; ok {
+		for name, v := range metrics {
+			row[name] = v
 		}
-		row[name] = metrics[name]
+	} else {
+		if metrics == nil {
+			metrics = make(map[string]dataframe.Value)
+		}
+		p.metrics[node.Key()] = metrics
+	}
+	var fresh []string
+	for name := range metrics {
+		if !p.metricSeen[name] {
+			fresh = append(fresh, name)
+		}
+	}
+	sort.Strings(fresh)
+	for _, name := range fresh {
+		p.metricSeen[name] = true
+		p.metricOrder = append(p.metricOrder, name)
 	}
 	return nil
 }
@@ -121,6 +133,10 @@ func (p *Profile) NodeMetrics(nodeKey string) map[string]dataframe.Value {
 	}
 	return out
 }
+
+// MetricRow returns the metrics recorded at the node key, or nil (shared;
+// treat as read-only).
+func (p *Profile) MetricRow(nodeKey string) map[string]dataframe.Value { return p.metrics[nodeKey] }
 
 // Validate checks internal consistency: every metric row corresponds to a
 // tree node and the tree is non-empty.
@@ -175,7 +191,7 @@ func (p *Profile) MapPaths(fn func(path []string) []string) (*Profile, error) {
 			return nil, fmt.Errorf("profile: MapPaths collides %q and %q", prev, n.PathString())
 		}
 		seen[enc] = n.PathString()
-		if err := out.AddSample(newPath, p.NodeMetrics(n.Key())); err != nil {
+		if err := out.adoptSample(newPath, p.NodeMetrics(n.Key())); err != nil {
 			return nil, err
 		}
 	}
@@ -208,12 +224,12 @@ func (p *Profile) MergeMetrics(other *Profile) (*Profile, error) {
 		}
 	}
 	for _, n := range p.tree.Nodes() {
-		if err := out.AddSample(n.Path(), p.NodeMetrics(n.Key())); err != nil {
+		if err := out.adoptSample(n.Path(), p.NodeMetrics(n.Key())); err != nil {
 			return nil, err
 		}
 	}
 	for _, n := range other.tree.Nodes() {
-		if err := out.AddSample(n.Path(), other.NodeMetrics(n.Key())); err != nil {
+		if err := out.adoptSample(n.Path(), other.NodeMetrics(n.Key())); err != nil {
 			return nil, err
 		}
 	}
@@ -273,19 +289,32 @@ func decodeValue(raw any) (dataframe.Value, error) {
 	case string:
 		return dataframe.Str(t), nil
 	case json.Number:
-		if i, err := t.Int64(); err == nil && !strings.ContainsAny(t.String(), ".eE") {
-			return dataframe.Int64(i), nil
-		}
-		f, err := t.Float64()
-		if err != nil {
+		v, ok := numberValue(t.String())
+		if !ok {
 			return dataframe.Value{}, fmt.Errorf("profile: bad number %q", t.String())
 		}
-		return dataframe.Float64(f), nil
+		return v, nil
 	case float64:
 		return dataframe.Float64(t), nil
 	default:
 		return dataframe.Value{}, fmt.Errorf("profile: unsupported JSON value of type %T", raw)
 	}
+}
+
+// numberValue types a JSON number literal: Int when it has no '.', 'e' or
+// 'E' and fits in int64, Float otherwise. ok is false when the literal
+// does not parse as a float64 (it is out of range).
+func numberValue(lit string) (v dataframe.Value, ok bool) {
+	if !strings.ContainsAny(lit, ".eE") {
+		if i, err := strconv.ParseInt(lit, 10, 64); err == nil {
+			return dataframe.Int64(i), true
+		}
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		return dataframe.Value{}, false
+	}
+	return dataframe.Float64(f), true
 }
 
 // WriteJSON serializes the profile.
@@ -314,7 +343,27 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON parses a serialized profile, validating format and structure.
+// It reads r whole, then decodes as FromBytes does.
 func ReadJSON(r io.Reader) (*Profile, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		// The general decoder sees what it would have streamed: the bytes
+		// read, then the error.
+		return readJSON(io.MultiReader(bytes.NewReader(data), errReader{err}))
+	}
+	return FromBytes(data)
+}
+
+// errReader fails every read with its error.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// readJSON is the general decoder: encoding/json into profileJSON, then
+// format, version, value and structure checks. It decides every input
+// the single-pass scanner (scan.go) does not take, and its errors are
+// the reader's errors.
+func readJSON(r io.Reader) (*Profile, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
 	var pj profileJSON
@@ -358,7 +407,7 @@ func ReadJSON(r io.Reader) (*Profile, error) {
 			}
 			metrics[name] = v
 		}
-		if err := p.AddSample(nj.Path, metrics); err != nil {
+		if err := p.adoptSample(nj.Path, metrics); err != nil {
 			return nil, err
 		}
 	}
@@ -377,8 +426,15 @@ func (p *Profile) MarshalBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// FromBytes parses a profile from bytes.
-func FromBytes(data []byte) (*Profile, error) { return ReadJSON(bytes.NewReader(data)) }
+// FromBytes parses a profile from bytes. Input of the shape WriteJSON
+// emits is decoded in one pass (scanProfile); anything else, and every
+// error, is the general decoder's (readJSON).
+func FromBytes(data []byte) (*Profile, error) {
+	if p, ok := scanProfile(data); ok {
+		return p, nil
+	}
+	return readJSON(bytes.NewReader(data))
+}
 
 // Save writes the profile to path, creating parent directories. A path
 // ending in ".gz" is gzip-compressed — large campaigns (hundreds of

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataframe"
 	"repro/internal/ingest"
 	"repro/internal/profile"
 	"repro/internal/server"
@@ -41,11 +42,18 @@ func postBody(t *testing.T, ts *httptest.Server, path string, body []byte) (int,
 // a server over it, and a live ingester wired in as the sink.
 func ingestFixture(t *testing.T, iopts ingest.Options) (*httptest.Server, *server.Server, *store.Store, *ingest.Ingester) {
 	t.Helper()
+	return indexedIngestFixture(t, "", iopts)
+}
+
+// indexedIngestFixture is ingestFixture for a store indexed by the
+// metadata column indexBy (the default hash index when empty).
+func indexedIngestFixture(t *testing.T, indexBy string, iopts ingest.Options) (*httptest.Server, *server.Server, *store.Store, *ingest.Ingester) {
+	t.Helper()
 	profiles, err := sim.MarblEnsemble([]sim.MarblCluster{sim.ClusterRZTopaz}, []int{1, 4}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := core.FromProfiles(profiles, core.Options{})
+	th, err := core.FromProfiles(profiles, core.Options{IndexBy: indexBy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +137,30 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 	if status, _, _ := postBody(t, ts, "/ingest", nil); status != http.StatusBadRequest {
 		t.Errorf("empty body: status %d, want 400", status)
+	}
+	// Profiles no flush could compose, even alone: a region name with
+	// '/', and (on a store indexed by walltime) no walltime.
+	uncomposable := func(region string) []byte {
+		p := profile.New()
+		p.SetMeta("trial", dataframe.Int64(900))
+		if err := p.AddSample([]string{region}, map[string]dataframe.Value{"Avg time/rank": dataframe.Float64(1)}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.MarshalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if status, _, body := postBody(t, ts, "/ingest", uncomposable("main/a/b")); status != http.StatusBadRequest {
+		t.Errorf("region with '/': status %d, want 400: %s", status, body)
+	}
+	indexed, _, _, _ := indexedIngestFixture(t, "walltime", ingest.Options{CompactRun: -1})
+	if status, _, body := postBody(t, indexed, "/ingest", uncomposable("main")); status != http.StatusBadRequest {
+		t.Errorf("no walltime on a walltime-indexed store: status %d, want 400: %s", status, body)
+	}
+	if status, _, body := postBody(t, indexed, "/ingest", marblProfileBytes(t, 0)); status != http.StatusOK {
+		t.Errorf("POST /ingest to a walltime-indexed store = %d: %s", status, body)
 	}
 	resp, err := http.Get(ts.URL + "/ingest")
 	if err != nil {

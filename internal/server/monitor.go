@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -41,11 +42,12 @@ func (s *Server) handleDebugAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m.Alerts())
 }
 
-// buildInfo extracts deploy-identifying fields from the binary's
-// embedded build info: the main module version and, when the binary
-// was built from a VCS checkout, the revision and dirty flag. Test
-// binaries carry neither, so every field degrades to its zero value.
-func buildInfo() map[string]any {
+// buildInfo holds deploy-identifying fields from the binary's embedded
+// build info: the main module version and, when the binary was built
+// from a VCS checkout, the revision and dirty flag. Test binaries carry
+// neither, so every field degrades to its zero value. It is read once;
+// the map is shared by every /healthz answer, read-only.
+var buildInfo = sync.OnceValue(func() map[string]any {
 	out := map[string]any{"version": "", "revision": "", "dirty": false}
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -61,4 +63,4 @@ func buildInfo() map[string]any {
 		}
 	}
 	return out
-}
+})

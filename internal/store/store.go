@@ -1073,11 +1073,17 @@ func (s *Store) AppendProfiles(profiles []*profile.Profile) error {
 // exposed so the ingest pipeline can batch composition separately from
 // the durable append.
 func (s *Store) ComposeProfiles(profiles []*profile.Profile) (*core.Thicket, error) {
+	return core.FromProfiles(profiles, s.ComposeOptions())
+}
+
+// ComposeOptions are the options ComposeProfiles composes with: the
+// store's profile level as the index.
+func (s *Store) ComposeOptions() core.Options {
 	opts := core.Options{}
 	if lvl := s.ProfileLevel(); lvl != core.ProfileLevel {
 		opts.IndexBy = lvl
 	}
-	return core.FromProfiles(profiles, opts)
+	return opts
 }
 
 // ColumnInfo summarizes one stored column across segments.

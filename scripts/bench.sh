@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
-# bench.sh — run the old-vs-new benchmark pairs of the dataframe kernels
-# and the core verbs, and emit a machine-readable BENCH_kernels.json.
+# bench.sh — run the old-vs-new benchmark pairs of the dataframe kernels,
+# the core verbs and the profile reader, and emit a machine-readable
+# BENCH_kernels.json.
 #
-# Each kernel or verb has a *Ref benchmark (the preserved string-key
-# implementation from its package's differential_test.go) and a *New
-# benchmark (the shipping integer-key code); this script diffs the
-# pairs into wall-clock speedups and allocation reductions. The
-# dataframe pairs run on 20000-row synthetic frames, the core pairs
-# (FilterMetadata, FilterProfiles, Validate, GroupedStats, PivotMetric)
-# on the 560-profile Figure-13 ensemble.
+# Each kernel or verb has a *Ref benchmark (the preserved reference
+# implementation from its package's tests) and a *New benchmark (the
+# shipping code); this script runs every pair COUNT times (default 5)
+# at BENCHTIME (default 20x) with -benchmem, and writes per benchmark
+# the median and min-max of ns/op, B/op and allocs/op, plus the speedup
+# and allocation reduction as ratios of medians. The dataframe pairs
+# run on 20000-row synthetic frames; the core pairs (FilterMetadata,
+# FilterProfiles, Validate, GroupedStats, PivotMetric) on the
+# 560-profile Figure-13 ensemble, and FromProfiles on its five rows; the
+# profile pair (Decode: the general encoding/json decoder vs FromBytes)
+# on the same 560 profiles as the writer emits them.
 #
 # Usage: scripts/bench.sh [output.json]
-#   BENCHTIME=30x scripts/bench.sh     # override go test -benchtime
+#   BENCHTIME=30x COUNT=3 scripts/bench.sh   # override go test -benchtime / -count
 #
 # Loadgen mode: scripts/bench.sh loadgen [output.json]
 #   Seeded closed-loop traffic run: thicket-loadgen self-hosts a
@@ -89,6 +94,24 @@
 #   the numbers the README and EXPERIMENTS.md quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# AWK_STATS summarizes the space-separated samples of one benchmark
+# metric: median(list), and stat(list) as a JSON object of its median,
+# min and max. Modes that run -count rounds prepend it to their awk.
+AWK_STATS='
+function median(list,    v, n, i, j, t) {
+	n = split(list, v, " ")
+	for (i = 2; i <= n; i++)
+		for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+	return (n % 2) ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2
+}
+function stat(list,    v, n, i, lo, hi) {
+	n = split(list, v, " ")
+	lo = hi = v[1] + 0
+	for (i = 2; i <= n; i++) { if (v[i] + 0 < lo) lo = v[i] + 0; if (v[i] + 0 > hi) hi = v[i] + 0 }
+	return sprintf("{ \"median\": %d, \"min\": %d, \"max\": %d }", median(list), lo, hi)
+}
+'
 
 query_mode() {
 	local OUT="${1:-BENCH_query.json}"
@@ -345,19 +368,7 @@ store_mode() {
 		-benchmem -benchtime "$BENCHTIME" -count "$COUNT" -timeout 20m)"
 	echo "$RAW" >&2
 
-	echo "$RAW" | awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v cores="$(nproc)" '
-	function median(list,    v, n, i, j, t) {
-		n = split(list, v, " ")
-		for (i = 2; i <= n; i++)
-			for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
-		return (n % 2) ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2
-	}
-	function stat(list,    v, n, i, lo, hi) {
-		n = split(list, v, " ")
-		lo = hi = v[1] + 0
-		for (i = 2; i <= n; i++) { if (v[i] + 0 < lo) lo = v[i] + 0; if (v[i] + 0 > hi) hi = v[i] + 0 }
-		return sprintf("{ \"median\": %d, \"min\": %d, \"max\": %d }", median(list), lo, hi)
-	}
+	echo "$RAW" | awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v cores="$(nproc)" "$AWK_STATS"'
 	function emit(section,    i, name, first) {
 		first = 1
 		for (i = 1; i <= n; i++) {
@@ -455,12 +466,18 @@ fi
 
 OUT="${1:-BENCH_kernels.json}"
 BENCHTIME="${BENCHTIME:-20x}"
+COUNT="${COUNT:-5}"
 
-RAW="$(go test ./internal/dataframe ./internal/core -run '^$' -bench '(Ref|New)$' \
-	-benchtime "$BENCHTIME" -timeout 20m)"
+RAW="$(go test ./internal/dataframe ./internal/core ./internal/profile -run '^$' -bench '(Ref|New)$' \
+	-benchmem -benchtime "$BENCHTIME" -count "$COUNT" -timeout 30m)"
 echo "$RAW" >&2
 
-echo "$RAW" | awk -v benchtime="$BENCHTIME" '
+echo "$RAW" | awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v cores="$(nproc)" "$AWK_STATS"'
+function side(label, stem,    key) {
+	key = label stem
+	return sprintf("      \"%s\": { \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s }", \
+		label, stat(ns[key]), stat(bytes[key]), stat(allocs[key]))
+}
 /^goos: /   { goos = $2 }
 /^goarch: / { goarch = $2 }
 /^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }
@@ -468,41 +485,39 @@ echo "$RAW" | awk -v benchtime="$BENCHTIME" '
 	name = $1
 	sub(/-[0-9]+$/, "", name)      # strip GOMAXPROCS suffix
 	sub(/^Benchmark/, "", name)
-	ns = $3; bytes = $5; allocs = $7
-	if (name ~ /Ref$/) {
-		stem = substr(name, 1, length(name) - 3)
-		refNs[stem] = ns; refB[stem] = bytes; refA[stem] = allocs
-	} else if (name ~ /New$/) {
-		stem = substr(name, 1, length(name) - 3)
-		newNs[stem] = ns; newB[stem] = bytes; newA[stem] = allocs
-		if (!(stem in seen)) { order[++n] = stem; seen[stem] = 1 }
+	label = (name ~ /Ref$/) ? "ref" : "new"
+	stem = substr(name, 1, length(name) - 3)
+	key = label stem
+	for (i = 3; i < NF; i++) {
+		if ($(i+1) == "ns/op") ns[key] = ns[key] " " $i
+		if ($(i+1) == "B/op") bytes[key] = bytes[key] " " $i
+		if ($(i+1) == "allocs/op") allocs[key] = allocs[key] " " $i
 	}
+	if (!(stem in seen)) { order[++n] = stem; seen[stem] = 1 }
 }
 END {
 	printf "{\n"
-	printf "  \"description\": \"String-keyed reference implementations vs integer-key code, sequential (1 worker). Dataframe kernels (dictionary-encoded key ids) on %d-row mixed-kind frames with nulls; core verbs (profile ordinals: FilterMetadata, FilterProfiles, Validate via FromParts, GroupedStats, PivotMetric) on the 560-profile Figure-13 ensemble. Ref benchmarks preserve the pre-rewrite EncodeKey code paths verbatim.\",\n", 20000
+	printf "  \"description\": \"Reference implementations (Ref) vs shipping code (New), sequential (1 worker), written by scripts/bench.sh: median and min-max over %d runs of go test -benchmem -benchtime %s. Dataframe kernels (dictionary-encoded key ids vs EncodeKey strings) on %d-row mixed-kind frames with nulls; core verbs (profile ordinals: FilterMetadata, FilterProfiles, Validate via FromParts, GroupedStats, PivotMetric) on the 560-profile Figure-13 ensemble; FromProfiles (one union and direct perf columns vs per-profile unions through dataframe.Builder) composing its five rows; Decode (FromBytes single-pass scanner vs the general encoding/json decoder) over its 560 profile files. Speedups and allocation reductions are ratios of medians.\",\n", count, benchtime, 20000
 	printf "  \"benchtime\": \"%s\",\n", benchtime
-	printf "  \"environment\": { \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\" },\n", goos, goarch, cpu
+	printf "  \"count\": %d,\n", count
+	printf "  \"environment\": { \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\", \"cores\": %d },\n", goos, goarch, cpu, cores
 	printf "  \"kernels\": {\n"
-	first = 1
 	for (i = 1; i <= n; i++) {
 		stem = order[i]
-		if (!first) printf ",\n"
-		first = 0
 		printf "    \"%s\": {\n", stem
-		if (stem in refNs) {
-			printf "      \"ref\": { \"ns_per_op\": %d, \"bytes_per_op\": %d, \"allocs_per_op\": %d },\n", refNs[stem], refB[stem], refA[stem]
-		}
-		printf "      \"new\": { \"ns_per_op\": %d, \"bytes_per_op\": %d, \"allocs_per_op\": %d }", newNs[stem], newB[stem], newA[stem]
-		if (stem in refNs) {
-			printf ",\n      \"speedup\": %.2f,\n", refNs[stem] / newNs[stem]
-			printf "      \"alloc_reduction\": %.1f\n", (newA[stem] > 0) ? refA[stem] / newA[stem] : 0
+		if (("ref" stem) in ns) printf "%s,\n", side("ref", stem)
+		printf "%s", side("new", stem)
+		if (("ref" stem) in ns) {
+			printf ",\n      \"speedup\": %.2f,\n", median(ns["ref" stem]) / median(ns["new" stem])
+			printf "      \"alloc_reduction\": %.1f\n", (median(allocs["new" stem]) > 0) ? median(allocs["ref" stem]) / median(allocs["new" stem]) : 0
 		} else {
 			printf "\n"
 		}
-		printf "    }"
+		printf "    }%s\n", (i < n) ? "," : ""
+		printf "%-18s median %12.0f -> %12.0f ns/op %10.0f -> %10.0f allocs/op\n", stem, \
+			median(ns["ref" stem]), median(ns["new" stem]), median(allocs["ref" stem]), median(allocs["new" stem]) > "/dev/stderr"
 	}
-	printf "\n  }\n}\n"
+	printf "  }\n}\n"
 }
 ' > "$OUT"
 
