@@ -190,14 +190,50 @@ func FromProfiles(profiles []*profile.Profile, opts Options) (*Thicket, error) {
 }
 
 // CheckProfile reports why p cannot be composed under opts, even on its
-// own: the error FromProfiles returns for p alone, or nil when it passes
-// the per-profile checks.
+// own: the error FromProfiles returns for p alone, or nil when
+// FromProfiles would compose it.
 func CheckProfile(p *profile.Profile, opts Options) error {
 	bad, lacks := checkProfile(0, p, opts.IndexBy)
 	if bad != nil {
 		return bad
 	}
-	return lacks
+	if lacks != nil {
+		return lacks
+	}
+	return checkKinds(p)
+}
+
+// checkKinds is perfFrame's kind rule over one profile, whose rows are
+// its nodes in pre-order: a metric column takes the kind of its first
+// present cell, null or not, and a later non-null cell of another kind
+// fails. It returns the error perfFrame reports: that of the failing
+// column whose first cell comes first, by name within a row.
+func checkKinds(p *profile.Profile) error {
+	type column struct {
+		kind  dataframe.Kind
+		first int
+	}
+	cols := map[string]column{}
+	var failed error
+	var failedFirst int
+	var failedName string
+	for row, n := range p.Tree().Nodes() {
+		for name, v := range p.MetricRow(n.Key()) {
+			c, ok := cols[name]
+			if !ok {
+				cols[name] = column{v.Kind(), row}
+				continue
+			}
+			if v.IsNull() || v.Kind() == c.kind {
+				continue
+			}
+			if failed == nil || c.first < failedFirst || c.first == failedFirst && name < failedName {
+				failed = fmt.Errorf("column %q: %w", name, dataframe.NewSeries(name, c.kind).Append(v))
+				failedFirst, failedName = c.first, name
+			}
+		}
+	}
+	return failed
 }
 
 // checkProfile is FromProfiles' check of its i-th profile on its own.

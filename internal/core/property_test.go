@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -168,5 +169,72 @@ func TestRandomEnsembleQueryConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckProfileMatchesFromProfiles: over random single profiles whose
+// metrics mix kinds and nulls, some with a '/' in a region name or no
+// index value, CheckProfile passes exactly the profiles FromProfiles
+// composes alone, and refuses the rest with FromProfiles' error text.
+func TestCheckProfileMatchesFromProfiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	vocab := []string{"main", "solve", "io", "mult", "halo", "a/b"}
+	cells := []dataframe.Value{
+		dataframe.Int64(1), dataframe.Int64(2), dataframe.Float64(1), dataframe.Float64(1.5),
+		dataframe.Str("x"), dataframe.BoolVal(true),
+		dataframe.Null(dataframe.Float), dataframe.Null(dataframe.Int), dataframe.Null(dataframe.String), dataframe.NaN(),
+	}
+	optsList := []Options{{}, {IndexBy: "id"}, {IntersectTrees: true}}
+	var oks, kindErrs, otherErrs int
+	for trial := 0; trial < 2000; trial++ {
+		p := profile.New()
+		if rng.Intn(10) > 0 {
+			p.SetMeta("id", dataframe.Int64(int64(trial)))
+		}
+		// Mostly one kind per metric, so that some profiles compose.
+		kinds := map[string][]dataframe.Value{}
+		for _, m := range []string{"time", "bytes", "flops"} {
+			if rng.Intn(3) == 0 {
+				kinds[m] = cells
+			} else {
+				kinds[m] = []dataframe.Value{cells[rng.Intn(6)], cells[6+rng.Intn(4)]}
+			}
+		}
+		for j, nPaths := 0, 1+rng.Intn(6); j < nPaths; j++ {
+			path := []string{"main"}
+			for d := rng.Intn(3); d > 0; d-- {
+				name := vocab[1+rng.Intn(len(vocab)-2)]
+				if rng.Intn(40) == 0 {
+					name = vocab[len(vocab)-1]
+				}
+				path = append(path, name)
+			}
+			metrics := map[string]dataframe.Value{}
+			for m, pool := range kinds {
+				if rng.Intn(3) > 0 {
+					metrics[m] = pool[rng.Intn(len(pool))]
+				}
+			}
+			if err := p.AddSample(path, metrics); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, opts := range optsList {
+			label := fmt.Sprintf("trial %d %+v", trial, opts)
+			_, want := FromProfiles([]*profile.Profile{p}, opts)
+			got := CheckProfile(p, opts)
+			assertErrorsEqual(t, label, want, got)
+			switch {
+			case want == nil:
+				oks++
+			case strings.Contains(want.Error(), "cannot append"):
+				kindErrs++
+			default:
+				otherErrs++
+			}
+		}
+	}
+	if oks == 0 || kindErrs == 0 || otherErrs == 0 {
+		t.Fatalf("%d composed, %d kind conflicts, %d other refusals: the inputs must exercise each", oks, kindErrs, otherErrs)
 	}
 }

@@ -92,17 +92,17 @@ type submitReq struct {
 
 // Ingester is the streaming write path: a bounded admission queue in
 // front of a single writer goroutine that group-commits profiles to the
-// WAL (acking each submitter only after its record is durable), batches
-// acked profiles into level-0 store segments, and a background
-// compactor folding segment runs upward. Safe for concurrent Submit.
+// WAL (acking each submitter only after its record is durable) and hands
+// batches of acked profiles to a flusher, which writes each batch as a
+// level-0 store segment, and a background compactor folding segment runs
+// upward. Safe for concurrent Submit.
 type Ingester struct {
 	st   *store.Store
 	wal  *WAL
 	opts Options
 	log  *slog.Logger
-	// compose is the store's ComposeOptions, read once: submits check
-	// profiles against it without taking the store's lock, which a
-	// segment commit holds across its fsyncs.
+	// compose is the store's ComposeOptions, read once: they derive from
+	// the store's profile level, which never changes after open.
 	compose core.Options
 
 	queue      chan submitReq
@@ -128,7 +128,8 @@ type Ingester struct {
 }
 
 // New opens the WAL (replaying any crash residue into the store as a
-// level-0 segment) and starts the writer and compactor goroutines.
+// level-0 segment) and starts the writer, which runs the flusher, and
+// the compactor goroutines.
 // The store must be a directory store, the one layout that grows; any
 // other is refused before the WAL is opened. It must remain open for
 // the Ingester's lifetime; Close the Ingester first.
@@ -200,9 +201,10 @@ func newIngester(st *store.Store, opts Options) (*Ingester, error) {
 	return in, nil
 }
 
-// recover replays WAL records left by a crash into a level-0 segment.
+// recover replays the records a crash left in the sealed log and then
+// the live one into a level-0 segment, and then checkpoints both logs.
 // Profiles the store already holds are skipped — the crash may have
-// landed between the store flush and the WAL reset — so replay is
+// landed between a flush's commit and its checkpoint — so replay is
 // idempotent.
 func (in *Ingester) recover() error {
 	records := in.wal.Recovered()
@@ -274,18 +276,38 @@ func (in *Ingester) submit(payload []byte, p *profile.Profile) error {
 
 // writerLoop is the single WAL writer: it drains the queue in batches,
 // group-commits each batch with one fsync, acks the submitters, and
-// flushes accumulated profiles to level-0 segments.
+// hands accumulated profiles off to be flushed to a level-0 segment. A
+// hand-off seals the log and starts the flush on its own goroutine; it
+// first waits for the previous flush, so at most one runs and segments
+// land in arrival order. The loop returns once the last flush is done.
 func (in *Ingester) writerLoop() {
 	defer in.writerWG.Done()
 	var pending []*profile.Profile
+	var flushing chan struct{} // closed when the last flush handed off ends
+	defer func() {
+		if flushing != nil {
+			<-flushing
+		}
+	}()
 	timer := time.NewTimer(in.opts.FlushInterval)
 	defer timer.Stop()
 	flush := func() {
 		if len(pending) == 0 {
 			return
 		}
-		in.flushL0(pending)
-		pending = nil
+		if flushing != nil {
+			<-flushing
+		}
+		sealed, err := in.wal.Seal()
+		if err != nil {
+			in.log.Error("ingest wal seal failed", "component", "ingest", "error", err.Error())
+		}
+		done := make(chan struct{})
+		go func(batch []*profile.Profile) {
+			defer close(done)
+			in.flushL0(batch, sealed)
+		}(pending)
+		flushing, pending = done, nil
 	}
 	for {
 		select {
@@ -359,10 +381,12 @@ func (in *Ingester) commit(batch []submitReq) []*profile.Profile {
 	return profiles
 }
 
-// flushL0 writes acked profiles as one level-0 segment and checkpoints
-// the WAL. Failures fall back to per-profile appends so one bad profile
-// (a duplicate index, say) cannot wedge the whole stream.
-func (in *Ingester) flushL0(pending []*profile.Profile) {
+// flushL0 is the flusher: it writes a handed-off batch of acked profiles
+// as one level-0 segment and, when the hand-off sealed the log holding
+// them, checkpoints by deleting it. Failures fall back to per-profile
+// appends so one bad profile (a duplicate index, say) cannot wedge the
+// whole stream.
+func (in *Ingester) flushL0(pending []*profile.Profile, sealed bool) {
 	sp := telemetry.StartOp("ingest.flushL0")
 	if sp != nil {
 		sp.SetAttr("profiles", fmt.Sprint(len(pending)))
@@ -370,10 +394,13 @@ func (in *Ingester) flushL0(pending []*profile.Profile) {
 	}
 	in.appendBestEffort(pending)
 	in.flushes.Inc()
-	if err := in.wal.Reset(); err != nil {
-		// The store holds everything; a failed truncate only means
-		// replay will re-skip these profiles after a crash.
-		in.log.Error("ingest wal reset failed", "component", "ingest", "error", err.Error())
+	if sealed {
+		if err := in.wal.DropSealed(); err != nil {
+			// The store holds everything; a sealed log left behind
+			// only means replay will re-skip these profiles after a
+			// crash, and the next seal renames over it.
+			in.log.Error("ingest wal checkpoint failed", "component", "ingest", "error", err.Error())
+		}
 	}
 	in.updateBacklog()
 	select {

@@ -486,9 +486,10 @@ func TestIngesterSubmitAfterClose(t *testing.T) {
 
 // TestSubmitRefusesUncomposable: a profile no flush could compose, even
 // alone, is refused at submit with ErrBadPayload, before the WAL, rather
-// than acked and then dropped at flush. There are two kinds: a region
-// name containing '/', and a profile without a value for the metadata
-// column a store is indexed by.
+// than acked and then dropped at flush. There are three kinds: a region
+// name containing '/', a profile without a value for the metadata
+// column a store is indexed by, and a profile whose own nodes give one
+// metric two kinds.
 func TestSubmitRefusesUncomposable(t *testing.T) {
 	mk := func(meta string) *profile.Profile {
 		p := profile.New()
@@ -546,6 +547,30 @@ func TestSubmitRefusesUncomposable(t *testing.T) {
 		if acked != 1 || dropped != 0 || st.Info().Profiles != 1 {
 			t.Errorf("level %s: acked %d, dropped %d, %d profiles stored; want 1, 0, 1",
 				tc.level, acked, dropped, st.Info().Profiles)
+		}
+	}
+	for _, payload := range []string{
+		`{"format":"thicket-profile","version":1,"metadata":{"trial":1},"nodes":[{"path":["main"],"metrics":{"time":1}},{"path":["main","solve"],"metrics":{"time":1.5}}]}`,
+		`{"format":"thicket-profile","version":1,"metadata":{"trial":1},"nodes":[{"path":["main"],"metrics":{"time":null}},{"path":["main","solve"],"metrics":{"time":2}}]}`,
+	} {
+		st := newDirStore(t)
+		reg := telemetry.NewRegistry()
+		opts := quietOpts()
+		opts.Registry = reg
+		in, err := New(st, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.SubmitBytes([]byte(payload)); !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), `column "time"`) {
+			t.Errorf("SubmitBytes(%s) = %v, want ErrBadPayload naming column \"time\"", payload, err)
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		acked := reg.SumCounter("thicket_ingest_acked_total")
+		dropped := reg.SumCounter("thicket_ingest_dropped_total")
+		if acked != 0 || dropped != 0 || st.NumSegments() != 0 {
+			t.Errorf("%s: acked %d, dropped %d, %d segments; want 0, 0, 0", payload, acked, dropped, st.NumSegments())
 		}
 	}
 }

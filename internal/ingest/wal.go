@@ -9,28 +9,35 @@
 //     configured policy; a profile is *acked* (the HTTP 200 goes out)
 //     only after its WAL record is durable. Group commit batches many
 //     records per fsync under load.
-//  2. Acked profiles accumulate in memory and flush as a small level-0
-//     store segment once enough gather (or a timer fires). After a
-//     flush the WAL resets — everything it guarded is now in the store.
+//  2. Acked profiles accumulate in memory. Once enough gather (or a
+//     timer fires) the writer hands them off: it seals the log — renames
+//     it to <wal>.sealed and starts a fresh, empty one — and goes back to
+//     acking while a flusher writes the batch as a small level-0 store
+//     segment. Deleting the sealed log once that segment is committed is
+//     the checkpoint: everything it guarded is now in the store. At most
+//     one flush is in flight; a hand-off waits for the previous one.
 //  3. The compactor watches for runs of adjacent same-level segments
 //     and merges each run into one segment a level up, re-sorting rows
 //     node-major (the batch builder's layout) and re-folding dictionary
 //     pages, so a fully compacted store is byte-identical to one built
 //     from the same profiles in a single batch.
 //
-// Crash recovery replays the WAL: complete records become an L0 segment
-// (skipping profiles the store already holds — the crash may have hit
-// between store flush and WAL reset), and a torn tail — a partial or
-// corrupt final record from a mid-write crash — is detected by CRC and
-// truncated, never trusted.
+// Crash recovery replays the sealed log, if any, and then the live one:
+// complete records become an L0 segment (skipping profiles the store
+// already holds — the crash may have hit between a store flush and its
+// checkpoint), and a torn tail — a partial or corrupt final record from
+// a mid-write crash — is detected by CRC and dropped, never trusted.
 package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/telemetry"
@@ -94,11 +101,14 @@ type WALOptions struct {
 	Registry *telemetry.Registry
 }
 
-// WAL is a length+CRC framed write-ahead log. It is not safe for
-// concurrent use — the ingester owns it from a single writer goroutine.
+// WAL is a length+CRC framed write-ahead log at path, plus, between a
+// Seal and its checkpoint, the sealed log at path+".sealed". It is not
+// safe for concurrent use — the ingester owns it from a single writer
+// goroutine — except DropSealed, which touches only the sealed log.
 type WAL struct {
 	path   string
-	f      *os.File
+	f      *os.File // nil once closed, or once a Seal could not open a fresh log
+	lost   error    // why a Seal left no log open
 	policy SyncPolicy
 	maxRec uint32
 	size   int64 // durable + buffered bytes
@@ -112,6 +122,7 @@ type WAL struct {
 	fsyncS  *telemetry.Histogram
 	resets  *telemetry.Counter
 	torn    *telemetry.Counter
+	rotateF *telemetry.Counter
 }
 
 // appendWALRecord frames payload onto buf.
@@ -145,11 +156,12 @@ func parseWALRecord(data []byte, maxRec uint32) (payload []byte, consumed int, e
 	return payload, walRecHdrLen + int(n), nil
 }
 
-// OpenWAL opens (or creates) the log at path. An existing log is
-// scanned: complete records are retained for Recovered(), and a torn
-// tail — the residue of a crash mid-append — is truncated away so new
-// records never land after garbage. A file that does not even hold the
-// magic is an error (it is not ours to truncate).
+// OpenWAL opens (or creates) the log at path. A sealed log a crash left
+// behind is scanned first, then an existing log: complete records are
+// retained for Recovered(), in that order, and a torn tail — the residue
+// of a crash mid-append — is dropped; in the live log it is truncated
+// away so new records never land after garbage. A file that does not
+// even hold the magic is an error (it is not ours to truncate).
 func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 	reg := opts.Registry
 	if reg == nil {
@@ -175,6 +187,11 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 			"Write-ahead log checkpoints (truncations after store flush).", "wal", path),
 		torn: reg.Counter("thicket_wal_torn_records_total",
 			"Torn or corrupt tail records dropped during WAL replay.", "wal", path),
+		rotateF: reg.Counter("thicket_wal_rotate_failures_total",
+			"Write-ahead log seals (rotations at a flush hand-off) that failed.", "wal", path),
+	}
+	if err := w.replaySealed(); err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -187,11 +204,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		return nil, fmt.Errorf("ingest: open wal %s: %w", path, err)
 	}
 	if st.Size() == 0 {
-		if _, err := f.Write([]byte(WALMagic)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ingest: open wal %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
+		if err := w.writeHeader(f); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("ingest: open wal %s: %w", path, err)
 		}
@@ -205,43 +218,99 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 	return w, nil
 }
 
+// sealedPath is where Seal moves the log.
+func (w *WAL) sealedPath() string { return w.path + ".sealed" }
+
+// replaySealed retains the complete records of the sealed log, if one
+// exists.
+func (w *WAL) replaySealed() error {
+	data, err := os.ReadFile(w.sealedPath())
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("ingest: replay wal %s: %w", w.sealedPath(), err)
+	}
+	w.recovered, _, err = w.scan(data, w.sealedPath())
+	return err
+}
+
 // replay scans the existing log, retains complete records, and
 // truncates the torn tail (if any) in place.
 func (w *WAL) replay(size int64) error {
-	sp := telemetry.StartOp("wal.replay")
-	defer sp.End()
 	data := make([]byte, size)
 	if _, err := io.ReadFull(io.NewSectionReader(w.f, 0, size), data); err != nil {
 		return fmt.Errorf("ingest: replay wal %s: %w", w.path, err)
 	}
-	if size < int64(len(WALMagic)) || string(data[:len(WALMagic)]) != WALMagic {
-		return fmt.Errorf("ingest: replay wal %s: bad magic", w.path)
+	records, off, err := w.scan(data, w.path)
+	if err != nil {
+		return err
 	}
-	off := len(WALMagic)
-	for off < len(data) {
-		payload, consumed, err := parseWALRecord(data[off:], w.maxRec)
-		if err != nil {
-			// Torn tail: everything before off is intact; drop the rest.
-			w.torn.Inc()
-			break
-		}
-		w.recovered = append(w.recovered, append([]byte(nil), payload...))
-		off += consumed
-	}
-	if int64(off) < size {
-		if err := w.f.Truncate(int64(off)); err != nil {
+	w.recovered = append(w.recovered, records...)
+	if off < size {
+		if err := w.f.Truncate(off); err != nil {
 			return fmt.Errorf("ingest: replay wal %s: truncate torn tail: %w", w.path, err)
 		}
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("ingest: replay wal %s: %w", w.path, err)
 		}
 	}
-	w.size = int64(off)
-	if sp != nil {
-		sp.SetAttr("records", fmt.Sprint(len(w.recovered)))
-		sp.SetAttr("truncated_bytes", fmt.Sprint(size-int64(off)))
-	}
+	w.size = off
 	return nil
+}
+
+// scan parses data, the bytes of the log at path, and returns its
+// complete records and the length of the intact prefix they end.
+func (w *WAL) scan(data []byte, path string) (records [][]byte, off int64, err error) {
+	sp := telemetry.StartOp("wal.replay")
+	defer sp.End()
+	if len(data) < len(WALMagic) || string(data[:len(WALMagic)]) != WALMagic {
+		return nil, 0, fmt.Errorf("ingest: replay wal %s: bad magic", path)
+	}
+	at := len(WALMagic)
+	for at < len(data) {
+		payload, consumed, err := parseWALRecord(data[at:], w.maxRec)
+		if err != nil {
+			// Torn tail: everything before at is intact; drop the rest.
+			w.torn.Inc()
+			break
+		}
+		records = append(records, append([]byte(nil), payload...))
+		at += consumed
+	}
+	if sp != nil {
+		sp.SetAttr("path", path)
+		sp.SetAttr("records", fmt.Sprint(len(records)))
+		sp.SetAttr("truncated_bytes", fmt.Sprint(len(data)-at))
+	}
+	return records, int64(at), nil
+}
+
+// writeHeader writes the magic into the empty log file f and, unless
+// the policy never syncs, makes the file and its directory entry durable.
+func (w *WAL) writeHeader(f *os.File) error {
+	if _, err := f.Write([]byte(WALMagic)); err != nil {
+		return err
+	}
+	if w.policy == SyncNone {
+		return nil
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(w.path))
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Recovered returns the complete records found at open, in append
@@ -256,6 +325,9 @@ func (w *WAL) Recovered() [][]byte {
 // durable on return; otherwise it is buffered until Sync (the group
 // commit) and MUST NOT be acked before then.
 func (w *WAL) Append(payload []byte) error {
+	if w.f == nil {
+		return fmt.Errorf("ingest: wal %s: append: no open log: %w", w.path, w.lost)
+	}
 	if uint32(len(payload)) > w.maxRec {
 		return fmt.Errorf("ingest: wal %s: record %d bytes exceeds max %d", w.path, len(payload), w.maxRec)
 	}
@@ -290,8 +362,55 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// Reset checkpoints the log: every record it guards is now durably in
-// the store, so the log truncates back to its header.
+// Seal moves the log to its sealed name and starts a fresh log at path
+// holding only its header, durable (file and directory fsynced, unless
+// the policy never syncs) before Seal returns, so no record lands in it
+// before the rename is durable. sealed reports whether the rename
+// happened: the sealed log then holds every record appended so far, and
+// DropSealed is its checkpoint. The sealed name must be free of any
+// record the store lacks: the caller checkpoints each sealed log before
+// the next Seal. A failed rename leaves the records in the log, for a
+// later Seal to take. If no fresh log could be opened after the rename,
+// Append fails with that error from then on. Failures are counted.
+func (w *WAL) Seal() (sealed bool, err error) {
+	if w.f == nil {
+		return false, fmt.Errorf("ingest: wal %s: seal: no open log: %w", w.path, w.lost)
+	}
+	if err := os.Rename(w.path, w.sealedPath()); err != nil {
+		w.rotateF.Inc()
+		return false, fmt.Errorf("ingest: wal %s: seal: %w", w.path, err)
+	}
+	w.f.Close() // every acked record in it is fsynced already
+	w.f = nil
+	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if err = w.writeHeader(f); err != nil {
+			f.Close()
+		}
+	}
+	if err != nil {
+		w.rotateF.Inc()
+		w.lost = fmt.Errorf("ingest: wal %s: seal: %w", w.path, err)
+		return true, w.lost
+	}
+	w.f, w.size = f, int64(len(WALMagic))
+	return true, nil
+}
+
+// DropSealed checkpoints the sealed log once the store holds every
+// record in it: it deletes the file, if any, and counts a reset. It
+// touches only the sealed log, so it may run beside the writer's Append.
+func (w *WAL) DropSealed() error {
+	if err := os.Remove(w.sealedPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("ingest: wal %s: checkpoint: %w", w.path, err)
+	}
+	w.resets.Inc()
+	return nil
+}
+
+// Reset checkpoints both logs after recovery: every record they guard is
+// now durably in the store, so the log truncates back to its header, and
+// then the sealed log, if any, is deleted.
 func (w *WAL) Reset() error {
 	if err := w.f.Truncate(int64(len(WALMagic))); err != nil {
 		return fmt.Errorf("ingest: wal %s: reset: %w", w.path, err)
@@ -302,8 +421,7 @@ func (w *WAL) Reset() error {
 		}
 	}
 	w.size = int64(len(WALMagic))
-	w.resets.Inc()
-	return nil
+	return w.DropSealed()
 }
 
 // Size reports the log's current length in bytes (header included).
@@ -312,10 +430,11 @@ func (w *WAL) Size() int64 { return w.size }
 // Path reports the log file's path.
 func (w *WAL) Path() string { return w.path }
 
-// Close syncs and closes the log file.
+// Close syncs and closes the log file. If a Seal left no log open, it
+// returns that failure.
 func (w *WAL) Close() error {
 	if w.f == nil {
-		return nil
+		return w.lost
 	}
 	err := w.Sync()
 	if cerr := w.f.Close(); err == nil {

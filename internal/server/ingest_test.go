@@ -22,6 +22,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 func postBody(t *testing.T, ts *httptest.Server, path string, body []byte) (int, http.Header, string) {
@@ -79,6 +80,70 @@ func indexedIngestFixture(t *testing.T, indexBy string, iopts ingest.Options) (*
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv, st, ing
+}
+
+// TestNewServesRecoveredProfiles: a thicket loaded before the ingester
+// recovers a WAL — thicketd's order: Load, ingest.New, server.New —
+// misses the segment that recovery appends, and New brings it up to
+// date, so the first answer already counts the recovered profiles.
+func TestNewServesRecoveredProfiles(t *testing.T) {
+	profiles, err := sim.MarblEnsemble([]sim.MarblCluster{sim.ClusterRZTopaz}, []int{1, 4}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := core.FromProfiles(profiles, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := store.CreateDir(dir, th); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	loaded, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crash residue: acked profiles the WAL holds and the store lacks.
+	w, err := ingest.OpenWAL(dir+".wal", ingest.WALOptions{Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := range 4 {
+		if err := w.Append(marblProfileBytes(t, trial)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ing, err := ingest.New(st, ingest.Options{Registry: telemetry.NewRegistry(), CompactRun: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ing.Close() })
+	srv := server.New(loaded, st, server.Options{Ingest: ing})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	want := len(profiles) + 4
+	if got := st.Info().Profiles; got != want {
+		t.Fatalf("store holds %d profiles after recovery, want %d", got, want)
+	}
+	if got := getJSON(t, ts.URL+"/api/profiles")["count"]; got != float64(want) {
+		t.Errorf("/api/profiles count = %v, want %d", got, want)
+	}
+	hz := getJSON(t, ts.URL+"/healthz")
+	if gen := hz["cache"].(map[string]any)["generation"]; gen != float64(st.Generation()) {
+		t.Errorf("resident generation %v, store at %d", gen, st.Generation())
+	}
+	if hz["reloads"] != float64(0) {
+		t.Errorf("reloads = %v, want 0: New reconciles before serving", hz["reloads"])
+	}
 }
 
 func marblProfileBytes(t *testing.T, trial int) []byte {

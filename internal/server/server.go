@@ -171,8 +171,9 @@ type Server struct {
 }
 
 // New builds a server over an already-loaded thicket and the store it
-// came from; th should be what st.Load() returned. A thicket that did
-// not come from a store is served through store.FromThicket. Every
+// came from; th should be what st.Load() returned, and New brings it up
+// to everything the store has committed since. A thicket that did not
+// come from a store is served through store.FromThicket. Every
 // where= and explain= request runs its plan against st, /api/info
 // reports st's storage-level detail, and whenever the store's
 // generation moves (an in-process append or compaction) the server
@@ -224,10 +225,20 @@ func New(th *core.Thicket, st *store.Store, opts Options) *Server {
 		s.reloadDur[mode] = reg.Histogram("thicket_reload_seconds", "Time to build the resident thicket swapped in after a store change, by refresh mode.", "mode", mode)
 	}
 	s.genGauge = reg.Gauge("thicket_resident_generation", "Store generation the resident thicket reflects.")
+	// Bring th up to what the store has committed since it was loaded (a
+	// WAL recovery between Load and New appends a segment). Refresh hands
+	// th back, with its snapshot's generations, when nothing is new. If
+	// it fails, no generation matches -1, so the first request retries.
+	gen, contentGen := int64(-1), st.ContentGeneration()
+	if fresh, g, cg, _, err := st.Refresh(th); err == nil {
+		th, gen, contentGen = fresh, g, cg
+	} else {
+		s.reloadErrs.Inc()
+	}
 	s.th.Store(th)
-	s.gen.Store(st.Generation())
-	s.genGauge.Set(st.Generation())
-	s.cache.invalidate(st.ContentGeneration(), treeFingerprint(th))
+	s.gen.Store(gen)
+	s.genGauge.Set(gen)
+	s.cache.invalidate(contentGen, treeFingerprint(th))
 	for _, path := range []string{
 		"/healthz", "/metrics", "/api/info", "/api/profiles", "/api/stats",
 		"/api/groupby", "/api/summary", "/api/query", "/api/tree",

@@ -245,16 +245,16 @@ func (s *Store) sweepOrphans(m manifest) {
 	}
 }
 
-// currentManifest builds the manifest matching the in-memory segment
-// set. Caller holds s.mu.
-func (s *Store) currentManifestLocked() manifest {
+// manifestFor builds the manifest naming segs as the layout, with the
+// given next_gen and content generation.
+func (s *Store) manifestFor(segs []*segment, nextGen, contentGen int64) manifest {
 	m := manifest{
 		Version:      1,
 		ProfileLevel: s.profileLevel,
-		NextGen:      s.nextSegGen,
-		ContentGen:   s.contentGen,
+		NextGen:      nextGen,
+		ContentGen:   contentGen,
 	}
-	for _, sg := range s.segs {
+	for _, sg := range segs {
 		m.Segments = append(m.Segments, manifestSeg{
 			File: filepath.Base(sg.file), Level: sg.level, Gen: sg.gen,
 		})
@@ -286,25 +286,30 @@ func writeSegmentFile(path string, rec []byte) (*os.File, error) {
 }
 
 // commitSegment is the one commit of a directory store: it writes rec
-// as segment file seg-<next_gen>.tks, fsyncs and parses it, splices it
-// into the layout in place of the n segments from position at (n = 0
-// adds it there, as an append adds it at the tail), bumps next_gen and
-// the layout generation — and the content generation for an append —
-// and swaps the manifest. On failure it restores the in-memory view and
-// removes the file; the next commit writes this generation again, over
-// anything left behind. It returns the new segment's generation and the
-// n segments it replaced. Caller holds s.mu.
+// as segment file seg-<next_gen>.tks, fsyncs and parses it, and swaps in
+// a manifest whose layout splices it in place of the n segments from
+// position at (n = 0 adds it there, as an append adds it at the tail),
+// with next_gen and the layout generation bumped — and the content
+// generation for an append. All of that runs outside s.mu, so reads go
+// on meanwhile; only once the manifest is durable does the commit take
+// s.mu, to publish the new layout and generations. On failure nothing
+// has been published: it removes the file, and the next commit writes
+// this generation again, over anything left behind. It returns the new
+// segment's generation and the n segments it replaced. Caller holds
+// writeMu, which every writer of the layout holds, so the commit reads
+// the layout without s.mu.
 func (s *Store) commitSegment(rec []byte, level, at, n int) (gen int64, replaced []*segment, err error) {
+	if s.closed {
+		return 0, nil, errors.New("store closed")
+	}
 	gen = s.nextSegGen
 	path := filepath.Join(s.path, segFileName(gen))
 	f, err := writeSegmentFile(path, rec)
 	if err != nil {
 		return 0, nil, err
 	}
-	old, oldGen, oldContent, oldNext := s.segs, s.gen, s.contentGen, s.nextSegGen
 	defer func() {
 		if err != nil {
-			s.segs, s.gen, s.contentGen, s.nextSegGen = old, oldGen, oldContent, oldNext
 			f.Close()
 			os.Remove(path)
 		}
@@ -318,23 +323,29 @@ func (s *Store) commitSegment(rec []byte, level, at, n int) (gen int64, replaced
 	}
 	sg := parsed[0]
 	sg.gen, sg.level, sg.file, sg.owned = gen, level, path, true
-	s.segs = slices.Concat(old[:at], []*segment{sg}, old[at+n:])
-	s.nextSegGen++
-	s.gen++
+	segs := slices.Concat(s.segs[:at], []*segment{sg}, s.segs[at+n:])
+	contentGen := s.contentGen
 	if n == 0 {
-		s.contentGen++
+		contentGen++
 	}
-	if err := writeManifest(s.path, s.currentManifestLocked()); err != nil {
+	if err := writeManifest(s.path, s.manifestFor(segs, gen+1, contentGen)); err != nil {
 		return 0, nil, err
 	}
+	if s.publishHook != nil {
+		s.publishHook()
+	}
+	s.mu.Lock()
+	replaced = s.segs[at : at+n]
+	s.segs, s.nextSegGen, s.contentGen = segs, gen+1, contentGen
+	s.gen++
 	s.genGauge.Set(s.gen)
-	return gen, old[at : at+n], nil
+	s.mu.Unlock()
+	return gen, replaced, nil
 }
 
 // appendSegmentDir commits rec as a new segment at the layout's tail.
+// Caller holds writeMu, so the event is logged before the next commit.
 func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	gen, _, err := s.commitSegment(rec, level, len(s.segs), 0)
 	if err != nil {
 		return fmt.Errorf("store: %s: append: %w", s.path, err)
@@ -369,8 +380,11 @@ func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) e
 		return fmt.Errorf("store: %s: replace: %w", s.path, err)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Commits, and Close, hold writeMu: the layout read here is the one
+	// this commit replaces into, and the compact event is logged before
+	// the next commit.
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	pos := map[int64]int{}
 	for i, sg := range s.segs {
 		pos[sg.gen] = i

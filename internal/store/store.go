@@ -130,15 +130,26 @@ type Store struct {
 	dir  bool     // directory (manifest) layout
 	f    *os.File // single-file layout only; nil in memory
 
-	appendMu sync.Mutex // serializes validate+commit of appends
+	// writeMu is the writer lock: every commit (an append's validate and
+	// commit, a compaction) and Close hold it, so commits run one at a
+	// time, write and fsync outside mu, and read the layout without it.
+	writeMu sync.Mutex
+	closed  bool // set by Close; commits refuse after it. Guarded by writeMu.
 
-	mu           sync.Mutex // guards segs, gens, manifest writes
-	segs         []*segment
-	gen          int64 // layout generation: bumps on append AND compaction
-	contentGen   int64 // content generation: bumps on append only
-	nextSegGen   int64 // allocator for per-segment stamps (directory layout)
-	profileLevel string
+	// mu guards the published layout: segs and the generations. Readers
+	// take it to pin or read them; a commit takes it only to publish.
+	mu         sync.Mutex
+	segs       []*segment
+	gen        int64 // layout generation: bumps on append AND compaction
+	contentGen int64 // content generation: bumps on append only
+	nextSegGen int64 // allocator for per-segment stamps (directory layout)
+
+	profileLevel string // set at open and never changed: read without a lock
 	cache        *columnCache
+
+	// publishHook, when set (tests only), runs in each commit between
+	// its durable manifest swap and the publish.
+	publishHook func()
 
 	// union is the call tree over the live segments, built once per
 	// layout generation (Snapshot.Tree).
@@ -354,8 +365,12 @@ func (s *Store) adopt(segs []*segment) error {
 	return nil
 }
 
-// Close releases every underlying file.
+// Close releases every underlying file. It waits for a commit in
+// flight, and refuses the commits that come after it.
 func (s *Store) Close() error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	s.closed = true
 	var err error
 	if s.f != nil {
 		err = s.f.Close()
@@ -380,11 +395,7 @@ func (s *Store) IsDir() bool { return s.dir }
 
 // ProfileLevel reports the profile index level name shared by every
 // segment.
-func (s *Store) ProfileLevel() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.profileLevel
-}
+func (s *Store) ProfileLevel() string { return s.profileLevel }
 
 // NumSegments reports the number of live segments.
 func (s *Store) NumSegments() int {
@@ -965,7 +976,7 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 // ones of the same name or key, and no reused profile-index values. Its
 // cost is a header walk plus one Locate of th's profiles per live
 // segment, on each segment's profile index. Only a directory store takes
-// appends. Caller holds appendMu.
+// appends. Caller holds writeMu.
 func (s *Store) validateAppend(th *core.Thicket) error {
 	if !s.dir {
 		return fmt.Errorf("store: %s: read-only: a single-file store is written once; appends go to directory stores", s.path)
@@ -1041,11 +1052,10 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 		sp.SetAttr("profiles", fmt.Sprint(th.NumProfiles()))
 		defer sp.End()
 	}
-	// Validation reads the live segment set (pin takes s.mu), so the
-	// whole validate+commit sequence serializes on its own lock:
-	// concurrent appends must not both pass the duplicate-profile check.
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
+	// The whole validate+commit sequence holds the writer lock, so
+	// concurrent appends cannot both pass the duplicate-profile check.
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.validateAppend(th); err != nil {
 		return err
 	}
@@ -1123,16 +1133,18 @@ type Info struct {
 	CacheEntries int           `json:"cache_entries"`
 }
 
-// Info reports the store's shape from headers alone.
+// Info reports the store's shape from headers alone, all of it from one
+// snapshot: the generations name exactly the segments it lists.
 func (s *Store) Info() Info {
-	segs, release := s.pin()
-	defer release()
+	sn := s.Snapshot()
+	defer sn.Release()
+	segs := sn.segs
 	info := Info{
 		Path:         s.path,
 		Segments:     len(segs),
-		ProfileLevel: s.ProfileLevel(),
-		Generation:   s.Generation(),
-		ContentGen:   s.ContentGeneration(),
+		ProfileLevel: s.profileLevel,
+		Generation:   sn.gen,
+		ContentGen:   sn.contentGen,
 	}
 	if s.f != nil {
 		if st, err := s.f.Stat(); err == nil {
