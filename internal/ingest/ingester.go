@@ -182,7 +182,7 @@ func newIngester(st *store.Store, opts Options) (*Ingester, error) {
 		acked: reg.Counter("thicket_ingest_acked_total",
 			"Profiles durably acknowledged (WAL-fsynced).", "store", st.Path()),
 		dropped: reg.Counter("thicket_ingest_dropped_total",
-			"Acked profiles dropped at store flush (duplicate or invalid).", "store", st.Path()),
+			"Acked profiles a flush did not store (duplicate or invalid), WAL-recovered ones the store already held included.", "store", st.Path()),
 		recoveredC: reg.Counter("thicket_ingest_recovered_total",
 			"Profiles recovered from the WAL at startup.", "store", st.Path()),
 		flushes: reg.Counter("thicket_ingest_l0_flushes_total",

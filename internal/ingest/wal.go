@@ -184,7 +184,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		fsyncS: reg.Histogram("thicket_wal_fsync_seconds",
 			"Write-ahead log fsync latency.", "wal", path),
 		resets: reg.Counter("thicket_wal_resets_total",
-			"Write-ahead log checkpoints (truncations after store flush).", "wal", path),
+			"Write-ahead log checkpoints (sealed log deleted after its flush, or log truncated after recovery).", "wal", path),
 		torn: reg.Counter("thicket_wal_torn_records_total",
 			"Torn or corrupt tail records dropped during WAL replay.", "wal", path),
 		rotateF: reg.Counter("thicket_wal_rotate_failures_total",

@@ -242,11 +242,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		return nil, ex, nil
 	}
 	stageTo(ctx, StageMaterialize)
-	tree, err := sn.Tree()
-	if err != nil {
-		return nil, ex, err
-	}
-	out, err := core.ConcatFrames(tree, perfs, metas, sn.ProfileLevel())
+	out, err := core.ConcatFrames(sn.Tree(), perfs, metas, sn.ProfileLevel())
 	if err != nil {
 		return nil, ex, err
 	}

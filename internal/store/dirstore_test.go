@@ -575,7 +575,7 @@ func TestColumnMinMaxStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every numeric perf column must carry a min/max covering its values.
-	seg := s.segs[0]
+	seg := s.view.Load().segs[0]
 	fm := seg.header.frame(framePerf)
 	if fm == nil {
 		t.Fatal("no perf frame")
@@ -757,12 +757,14 @@ func TestRefresh(t *testing.T) {
 	refresh(nil, RefreshFull)
 }
 
-// TestDisjointProof: the store proves at most once per content
-// generation that no two segments share a profile. A proof that holds
-// carries across appends and compactions, which cannot add a shared
-// profile; one that fails is drawn again only once the content moves.
+// TestDisjointProof: a view holds the verdict that no two of its
+// segments share a profile without drawing it when a validated append or
+// a compaction hands it on from a view that held it. A reopened
+// multi-segment store draws it at its first gather, and not before. A
+// profile that two segments share is never proven, fails every Load, and
+// is drawn again by the next view.
 func TestDisjointProof(t *testing.T) {
-	profiles := dirProfiles(t, 8, 41)
+	profiles := dirProfiles(t, 10, 41)
 	dir := filepath.Join(t.TempDir(), "store")
 	if err := CreateDir(dir, dirThicket(t, profiles[:2])); err != nil {
 		t.Fatal(err)
@@ -771,67 +773,81 @@ func TestDisjointProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
+	reopen := func() {
+		t.Helper()
+		s.Close()
+		if s, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verdict := func(want int32, when string) {
+		t.Helper()
+		if got := s.view.Load().disjoint.Load(); got != want {
+			t.Fatalf("%s: verdict %d, want %d", when, got, want)
+		}
+	}
 	appendL0 := func(lo, hi int) {
 		t.Helper()
 		if err := s.AppendSegment(dirThicket(t, profiles[lo:hi]), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	load := func() error {
-		_, err := s.Load()
-		return err
-	}
-	appendL0(2, 4)
-	if s.proof.Load() != nil {
-		t.Fatal("a proof was drawn before any gather")
-	}
-	if err := load(); err != nil {
-		t.Fatal(err)
-	}
-	held := s.proof.Load()
-	if held == nil || !held.ok {
-		t.Fatalf("proof after a load of disjoint segments: %+v", held)
-	}
-	appendL0(4, 6)
-	gens := s.Generations()
-	if err := s.ReplaceSegments(gens[1:], mustSegments(t, s, gens[1:]...), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := load(); err != nil {
-		t.Fatal(err)
-	}
-	if s.proof.Load() != held {
-		t.Fatal("a proof that held was drawn again")
+	compactTail := func() {
+		t.Helper()
+		gens := s.Generations()
+		if err := s.ReplaceSegments(gens[1:], mustSegments(t, s, gens[1:]...), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// A segment that bypasses the append check and repeats profile 0.
-	rec, err := encodeSegment(dirThicket(t, profiles[:1]))
+	appendL0(2, 4)
+	appendL0(4, 6)
+	verdict(verdictHolds, "a store grown by appends, before any gather")
+	compactTail()
+	verdict(verdictHolds, "after a compaction")
+
+	reopen()
+	verdict(verdictUndrawn, "a reopened two-segment store, before any gather")
+	if _, err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	verdict(verdictHolds, "after the first gather")
+	appendL0(6, 8)
+	verdict(verdictHolds, "an append onto a drawn verdict, before any gather")
+	compactTail()
+	verdict(verdictHolds, "a compaction onto a drawn verdict, before any gather")
+
+	// A copy of the first segment's file, added to the manifest by hand,
+	// repeats its profiles, which no append lets in.
+	s.Close()
+	m, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.proof.Store(nil)
-	if err := s.appendSegmentDir(rec, 1, 0); err != nil {
+	raw, err := os.ReadFile(filepath.Join(dir, m.Segments[0].File))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load(); err == nil {
-		t.Fatal("load of a repeated profile succeeded")
+	if err := os.WriteFile(filepath.Join(dir, segFileName(m.NextGen)), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	failed := s.proof.Load()
-	if failed == nil || failed.ok || failed.contentGen != s.ContentGeneration() {
-		t.Fatalf("proof over a repeated profile: %+v at content generation %d", failed, s.ContentGeneration())
+	m.Segments = append(m.Segments, manifestSeg{File: segFileName(m.NextGen), Level: 1, Gen: m.NextGen})
+	m.NextGen++
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
 	}
-	if err := load(); err == nil {
-		t.Fatal("second load of a repeated profile succeeded")
+	reopen()
+	for i := 0; i < 2; i++ {
+		if _, err := s.Load(); !errors.Is(err, core.ErrSharedProfiles) {
+			t.Fatalf("load %d of a repeated profile: %v, want %v", i, err, core.ErrSharedProfiles)
+		}
+		verdict(verdictFails, "over a repeated profile")
 	}
-	if s.proof.Load() != failed {
-		t.Fatal("a failed proof was drawn again at the same content generation")
+	appendL0(8, 10)
+	verdict(verdictUndrawn, "an append onto a verdict that did not hold")
+	if _, err := s.Load(); !errors.Is(err, core.ErrSharedProfiles) {
+		t.Fatalf("load of a repeated profile after an append: %v", err)
 	}
-	appendL0(6, 8)
-	if err := load(); err == nil {
-		t.Fatal("load of a repeated profile succeeded after an append")
-	}
-	if again := s.proof.Load(); again == failed || again.ok {
-		t.Fatalf("after an append the failed proof is %+v, want a new failed one", again)
-	}
+	verdict(verdictFails, "drawn again after the append")
 }

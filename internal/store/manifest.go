@@ -171,13 +171,12 @@ func openDir(dir string, opts Options) (*Store, error) {
 		}
 		s := newStore(dir, opts, telemetry.Default)
 		s.dir = true
-		s.segs = segs
 		s.profileLevel = m.ProfileLevel
 		s.nextSegGen = m.NextGen
-		s.contentGen = m.ContentGen
-		s.gen = m.ContentGen // layout starts where content is; moves independently after
+		// The layout starts where content is; the two move independently after.
+		s.publish(&Snapshot{segs: segs, gen: m.ContentGen, contentGen: m.ContentGen, tree: headerUnion(nil, segs)})
 		s.sweepOrphans(m)
-		logEvent("store open", "path", dir, "segments", len(s.segs), "dir", true)
+		logEvent("store open", "path", dir, "segments", len(segs), "dir", true)
 		return s, nil
 	}
 }
@@ -288,20 +287,23 @@ func writeSegmentFile(path string, rec []byte) (*os.File, error) {
 // commitSegment is the one commit of a directory store: it writes rec
 // as segment file seg-<next_gen>.tks, fsyncs and parses it, and swaps in
 // a manifest whose layout splices it in place of the n segments from
-// position at (n = 0 adds it there, as an append adds it at the tail),
-// with next_gen and the layout generation bumped — and the content
-// generation for an append. All of that runs outside s.mu, so reads go
-// on meanwhile; only once the manifest is durable does the commit take
-// s.mu, to publish the new layout and generations. On failure nothing
-// has been published: it removes the file, and the next commit writes
-// this generation again, over anything left behind. It returns the new
+// position at (n = 0 appends it: at is the tail), with next_gen and the
+// layout generation bumped — and the content generation for an append.
+// Readers go on meanwhile with the current view; only once the manifest
+// is durable does the commit publish the next view, whose union tree
+// extends the current one's for an append and is rebuilt for a
+// compaction. proven says the caller has checked that the new segment
+// adds no profile the rest of the layout holds, so a held disjoint
+// verdict is handed to the next view. On failure nothing has been
+// published: it removes the file, and the next commit writes this
+// generation again, over anything left behind. It returns the new
 // segment's generation and the n segments it replaced. Caller holds
-// writeMu, which every writer of the layout holds, so the commit reads
-// the layout without s.mu.
-func (s *Store) commitSegment(rec []byte, level, at, n int) (gen int64, replaced []*segment, err error) {
+// writeMu, which every writer of the layout holds.
+func (s *Store) commitSegment(rec []byte, level, at, n int, proven bool) (gen int64, replaced []*segment, err error) {
 	if s.closed {
 		return 0, nil, errors.New("store closed")
 	}
+	cur := s.view.Load()
 	gen = s.nextSegGen
 	path := filepath.Join(s.path, segFileName(gen))
 	f, err := writeSegmentFile(path, rec)
@@ -323,36 +325,25 @@ func (s *Store) commitSegment(rec []byte, level, at, n int) (gen int64, replaced
 	}
 	sg := parsed[0]
 	sg.gen, sg.level, sg.file, sg.owned = gen, level, path, true
-	segs := slices.Concat(s.segs[:at], []*segment{sg}, s.segs[at+n:])
-	contentGen := s.contentGen
+	next := &Snapshot{segs: slices.Concat(cur.segs[:at], []*segment{sg}, cur.segs[at+n:]), gen: cur.gen + 1, contentGen: cur.contentGen}
 	if n == 0 {
-		contentGen++
+		next.contentGen++
+		next.tree = headerUnion(cur.tree, []*segment{sg})
+	} else {
+		next.tree = headerUnion(nil, next.segs)
 	}
-	if err := writeManifest(s.path, s.manifestFor(segs, gen+1, contentGen)); err != nil {
+	if err := writeManifest(s.path, s.manifestFor(next.segs, gen+1, next.contentGen)); err != nil {
 		return 0, nil, err
 	}
 	if s.publishHook != nil {
 		s.publishHook()
 	}
-	s.mu.Lock()
-	replaced = s.segs[at : at+n]
-	s.segs, s.nextSegGen, s.contentGen = segs, gen+1, contentGen
-	s.gen++
-	s.genGauge.Set(s.gen)
-	s.mu.Unlock()
-	return gen, replaced, nil
-}
-
-// appendSegmentDir commits rec as a new segment at the layout's tail.
-// Caller holds writeMu, so the event is logged before the next commit.
-func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
-	gen, _, err := s.commitSegment(rec, level, len(s.segs), 0)
-	if err != nil {
-		return fmt.Errorf("store: %s: append: %w", s.path, err)
+	if proven && cur.disjoint.Load() == verdictHolds {
+		next.disjoint.Store(verdictHolds)
 	}
-	logEvent("store append", "path", s.path,
-		"profiles", nProfiles, "generation", s.gen, "segment_gen", gen, "bytes", int64(len(rec)))
-	return nil
+	s.nextSegGen = gen + 1
+	s.publish(next)
+	return gen, cur.segs[at : at+n], nil
 }
 
 // ReplaceSegments atomically swaps the live segments stamped gens for a
@@ -363,8 +354,8 @@ func (s *Store) appendSegmentDir(rec []byte, nProfiles, level int) error {
 // replaced segments' profiles. The layout generation bumps but the
 // content generation does NOT — the store's logical contents are
 // unchanged, so content-stamped response caches stay valid and Refresh
-// hands resident thickets back as they are. Retired segments' files are deleted once the last
-// pinned reader drains.
+// hands resident thickets back as they are. Retired segments' files are
+// deleted once the last view that names them is released.
 func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) error {
 	if !s.dir {
 		return fmt.Errorf("store: %s: read-only: a single-file store is written once; compaction runs on directory stores", s.path)
@@ -385,8 +376,9 @@ func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) e
 	// the next commit.
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	segs := s.view.Load().segs
 	pos := map[int64]int{}
-	for i, sg := range s.segs {
+	for i, sg := range segs {
 		pos[sg.gen] = i
 	}
 	idx := make([]int, 0, len(gens))
@@ -408,13 +400,14 @@ func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) e
 	}
 	wantProfiles := 0
 	for _, i := range idx {
-		wantProfiles += s.segs[i].header.NProfiles
+		wantProfiles += segs[i].header.NProfiles
 	}
 	if got := merged.NumProfiles(); got != wantProfiles {
 		return fmt.Errorf("store: %s: replace: merged thicket has %d profiles, replaced segments hold %d", s.path, got, wantProfiles)
 	}
 
-	gen, retired, err := s.commitSegment(rec, level, idx[0], len(idx))
+	// A compaction moves profiles but adds none.
+	gen, retired, err := s.commitSegment(rec, level, idx[0], len(idx), true)
 	if err != nil {
 		return fmt.Errorf("store: %s: replace: %w", s.path, err)
 	}
@@ -424,6 +417,6 @@ func (s *Store) ReplaceSegments(gens []int64, merged *core.Thicket, level int) e
 	}
 	logEvent("store compact", "path", s.path,
 		"merged", len(retired), "segment_gen", gen, "level", level,
-		"profiles", wantProfiles, "generation", s.gen)
+		"profiles", wantProfiles, "generation", s.view.Load().gen)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync/atomic"
 
 	"repro/internal/calltree"
 	"repro/internal/core"
@@ -22,7 +23,7 @@ import (
 // schema-only frames when pruned: a pruned segment still contributes its
 // column schema to a multi-segment union), and the union call tree.
 // What these cost beyond the block reads is paid once per segment, or
-// once per layout for the union tree, not once per query.
+// once per commit for the union tree, not once per query.
 
 // Exported frame names for Snapshot consumers.
 const (
@@ -78,32 +79,50 @@ func (fc *FrameColumns) Column(key string) (ColumnStats, bool) {
 	return fc.Blocks[i], true
 }
 
-// Snapshot is a pinned view of the store's live segments. Callers must
-// Release it; segments stay readable (even across compaction) until
-// then.
+// Snapshot is one immutable view of the store, as a commit, Open or
+// Close published it: the live segments in layout order, the layout and
+// content generations of exactly those segments, their union call tree,
+// and the verdict on whether two of them share a profile. A reader pins
+// the current view (Store.Snapshot) and must Release it; its segments
+// stay readable, even across compaction, until then.
 type Snapshot struct {
 	st              *Store
 	segs            []*segment
-	gen, contentGen int64 // layout and content generations of exactly segs
+	gen, contentGen int64          // layout and content generations of exactly segs
+	tree            *calltree.Tree // union of segs' call trees, built by the publisher
+
+	// refs counts the store's reference, held while this is the current
+	// view, and each reader's pin. The release that drops it to zero
+	// releases the segments.
+	refs atomic.Int64
+
+	// disjoint is the verdict of segmentsDisjoint: verdictUndrawn until
+	// drawn or handed forward.
+	disjoint atomic.Int32
 }
 
-// Snapshot pins the live segment set against compaction-time
-// finalization, for header-level planning and block reads. It reads
-// the generations under the lock that pins, so they name exactly the
-// pinned set.
+// Snapshot pins the store's current view, for header-level planning and
+// block reads. A pin takes no lock, allocates nothing and does no
+// per-segment work: it raises the view's count, unless that has already
+// drained to zero, in which case a newer view is published and it pins
+// that one.
 func (s *Store) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sg := range s.segs {
-		sg.acquire()
+	for {
+		sn := s.view.Load()
+		if n := sn.refs.Load(); n > 0 && sn.refs.CompareAndSwap(n, n+1) {
+			return sn
+		}
 	}
-	return &Snapshot{st: s, segs: append([]*segment(nil), s.segs...), gen: s.gen, contentGen: s.contentGen}
 }
 
-// Release unpins the snapshot's segments.
+// Release unpins the view. The last release of a view the store has
+// swapped out releases its segments, and so closes (and, if compacted
+// away, deletes) the files of those no newer view names.
 func (sn *Snapshot) Release() {
-	for _, sg := range sn.segs {
-		sg.release()
+	if sn.refs.Add(-1) == 0 {
+		for _, sg := range sn.segs {
+			sg.release()
+		}
 	}
 }
 
@@ -395,37 +414,11 @@ func (v SegmentView) Empty(ctx context.Context, withStats bool) (SegmentPart, er
 	return SegmentPart{Perf: hp.perf, Meta: hp.meta, Stats: stats}, nil
 }
 
-// unionTree is the union call tree of one layout generation.
-type unionTree struct {
-	gen  int64
-	tree *calltree.Tree
-}
-
-// Tree returns the union of the snapshot's segment call trees, in
-// layout order: the tree Store.Load's concatenation builds. It is built
-// once per layout generation and shared by every caller: read-only.
-func (sn *Snapshot) Tree() (*calltree.Tree, error) {
-	if u := sn.st.union.Load(); u != nil && u.gen == sn.gen {
-		return u.tree, nil
-	}
-	trees := make([]*calltree.Tree, len(sn.segs))
-	for i := range sn.segs {
-		hp, _, err := sn.Segment(i).head()
-		if err != nil {
-			return nil, err
-		}
-		trees[i] = hp.tree
-	}
-	u := &unionTree{gen: sn.gen, tree: calltree.Union(trees...)}
-	// Keep the newest layout's tree: an older snapshot finishing late
-	// must not evict it.
-	for {
-		old := sn.st.union.Load()
-		if old != nil && old.gen > u.gen || sn.st.union.CompareAndSwap(old, u) {
-			return u.tree, nil
-		}
-	}
-}
+// Tree returns the union of the view's segment call trees, in layout
+// order: the tree Store.Load's concatenation builds. The commit, Open or
+// Close that published the view built it, and every reader shares it:
+// read-only.
+func (sn *Snapshot) Tree() *calltree.Tree { return sn.tree }
 
 // EmptyFrame builds a zero-row frame with the named frame's exact
 // schema — index level names/kinds and column keys/kinds — from the

@@ -29,8 +29,8 @@ const segPreludeLen = 20
 // segment is one live segment: its parsed header, the reader holding
 // its data area, and its lifecycle state. Segments are immutable once
 // scanned; compaction retires them, and a retired segment's file is
-// closed (and, for directory stores, deleted) once the last pinned
-// reader releases it.
+// closed (and, for directory stores, deleted) once the last view that
+// names it is released.
 type segment struct {
 	header  segmentHeader
 	dataOff int64
@@ -49,7 +49,7 @@ type segment struct {
 
 	// profiles indexes the metadata frame's profile level: the store's
 	// profile identity for the duplicate-append and refresh checks and
-	// the disjoint proof.
+	// the disjoint verdict.
 	// Built on first use (profileIndex); the segment is immutable, so it
 	// never goes stale.
 	profiles atomic.Pointer[dataframe.Index]
@@ -67,7 +67,7 @@ type segment struct {
 	cols atomic.Pointer[map[string]*FrameColumns]
 }
 
-// acquire pins the segment for a reader.
+// acquire pins the segment for a view that names it.
 func (sg *segment) acquire() {
 	sg.mu.Lock()
 	sg.refs++
@@ -122,9 +122,12 @@ func (sg *segment) closeFile() error {
 // files under a manifest, the one layout that grows (appends and
 // compaction each commit one manifest swap); a single file, which Create
 // writes once and which is read-only after; or one read-only segment
-// held in memory (FromThicket). All methods are safe for concurrent use;
-// reads go through positional I/O and a shared decoded-column LRU cache
-// keyed by segment generation stamp.
+// held in memory (FromThicket). All methods are safe for concurrent use.
+// Readers take no lock: Open, every commit and Close each publish one
+// immutable view of the store (a Snapshot) with a single atomic store,
+// and a reader reads or pins the current one. Block reads go through
+// positional I/O and a shared decoded-column LRU cache keyed by segment
+// generation stamp.
 type Store struct {
 	path string
 	dir  bool     // directory (manifest) layout
@@ -132,17 +135,15 @@ type Store struct {
 
 	// writeMu is the writer lock: every commit (an append's validate and
 	// commit, a compaction) and Close hold it, so commits run one at a
-	// time, write and fsync outside mu, and read the layout without it.
-	writeMu sync.Mutex
-	closed  bool // set by Close; commits refuse after it. Guarded by writeMu.
+	// time and read the current view without pinning it: no other commit
+	// can swap it meanwhile.
+	writeMu    sync.Mutex
+	closed     bool  // set by Close; commits refuse after it. Guarded by writeMu.
+	nextSegGen int64 // allocator for per-segment stamps (directory layout). Guarded by writeMu.
 
-	// mu guards the published layout: segs and the generations. Readers
-	// take it to pin or read them; a commit takes it only to publish.
-	mu         sync.Mutex
-	segs       []*segment
-	gen        int64 // layout generation: bumps on append AND compaction
-	contentGen int64 // content generation: bumps on append only
-	nextSegGen int64 // allocator for per-segment stamps (directory layout)
+	// view is the published view. The store holds one reference on it
+	// until the next publish swaps it out.
+	view atomic.Pointer[Snapshot]
 
 	profileLevel string // set at open and never changed: read without a lock
 	cache        *columnCache
@@ -151,14 +152,7 @@ type Store struct {
 	// its durable manifest swap and the publish.
 	publishHook func()
 
-	// union is the call tree over the live segments, built once per
-	// layout generation (Snapshot.Tree).
-	union atomic.Pointer[unionTree]
-
-	// proof is the verdict of disjoint, once drawn.
-	proof atomic.Pointer[disjointProof]
-
-	genGauge *telemetry.Gauge // mirrors gen into the registry
+	genGauge *telemetry.Gauge // mirrors the published layout generation into the registry
 }
 
 // Options configures Open.
@@ -226,7 +220,7 @@ func OpenWithOptions(path string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	logEvent("store open", "path", path, "segments", len(s.segs))
+	logEvent("store open", "path", path, "segments", len(segs))
 	return s, nil
 }
 
@@ -358,15 +352,50 @@ func (s *Store) adopt(segs []*segment) error {
 			sg.level = 1 // the batch-built base
 		}
 	}
-	s.mu.Lock()
-	s.segs = segs
 	s.profileLevel = first
-	s.mu.Unlock()
+	s.publish(&Snapshot{segs: segs, tree: headerUnion(nil, segs)})
 	return nil
 }
 
+// publish makes sn, a view no reader has seen, the store's current view
+// with one atomic store. The view takes one reference on each of its
+// segments, and the store one on the view; the view swapped out loses
+// the store's reference. A view of fewer than two segments holds the
+// disjoint verdict from the start. Caller holds writeMu, or is opening
+// the store.
+func (s *Store) publish(sn *Snapshot) {
+	sn.st = s
+	sn.refs.Store(1)
+	for _, sg := range sn.segs {
+		sg.acquire()
+	}
+	if len(sn.segs) < 2 {
+		sn.disjoint.Store(verdictHolds)
+	}
+	s.genGauge.Set(sn.gen)
+	if old := s.view.Swap(sn); old != nil {
+		old.Release()
+	}
+}
+
+// headerUnion returns a new tree holding base's nodes and then those of
+// segs' call trees, read from their headers' paths in layout order: the
+// tree calltree.Union(base, trees...) builds. No block is read.
+func headerUnion(base *calltree.Tree, segs []*segment) *calltree.Tree {
+	tree := calltree.Union(base)
+	for _, sg := range segs {
+		for _, p := range sg.header.TreePaths {
+			_, _ = tree.AddPath(p) // an empty path is left out: every read of its segment fails on it
+		}
+	}
+	return tree
+}
+
 // Close releases every underlying file. It waits for a commit in
-// flight, and refuses the commits that come after it.
+// flight, and refuses the commits that come after it. It publishes an
+// empty view at the same generations, so later reads fail as an empty
+// store's do, and closes the old view's segment files at once, pinned
+// or not.
 func (s *Store) Close() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -375,11 +404,9 @@ func (s *Store) Close() error {
 	if s.f != nil {
 		err = s.f.Close()
 	}
-	s.mu.Lock()
-	segs := s.segs
-	s.segs = nil
-	s.mu.Unlock()
-	for _, sg := range segs {
+	old := s.view.Load()
+	s.publish(&Snapshot{gen: old.gen, contentGen: old.contentGen, tree: calltree.New()})
+	for _, sg := range old.segs {
 		if cerr := sg.closeFile(); err == nil {
 			err = cerr
 		}
@@ -398,40 +425,27 @@ func (s *Store) IsDir() bool { return s.dir }
 func (s *Store) ProfileLevel() string { return s.profileLevel }
 
 // NumSegments reports the number of live segments.
-func (s *Store) NumSegments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
+func (s *Store) NumSegments() int { return len(s.view.Load().segs) }
 
 // Generation reports the layout generation: it changes whenever the
 // segment set changes — every append AND every compaction. Consumers
 // holding a decoded view (thicketd's resident thicket) Refresh it when
 // it moves.
-func (s *Store) Generation() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
+func (s *Store) Generation() int64 { return s.view.Load().gen }
 
 // ContentGeneration reports the content generation: it changes only
 // when the store's logical contents change (appends), NOT when
 // compaction reorganizes the same rows into fewer segments. Caches of
 // query *answers* stamp entries with this; caches of *layout* (decoded
 // columns) key by per-segment stamps instead.
-func (s *Store) ContentGeneration() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.contentGen
-}
+func (s *Store) ContentGeneration() int64 { return s.view.Load().contentGen }
 
 // Generations lists the live segments' generation stamps in layout
 // (logical arrival) order.
 func (s *Store) Generations() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.segs))
-	for i, sg := range s.segs {
+	segs := s.view.Load().segs
+	out := make([]int64, len(segs))
+	for i, sg := range segs {
 		out[i] = sg.gen
 	}
 	return out
@@ -441,10 +455,9 @@ func (s *Store) Generations() []int64 {
 // count) in layout order from headers alone — the compactor's planning
 // input. Byte sizes are the in-file record sizes; Info() refines them.
 func (s *Store) Segments() []SegmentInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SegmentInfo, len(s.segs))
-	for i, sg := range s.segs {
+	segs := s.view.Load().segs
+	out := make([]SegmentInfo, len(segs))
+	for i, sg := range segs {
 		out[i] = SegmentInfo{
 			Gen: sg.gen, Level: sg.level, Profiles: sg.header.NProfiles,
 			Bytes: segPreludeLen + sg.dataLen, File: sg.fileName(),
@@ -460,13 +473,6 @@ func (sg *segment) fileName() string {
 		return ""
 	}
 	return filepath.Base(sg.file)
-}
-
-// pin snapshots the live segment set and pins every member against
-// compaction-time finalization. Callers must invoke release when done.
-func (s *Store) pin() (segs []*segment, release func()) {
-	sn := s.Snapshot()
-	return sn.segs, sn.Release
 }
 
 // encodeSegment serializes one thicket as a complete segment record.
@@ -630,7 +636,9 @@ func (s *Store) loadFrame(ctx context.Context, parent *telemetry.Span, seg *segm
 // thickets would; aggregated statistics reset to empty since stored
 // stats no longer cover the appended profiles.
 func (s *Store) Load() (*core.Thicket, error) {
-	return s.load(nil)
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.load(nil)
 }
 
 // LoadProjection materializes the store with the performance-data
@@ -646,37 +654,37 @@ func (s *Store) LoadProjection(keys []dataframe.ColKey) (*core.Thicket, error) {
 	for _, k := range keys {
 		want[k.String()] = true
 	}
-	segs, release := s.pin()
+	sn := s.Snapshot()
+	defer sn.Release()
 	available := map[string]bool{}
-	for _, seg := range segs {
+	for _, seg := range sn.segs {
 		if fm := seg.header.frame(framePerf); fm != nil {
 			for _, cm := range fm.Cols {
 				available[dataframe.ColKey(cm.Key).String()] = true
 			}
 		}
 	}
-	release()
 	for _, k := range keys {
 		if !available[k.String()] {
 			return nil, fmt.Errorf("store: %s: no perf column %v in any segment", s.path, k)
 		}
 	}
-	return s.load(func(k dataframe.ColKey) bool { return want[k.String()] })
+	return sn.load(func(k dataframe.ColKey) bool { return want[k.String()] })
 }
 
-func (s *Store) load(keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
+// load reads every segment of the view under the store.Load span,
+// keepPerf projecting the perf columns (nil keeps all).
+func (sn *Snapshot) load(keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
 	sp := telemetry.StartOp("store.Load")
 	defer sp.End()
-	sn := s.Snapshot()
-	defer sn.Release()
 	if sp != nil {
-		sp.SetAttr("path", s.path)
+		sp.SetAttr("path", sn.st.path)
 		sp.SetAttr("segments", fmt.Sprint(len(sn.segs)))
 	}
 	return sn.gather(context.Background(), sp, sn.segs, keepPerf)
 }
 
-// gather reads segs, a run of the snapshot's segments, through their
+// gather reads segs, a run of the view's segments, through their
 // scan parts: Load over that run, keepPerf projecting the perf columns
 // (nil keeps all). One segment comes back as stored, stats included
 // unless projected, in copies of its checked parts; several are gathered
@@ -761,7 +769,7 @@ const (
 // the compactor merged across that point. When the prefix check fails —
 // prev came from elsewhere — it loads the whole store (mode
 // RefreshFull). gen and contentGen are the generations of exactly the
-// segment set the result reflects, read under the lock that pinned it.
+// segment set the result reflects: those of the view it pinned.
 // Refresh runs under the store.Load span, with its mode as an attribute.
 func (s *Store) Refresh(prev *core.Thicket) (th *core.Thicket, gen, contentGen int64, mode string, err error) {
 	sp := telemetry.StartOp("store.Load")
@@ -791,9 +799,9 @@ func (s *Store) Refresh(prev *core.Thicket) (th *core.Thicket, gen, contentGen i
 	return th, sn.gen, sn.contentGen, mode, err
 }
 
-// tailAfter gathers prev's rows and then the profiles the snapshot holds
+// tailAfter gathers prev's rows and then the profiles the view holds
 // beyond prev's, in arrival order. ok is false when prev is not a prefix
-// of the snapshot; g is nil when nothing is new.
+// of the view; g is nil when nothing is new.
 func (sn *Snapshot) tailAfter(ctx context.Context, sp *telemetry.Span, prev *core.Thicket) (g *gathering, ok bool, err error) {
 	segs := sn.segs
 	if prev == nil || prev.NumProfiles() == 0 || prev.ProfileLevelName() != sn.ProfileLevel() {
@@ -867,62 +875,62 @@ func (s *Store) profileIndex(ctx context.Context, sp *telemetry.Span, seg *segme
 	return nil, fmt.Errorf("store: %s: segment g%d has no metadata level %q", s.path, seg.gen, seg.header.ProfileLevel)
 }
 
-// CheckProfiles guards meta, a metadata frame gathered from the
-// snapshot's segments, against a profile two of them share, and fails
-// as Load fails. Once the store has proven its segments disjoint it
-// checks nothing; until then it checks meta's own index.
+// CheckProfiles guards meta, a metadata frame gathered from the view's
+// segments, against a profile two of them share, and fails as Load
+// fails. Where the view's disjoint verdict holds it checks nothing;
+// otherwise it checks meta's own index.
 func (sn *Snapshot) CheckProfiles(meta *dataframe.Frame) error {
-	if sn.st.disjoint(sn.segs, sn.contentGen) || !meta.Index().HasDuplicates() {
+	if sn.segmentsDisjoint() || !meta.Index().HasDuplicates() {
 		return nil
 	}
 	return fmt.Errorf("store: %s: %w", sn.st.path, core.ErrSharedProfiles)
 }
 
-// disjointProof is the store's verdict on whether two of its segments
-// share a profile, drawn at content generation contentGen.
-type disjointProof struct {
-	contentGen int64
-	ok         bool
-}
+// The view's disjoint verdict: whether no profile appears in two of its
+// segments.
+const (
+	verdictUndrawn int32 = iota
+	verdictHolds
+	verdictFails
+)
 
-// disjoint reports whether no profile appears in two segments of live,
-// the store's live set at content generation contentGen. The store draws
-// this proof at most once per content generation, from the segments'
-// profile indexes, and one that holds holds for good: validateAppend
-// refuses a batch holding a live profile, and a compaction moves none.
-// A collision, or a profile block that will not read, leaves it
-// unproven. Its block reads are charged to no request: they reach no
+// segmentsDisjoint reports the view's disjoint verdict, drawing it on
+// first use. A view of fewer than two segments holds it when published,
+// and a commit hands a held verdict to the next view where its segment
+// adds no profile the layout holds; any other view draws it once. A
+// collision, or a profile block that will not read, leaves it unproven.
+// Its block reads are charged to no request: they reach no
 // ScanObserver.
-func (s *Store) disjoint(live []*segment, contentGen int64) bool {
-	old := s.proof.Load()
-	if old != nil && (old.ok || old.contentGen == contentGen) {
-		return old.ok
+func (sn *Snapshot) segmentsDisjoint() bool {
+	if sn.disjoint.Load() == verdictUndrawn {
+		v := verdictFails
+		if sn.st.shareNoProfile(sn.segs) {
+			v = verdictHolds
+		}
+		sn.disjoint.CompareAndSwap(verdictUndrawn, v) // a racing draw's verdict serves as well
 	}
-	p := &disjointProof{contentGen: contentGen, ok: s.shareNoProfile(live)}
-	s.proof.CompareAndSwap(old, p) // a racing proof's verdict serves as well
-	return p.ok
+	return sn.disjoint.Load() == verdictHolds
 }
 
-// shareNoProfile locates each segment's profiles in the profile index
-// of every segment before it.
-func (s *Store) shareNoProfile(live []*segment) bool {
-	if len(live) < 2 {
-		return true
-	}
-	ixs := make([]*dataframe.Index, len(live))
-	for i, seg := range live {
+// shareNoProfile stacks the profile levels of segs, two or more
+// segments, into one series and reports whether its index holds no
+// repeated key.
+func (s *Store) shareNoProfile(segs []*segment) bool {
+	var all *dataframe.Series
+	for _, seg := range segs {
 		ix, err := s.profileIndex(context.Background(), nil, seg)
 		if err != nil {
 			return false
 		}
-		for _, before := range ixs[:i] {
-			if slices.ContainsFunc(before.Locate(ix.Level(0)), func(o int32) bool { return o >= 0 }) {
-				return false
-			}
+		level := ix.Level(0)
+		if all == nil {
+			all = dataframe.NewSeries(level.Name(), level.Kind()) // its own dictionary: the segments' stay as they are
 		}
-		ixs[i] = ix
+		if err := all.AppendSeries(level); err != nil {
+			return false
+		}
 	}
-	return true
+	return !dataframe.MustIndex(all).HasDuplicates()
 }
 
 // LoadSegments reads the live segments stamped gens, in that order, as
@@ -948,13 +956,13 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 	sp := telemetry.StartOp("store.Metadata")
 	sp.SetAttr("path", s.path)
 	defer sp.End()
-	segs, release := s.pin()
-	defer release()
-	if len(segs) == 0 {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if len(sn.segs) == 0 {
 		return nil, fmt.Errorf("store: %s: empty store", s.path)
 	}
-	frames := make([]*dataframe.Frame, len(segs))
-	for i, seg := range segs {
+	frames := make([]*dataframe.Frame, len(sn.segs))
+	for i, seg := range sn.segs {
 		f, err := s.loadFrame(context.Background(), sp, seg, frameMeta_, nil)
 		if err != nil {
 			return nil, err
@@ -976,7 +984,8 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 // ones of the same name or key, and no reused profile-index values. Its
 // cost is a header walk plus one Locate of th's profiles per live
 // segment, on each segment's profile index. Only a directory store takes
-// appends. Caller holds writeMu.
+// appends. Caller holds writeMu, so the current view is the one the
+// append commits onto.
 func (s *Store) validateAppend(th *core.Thicket) error {
 	if !s.dir {
 		return fmt.Errorf("store: %s: read-only: a single-file store is written once; appends go to directory stores", s.path)
@@ -984,8 +993,7 @@ func (s *Store) validateAppend(th *core.Thicket) error {
 	if got, want := th.ProfileLevelName(), s.ProfileLevel(); got != want {
 		return fmt.Errorf("store: %s: appended thicket uses profile level %q, store uses %q", s.path, got, want)
 	}
-	segs, release := s.pin()
-	defer release()
+	segs := s.view.Load().segs
 	// Levels key apart from columns (\x01, not \x00), which may share
 	// their names.
 	kinds := map[string]string{}
@@ -1053,7 +1061,8 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 		defer sp.End()
 	}
 	// The whole validate+commit sequence holds the writer lock, so
-	// concurrent appends cannot both pass the duplicate-profile check.
+	// concurrent appends cannot both pass the duplicate-profile check,
+	// and the event is logged before the next commit.
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if err := s.validateAppend(th); err != nil {
@@ -1063,7 +1072,15 @@ func (s *Store) AppendSegment(th *core.Thicket, level int) error {
 	if err != nil {
 		return fmt.Errorf("store: %s: append: %w", s.path, err)
 	}
-	return s.appendSegmentDir(rec, th.NumProfiles(), level)
+	// The check has just located th's profiles in every live segment:
+	// the segment is proven to add none they hold.
+	gen, _, err := s.commitSegment(rec, level, len(s.view.Load().segs), 0, true)
+	if err != nil {
+		return fmt.Errorf("store: %s: append: %w", s.path, err)
+	}
+	logEvent("store append", "path", s.path,
+		"profiles", th.NumProfiles(), "generation", s.view.Load().gen, "segment_gen", gen, "bytes", int64(len(rec)))
+	return nil
 }
 
 // AppendProfiles composes raw profiles into a thicket keyed the same
@@ -1134,10 +1151,9 @@ type Info struct {
 }
 
 // Info reports the store's shape from headers alone, all of it from one
-// snapshot: the generations name exactly the segments it lists.
+// view: the generations name exactly the segments it lists.
 func (s *Store) Info() Info {
-	sn := s.Snapshot()
-	defer sn.Release()
+	sn := s.view.Load()
 	segs := sn.segs
 	info := Info{
 		Path:         s.path,
@@ -1151,7 +1167,6 @@ func (s *Store) Info() Info {
 			info.FileBytes = st.Size()
 		}
 	}
-	tree := calltree.New()
 	// Columns in first-appearance order, block sizes summed across
 	// segments (a column appended later shows up after the originals).
 	sumCols := func(frame string) []ColumnInfo {
@@ -1191,11 +1206,8 @@ func (s *Store) Info() Info {
 		if fm := seg.header.frame(framePerf); fm != nil {
 			info.PerfRows += fm.NRows
 		}
-		for _, p := range seg.header.TreePaths {
-			tree.AddPath(p)
-		}
 	}
-	info.Nodes = tree.Len()
+	info.Nodes = sn.tree.Len()
 	info.PerfColumns = sumCols(framePerf)
 	info.MetaColumns = sumCols(frameMeta_)
 	info.CacheHits, info.CacheMisses, info.CacheBytes, info.CacheEntries = s.cache.stats()
